@@ -125,12 +125,12 @@ def run_spectral_amp(op, denoisers, u0, power_depth, K, margin=0.05):
     from . import spectral  # local import to avoid a cycle
     from .errors import DegenerateInputError
 
-    d = spectral.resolve_power_depth(op, power_depth)
     u0 = np.ascontiguousarray(u0, dtype=np.float64)
     norm = np.linalg.norm(u0)
     if norm == 0.0:
         raise PreconditionError("prior vector is zero; spectral initialization undefined")
-    gap = spectral.gap_check(op, d, margin=margin, y0=u0 / norm)
+    gap = spectral.gap_check(op, margin=margin, y0=u0 / norm)
+    d = spectral.resolve_power_depth(op, power_depth, gap)
     if not gap.passed:
         raise PreconditionError(
             f"eigenvalue gap check failed: lambda1={gap.lambda1:.6g}, "

@@ -20,6 +20,7 @@ PRIOR_KINDS = ("rademacher", "uniform_sqrt3", "three_point", "gaussian")
 
 _SQRT3 = math.sqrt(3.0)
 _MASK64 = (1 << 64) - 1
+_DRAW_CHUNK = 1 << 16  # Wigner entries drawn per generator call
 
 # role tags mixed into the per-trial seed derivation
 _ROLE_SHARED = 0
@@ -141,25 +142,35 @@ def _role_rng(master_seed, trial_index, role):
     return np.random.default_rng(seed)
 
 
-def _draw_entries(kind, param, size, rng):
-    if kind == "gaussian":
-        return rng.standard_normal(size)
-    if kind == "rademacher":
-        return rng.integers(0, 2, size=size).astype(np.float64) * 2.0 - 1.0
-    if kind == "uniform":
-        return rng.uniform(-_SQRT3, _SQRT3, size=size)
-    if kind == "centered_bernoulli":
-        p = float(param)
-        b = (rng.random(size) < p).astype(np.float64)
-        return (b - p) / math.sqrt(p * (1.0 - p))
-    raise RejectedInputError(f"unknown ensemble kind {kind!r}")
-
-
 def sample_wigner(n, ens, stream):
-    """Symmetric matrix with i.i.d. upper-triangle entries from the ensemble law."""
+    """Symmetric matrix with i.i.d. upper-triangle entries from the ensemble law.
+
+    The entries are drawn chunk by chunk into one float64 array. Every law
+    consumes the stream in order, so the result is byte-identical to a single
+    draw of all entries, without full-size integer or boolean temporaries.
+    """
     if n < 1:
         raise RejectedInputError(f"dimension must be >= 1, got {n}")
-    entries = _draw_entries(ens.kind, ens.param, packed_length(n), stream)
+    entries = np.empty(packed_length(n))
+    for start in range(0, entries.size, _DRAW_CHUNK):
+        seg = entries[start : start + _DRAW_CHUNK]
+        if ens.kind == "gaussian":
+            stream.standard_normal(out=seg)
+        elif ens.kind == "rademacher":
+            np.multiply(stream.integers(0, 2, size=seg.size), 2.0, out=seg)
+            seg -= 1.0
+        elif ens.kind == "uniform":  # as Generator.uniform: low + (high - low) * random()
+            stream.random(out=seg)
+            seg *= 2.0 * _SQRT3
+            seg -= _SQRT3
+        elif ens.kind == "centered_bernoulli":
+            p = float(ens.param)
+            stream.random(out=seg)
+            seg[...] = seg < p
+            seg -= p
+            seg /= math.sqrt(p * (1.0 - p))
+        else:
+            raise RejectedInputError(f"unknown ensemble kind {ens.kind!r}")
     if ens.diagonal_policy == "zero":
         entries[packed_diagonal_indices(n)] = 0.0
     return SymmetricMatrix(n, entries)

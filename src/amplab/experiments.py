@@ -303,7 +303,7 @@ def run_state_evolution(cfg):
 
 
 def run_bbp(cfg):
-    """Top eigenvalue, deflated spectral radius, and eigenvector overlap per SNR."""
+    """Top eigenvalue, max(|lambda2|, |lambda_min|), and eigenvector overlap per SNR."""
     spike_cache = {g: SpikeSpec.rank_one(g) for g in cfg.gamma_grid}
 
     def make_task(g_idx, gamma, n_idx, n, trial):
@@ -316,9 +316,8 @@ def run_bbp(cfg):
             op = build_spiked(mat, spike_cache[gamma], u0)
             row = {"gamma": gamma, "n": n, "trial": trial, "status": "ok"}
             try:
-                depth = resolve_power_depth(op, cfg.power_depth)
-                unit_u0 = u0 / np.linalg.norm(u0)
-                gc = gap_check(op, depth, y0=unit_u0)
+                gc = gap_check(op, y0=u0 / np.linalg.norm(u0))
+                depth = resolve_power_depth(op, cfg.power_depth, gc)
                 try:
                     psi = spectral_init(op, u0, depth)
                     overlap = abs(float(np.dot(psi, u0))) / n

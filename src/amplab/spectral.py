@@ -3,6 +3,8 @@
 Any object with ``.n`` and ``.apply(x)`` works as an operator (SymmetricMatrix
 and SpikedOperator both do). The power iterate is renormalized every step,
 which leaves the direction identical to normalizing Y^d y once at the end.
+The gap check reads lambda1, lambda2 and lambda_min from one Lanczos solve
+with full reorthogonalization; every product goes through ``op.apply``.
 """
 
 import math
@@ -10,8 +12,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
-from .errors import DegenerateInputError, RejectedInputError
+from .errors import DegenerateInputError, NumericalFailureError, RejectedInputError
 
 _UNDERFLOW = 1e-290
 
@@ -20,8 +23,13 @@ _DEFAULT_START_SEED = 0x9E3779B97F4A7C15
 
 POWER_DEPTH_MAX = 300
 POWER_DEPTH_MIN = 30
-_PRE_PASS_DEPTH = 50
 _DEPTH_EPS = 1e-6
+
+LANCZOS_MAX_DIM = 1000  # Krylov dimension cap; larger n than this must converge before it
+_LANCZOS_TOL = 1e-10
+_LANCZOS_CHECK_EVERY = 8  # steps between residual tests
+_LANCZOS_BLOCK = 64  # basis rows allocated at a time
+_BREAKDOWN = 1e-12  # relative size of a new Lanczos vector taken as an invariant subspace
 
 
 @dataclass
@@ -36,44 +44,6 @@ class GapCheckResult(NamedTuple):
     lambda1: float
     lambda2_abs: float
     passed: bool
-
-
-class _FnOperator:
-    def __init__(self, n, fn):
-        self.n = n
-        self._fn = fn
-
-    def apply(self, x):
-        return self._fn(x)
-
-
-def _default_start(n):
-    rng = np.random.default_rng(_DEFAULT_START_SEED)
-    y = rng.standard_normal(n)
-    return y / np.linalg.norm(y)
-
-
-def _power_iterate(op, y0, d):
-    """d normalized applications; returns (unit vector, rayleigh, growth).
-
-    growth = ||op y_final||_2 for the unit final iterate. Unlike the Rayleigh
-    quotient it cannot cancel between eigenvalues of opposite sign, so it is
-    the right magnitude estimate on a deflated bulk with near-symmetric edges;
-    it also never exceeds the operator norm.
-    """
-    y = y0
-    for _ in range(d):
-        z = op.apply(y)
-        nz = np.linalg.norm(z)
-        if nz < _UNDERFLOW:
-            raise DegenerateInputError(
-                "power iterate vanished; start vector has no overlap with the spectrum"
-            )
-        y = z / nz
-    z = op.apply(y)
-    growth = float(np.linalg.norm(z))
-    rayleigh = float(np.dot(y, z))
-    return y, rayleigh, growth
 
 
 def power_bound_rhs(eigen, y0, d):
@@ -106,7 +76,16 @@ def power_method(op, y0, d, eigen=None):
         raise RejectedInputError(f"start vector has shape {y0.shape}, expected ({op.n},)")
     if abs(np.linalg.norm(y0) - 1.0) > 1e-10:
         raise RejectedInputError("start vector must have unit norm")
-    y, rayleigh, _ = _power_iterate(op, y0, d)
+    y = y0
+    for _ in range(d):
+        z = op.apply(y)
+        nz = np.linalg.norm(z)
+        if nz < _UNDERFLOW:
+            raise DegenerateInputError(
+                "power iterate vanished; start vector has no overlap with the spectrum"
+            )
+        y = z / nz
+    rayleigh = float(np.dot(y, op.apply(y)))
     bound = power_bound_rhs(eigen, y0, d) if eigen is not None else None
     return PowerResult(vector=y, rayleigh=rayleigh, iterations_used=d, bound=bound)
 
@@ -126,74 +105,83 @@ def spectral_init(op, u0, d):
     return math.copysign(1.0, overlap) * math.sqrt(op.n) * result.vector
 
 
-def _estimate_top(op, start, d):
-    """(unit eigenvector estimate, lambda1 estimate) for the algebraic top.
+def _orthogonalize(w, basis):
+    """w minus its projection on the rows of basis, by classical Gram-Schmidt run twice."""
+    for _ in range(2):
+        w -= basis.T @ (basis @ w)
+    return w
 
-    A plain power run can oscillate when the spectrum has near-symmetric
-    extremes (a deflated noise bulk does), so the magnitude m0 = ||op|| is
-    estimated first from the growth factor and the iteration is rerun on the
-    shifted operator op + m0*I, whose algebraic top dominates in magnitude.
+
+def gap_check(op, *, margin=0.05, y0=None):
+    """(lambda1, max(|lambda2|, |lambda_min|)) of op and the separation condition.
+
+    Passes when lambda1 > max(lambda2_abs, 1) + margin. Lanczos from ``y0`` (a
+    fixed pseudo-random vector when None) stops once the top two and bottom Ritz
+    residuals are below _LANCZOS_TOL times the largest coefficient seen; on
+    breakdown it goes on from a fresh deterministic vector orthogonal to the basis.
     """
-    _, _, m0 = _power_iterate(op, start, d)
-    shifted = _FnOperator(op.n, lambda x, base=op, c=m0: base.apply(x) + c * x)
-    vec, rayleigh, _ = _power_iterate(shifted, start, d)
-    return vec, rayleigh - m0
+    n = op.n
+    if n < 2:
+        raise RejectedInputError(f"gap check needs n >= 2, got {n}")
+    q = np.random.default_rng(_DEFAULT_START_SEED).standard_normal(n) if y0 is None else y0
+    q = np.ascontiguousarray(q, dtype=np.float64)
+    if not np.any(q):
+        raise DegenerateInputError("gap check start vector is zero")
+    q = q / np.linalg.norm(q)
+    dim = min(n, LANCZOS_MAX_DIM)
+    basis = np.empty((0, n))
+    alpha, beta, scale, residual = [], [], 0.0, math.inf
+    for k in range(dim):
+        if k == len(basis):
+            basis = np.concatenate([basis, np.empty((min(_LANCZOS_BLOCK, dim - k), n))])
+        w = op.apply(q)
+        basis[k] = q
+        alpha.append(float(np.dot(q, w)))
+        w = _orthogonalize(w, basis[: k + 1])
+        b = float(np.linalg.norm(w))
+        scale = max(scale, abs(alpha[-1]), b)
+        breakdown = b <= _BREAKDOWN * scale
+        if k + 1 == n or (not breakdown and ((k + 1) % _LANCZOS_CHECK_EVERY == 0 or k + 1 == dim)):
+            try:
+                theta, s = eigh_tridiagonal(np.array(alpha), np.array(beta))
+            except np.linalg.LinAlgError as exc:
+                raise NumericalFailureError(f"tridiagonal eigensolver failed: {exc}") from exc
+            residual = b * float(np.max(np.abs(s[-1, [-1, -2, 0]])))
+            if residual <= _LANCZOS_TOL * scale:
+                lambda1, lambda2, lambda_min = (float(t) for t in theta[[-1, -2, 0]])
+                lambda2_abs = max(abs(lambda2), abs(lambda_min))
+                passed = lambda1 > max(lambda2_abs, 1.0) + margin
+                return GapCheckResult(lambda1=lambda1, lambda2_abs=lambda2_abs, passed=bool(passed))
+        if breakdown:
+            rng = np.random.default_rng([_DEFAULT_START_SEED, k])
+            w = _orthogonalize(rng.standard_normal(n), basis[: k + 1])
+        beta.append(0.0 if breakdown else b)
+        q = w / np.linalg.norm(w)
+    raise NumericalFailureError(
+        f"Lanczos did not converge in {dim} steps (residual {residual:.3g})", residual=residual
+    )
 
 
-def gap_check(op, d, deflation_rounds=1, margin=0.05, y0=None):
-    """Estimate (lambda1, max |lambda_rest|) and test the separation condition.
-
-    lambda1 comes from a shift-stabilized power run (see _estimate_top). The
-    remaining spectral radius is measured after deflating the estimated top
-    eigenpair(s), running the iteration on both the deflated operator and its
-    negation and keeping the larger magnitude. Passes when
-    lambda1 > max(lambda2_abs, 1) + margin.
-    """
-    if deflation_rounds < 1:
-        raise RejectedInputError(f"deflation_rounds must be >= 1, got {deflation_rounds}")
-    start = _default_start(op.n) if y0 is None else np.ascontiguousarray(y0, dtype=np.float64)
-    current = op
-    lambda1 = None
-    for _ in range(deflation_rounds):
-        vec, top = _estimate_top(current, start, d)
-        if lambda1 is None:
-            lambda1 = top
-        current = _deflate(current, top, vec)
-    _, _, grow_pos = _power_iterate(current, start, d)
-    negated = _FnOperator(current.n, lambda x, c=current: -c.apply(x))
-    _, _, grow_neg = _power_iterate(negated, start, d)
-    lambda2_abs = max(grow_pos, grow_neg)
-    passed = lambda1 > max(lambda2_abs, 1.0) + margin
-    return GapCheckResult(lambda1=float(lambda1), lambda2_abs=float(lambda2_abs), passed=bool(passed))
-
-
-def _deflate(op, value, unit_vector):
-    def fn(x, base=op, lam=value, v=unit_vector):
-        return base.apply(x) - lam * np.dot(v, x) * v
-
-    return _FnOperator(op.n, fn)
-
-
-def default_power_depth(op, eps=_DEPTH_EPS, d_max=POWER_DEPTH_MAX):
+def default_power_depth(op, gap=None, eps=_DEPTH_EPS, d_max=POWER_DEPTH_MAX):
     """Depth making the geometric factor ~ eps/sqrt(n): ceil(log(n/eps^2)/log(ratio)).
 
-    The ratio lambda1/lambda2_abs is bootstrapped from a coarse pre-pass. Below
-    the transition the ratio degenerates to 1 and the depth is capped at d_max,
-    which keeps refused runs finite.
+    The ratio lambda1/lambda2_abs is read from ``gap`` (the operator's gap
+    check, run here when None). Below the transition it degenerates to 1 and
+    the depth is capped at d_max, which keeps refused runs finite.
     """
-    start = _default_start(op.n)
-    vec, lam1 = _estimate_top(op, start, _PRE_PASS_DEPTH)
-    _, _, lam2 = _power_iterate(_deflate(op, lam1, vec), start, _PRE_PASS_DEPTH)
+    if gap is None:
+        gap = gap_check(op)
+    lam1, lam2 = gap.lambda1, gap.lambda2_abs
     if lam1 <= 0 or lam2 <= 0 or lam1 <= lam2 * (1.0 + 1e-9):
         return d_max
     depth = math.ceil(math.log(op.n / (eps * eps)) / math.log(lam1 / lam2))
     return int(min(max(depth, POWER_DEPTH_MIN), d_max))
 
 
-def resolve_power_depth(op, power_depth):
-    """Accepts an explicit depth or the string 'auto'."""
+def resolve_power_depth(op, power_depth, gap):
+    """Accepts an explicit depth or the string 'auto', read from ``gap`` (a GapCheckResult)."""
     if power_depth == "auto" or power_depth is None:
-        return default_power_depth(op)
+        return default_power_depth(op, gap)
     depth = int(power_depth)
     if depth < 1:
         raise RejectedInputError(f"power depth must be >= 1, got {depth}")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from amplab import ensembles
 from amplab.ensembles import (
     EnsembleSpec,
     PriorSpec,
@@ -14,7 +15,7 @@ from amplab.ensembles import (
     sample_wigner,
 )
 from amplab.errors import RejectedInputError
-from amplab.linalg import SymmetricMatrix
+from amplab.linalg import SymmetricMatrix, packed_diagonal_indices, packed_length
 
 
 class TestStreams:
@@ -110,6 +111,31 @@ class TestSampleWigner:
         spec = EnsembleSpec("rademacher", diagonal_policy="zero")
         mat = sample_wigner(17, spec, derive_streams(3, 0).noise_a)
         assert np.all(np.diag(mat.to_dense()) == 0.0)
+
+    @pytest.mark.parametrize("policy", ["same_law", "zero"])
+    @pytest.mark.parametrize(
+        "kind, param",
+        [("gaussian", None), ("rademacher", None), ("uniform", None), ("centered_bernoulli", 0.3)],
+    )
+    def test_chunked_draw_matches_one_shot_formulas(self, kind, param, policy):
+        # 401 * 402 / 2 = 80601 entries: more than one chunk and an odd remainder
+        n = 401
+        size = packed_length(n)
+        assert size % ensembles._DRAW_CHUNK != 0 and size > ensembles._DRAW_CHUNK
+        mat = sample_wigner(n, EnsembleSpec(kind, param, policy), derive_streams(13, 0).noise_a)
+        rng = derive_streams(13, 0).noise_a
+        if kind == "gaussian":
+            ref = rng.standard_normal(size)
+        elif kind == "rademacher":
+            ref = rng.integers(0, 2, size=size).astype(np.float64) * 2.0 - 1.0
+        elif kind == "uniform":
+            ref = rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=size)
+        else:
+            b = (rng.random(size) < param).astype(np.float64)
+            ref = (b - param) / math.sqrt(param * (1.0 - param))
+        if policy == "zero":
+            ref[packed_diagonal_indices(n)] = 0.0
+        assert mat.entries.tobytes() == ref.tobytes()
 
 
 class TestSamplePrior:

@@ -1,7 +1,10 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+
+from amplab import spectral
 
 from amplab.ensembles import (
     EnsembleSpec,
@@ -12,9 +15,10 @@ from amplab.ensembles import (
     sample_prior,
     sample_wigner,
 )
-from amplab.errors import DegenerateInputError, RejectedInputError
+from amplab.errors import DegenerateInputError, NumericalFailureError, RejectedInputError
 from amplab.linalg import SymmetricMatrix, jacobi_eigendecomp, packed_diagonal_indices
 from amplab.spectral import (
+    GapCheckResult,
     default_power_depth,
     gap_check,
     power_bound_rhs,
@@ -31,6 +35,24 @@ def shifted_bulk_instance(n, seed, shift=3.0):
     entries = mat.entries / math.sqrt(n)
     entries[packed_diagonal_indices(n)] += shift
     return SymmetricMatrix(n, entries), streams
+
+
+def spiked_instance(n, gamma, seed):
+    streams = derive_streams(seed, 0)
+    u0 = sample_prior(n, PriorSpec("rademacher"), streams.shared)
+    mat = sample_wigner(n, EnsembleSpec("gaussian"), streams.noise_a)
+    return build_spiked(mat, SpikeSpec.rank_one(gamma), u0), u0
+
+
+class CountingOperator:
+    def __init__(self, op):
+        self.op = op
+        self.n = op.n
+        self.applies = 0
+
+    def apply(self, x):
+        self.applies += 1
+        return self.op.apply(x)
 
 
 class TestPowerMethod:
@@ -138,19 +160,19 @@ class TestSpectralInit:
 class TestGapCheck:
     def test_exact_diagonal_spectrum(self):
         m = SymmetricMatrix.from_dense(np.diag([3.0, 1.0, -1.0]))
-        res = gap_check(m, 60)
+        res = gap_check(m)
         assert res.lambda1 == pytest.approx(3.0, abs=1e-9)
         assert res.lambda2_abs == pytest.approx(1.0, abs=1e-9)
         assert res.passed
 
     def test_sub_unit_top_eigenvalue_fails(self):
         m = SymmetricMatrix.from_dense(np.diag([0.9, 0.5]))
-        res = gap_check(m, 60)
+        res = gap_check(m)
         assert res.lambda1 == pytest.approx(0.9, abs=1e-9)
         assert not res.passed
 
     def test_pass_rates_across_threshold(self):
-        n, d, trials = 256, 150, 50
+        n, trials = 256, 50
         outcomes = {2.0: 0, 0.5: 0}
         for gamma in outcomes:
             for trial in range(trials):
@@ -158,14 +180,74 @@ class TestGapCheck:
                 u0 = sample_prior(n, PriorSpec("rademacher"), streams.shared)
                 mat = sample_wigner(n, EnsembleSpec("gaussian"), streams.noise_g)
                 op = build_spiked(mat, SpikeSpec.rank_one(gamma), u0)
-                res = gap_check(op, d, y0=u0 / np.linalg.norm(u0))
+                res = gap_check(op, y0=u0 / np.linalg.norm(u0))
                 outcomes[gamma] += int(res.passed)
         assert outcomes[2.0] >= 0.95 * trials
         assert outcomes[0.5] <= 0.2 * trials
 
-    def test_bad_deflation_rounds(self):
+    @pytest.mark.parametrize("gamma", [0.5, 2.0])
+    def test_matches_eigvalsh_on_spiked_instances(self, gamma):
+        n = 300
+        op, u0 = spiked_instance(n, gamma, 51)
+        res = gap_check(op, y0=u0 / np.linalg.norm(u0))
+        dense = op.noise.to_dense() / math.sqrt(n) + (gamma / n) * np.outer(u0, u0)
+        lam = np.linalg.eigvalsh(dense)
+        assert abs(res.lambda1 - lam[-1]) <= 1e-8
+        assert abs(res.lambda2_abs - max(abs(lam[-2]), abs(lam[0]))) <= 1e-8
+
+    def test_apply_budget_at_n_1000(self):
+        op, u0 = spiked_instance(1000, 2.0, 20240810)
+        counting = CountingOperator(op)
+        gap_check(counting, y0=u0 / np.linalg.norm(u0))
+        assert counting.applies <= 200
+
+    def test_bytes_stable_across_reruns_and_threads(self):
+        instances = [spiked_instance(400, gamma, 61) for gamma in (0.5, 2.0)]
+
+        def solve(instance):
+            op, u0 = instance
+            return repr(tuple(gap_check(op, y0=u0 / np.linalg.norm(u0))))
+
+        first = [solve(inst) for inst in instances]
+        assert [solve(inst) for inst in instances] == first
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            assert list(pool.map(solve, instances)) == first
+
+    @pytest.mark.parametrize(
+        "diag, support, lambda1, lambda2_abs",
+        [
+            # e1 spans an invariant subspace: the Krylov space closes after one step
+            ([3.0, 1.0, -2.0, 0.5], [0], 3.0, 2.0),
+            # eight interior eigenvectors: it closes on a residual-test step
+            (np.arange(16.0) - 5.0, range(4, 12), 10.0, 9.0),
+        ],
+    )
+    def test_breakdown_restarts_from_fresh_vector(self, diag, support, lambda1, lambda2_abs):
+        m = SymmetricMatrix.from_dense(np.diag(diag))
+        y0 = np.zeros(len(diag))
+        y0[list(support)] = 1.0
+        res = gap_check(m, y0=y0)
+        assert res.lambda1 == pytest.approx(lambda1, abs=1e-12)
+        assert res.lambda2_abs == pytest.approx(lambda2_abs, abs=1e-12)
+
+    def test_krylov_cap_raises_with_residual(self, monkeypatch):
+        monkeypatch.setattr(spectral, "LANCZOS_MAX_DIM", 2)
+        op, _ = spiked_instance(50, 2.0, 71)
+        with pytest.raises(NumericalFailureError) as info:
+            gap_check(op)
+        assert info.value.residual is not None and info.value.residual > 0
+
+    def test_tridiagonal_failure_becomes_numerical_failure(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(spectral, "eigh_tridiagonal", fail)
+        with pytest.raises(NumericalFailureError):
+            gap_check(spiked_instance(50, 2.0, 71)[0])
+
+    def test_rejects_one_by_one(self):
         with pytest.raises(RejectedInputError):
-            gap_check(SymmetricMatrix.identity(3), 5, deflation_rounds=0)
+            gap_check(SymmetricMatrix.identity(1))
 
 
 class TestDefaultPowerDepth:
@@ -185,3 +267,10 @@ class TestDefaultPowerDepth:
         mat = sample_wigner(n, EnsembleSpec("gaussian"), streams.noise_g)
         op = build_spiked(mat, SpikeSpec())
         assert default_power_depth(op) == 300
+
+    def test_reads_ratio_from_gap_result_without_applies(self):
+        op, _ = spiked_instance(500, 2.0, 41)
+        counting = CountingOperator(op)
+        depth = default_power_depth(counting, GapCheckResult(2.5, 2.0, True))
+        assert depth == math.ceil(math.log(500 / 1e-12) / math.log(1.25))
+        assert counting.applies == 0
