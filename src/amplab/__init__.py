@@ -17,6 +17,7 @@ from .engine import (
 )
 from .ensembles import (
     EnsembleSpec,
+    InterpolatedNoise,
     PriorSpec,
     SpikeComponent,
     SpikeSpec,
@@ -41,12 +42,8 @@ from .errors import (
 from .linalg import (
     EigenDecomp,
     SymmetricMatrix,
-    axpy,
     cholesky,
-    dot,
     jacobi_eigendecomp,
-    norm2,
-    scale,
     sym_matvec,
 )
 from .nonlinear import (

@@ -191,11 +191,33 @@ def sample_prior(n, prior, stream):
     raise RejectedInputError(f"unknown prior kind {prior.kind!r}")
 
 
+class InterpolatedNoise:
+    """Noise operator x -> sqrt(t) A x + sqrt(1 - t) G x, never formed as a matrix.
+
+    One application costs two packed matvecs on the sampled A and G; nothing
+    of size n(n+1)/2 is allocated.
+    """
+
+    def __init__(self, mat_a, mat_g, t):
+        if mat_a.n != mat_g.n:
+            raise RejectedInputError(f"dimensions differ: {mat_a.n} vs {mat_g.n}")
+        if not 0.0 <= t <= 1.0:
+            raise RejectedInputError(f"interpolation t must lie in [0, 1], got {t}")
+        self.n = mat_a.n
+        self.mat_a, self.mat_g = mat_a, mat_g
+        self.weights = (math.sqrt(t), math.sqrt(1.0 - t))
+
+    def apply(self, x):
+        wa, wg = self.weights
+        return wa * sym_matvec(self.mat_a, x) + wg * sym_matvec(self.mat_g, x)
+
+
 class SpikedOperator:
     """Lazy operator x -> X x / sqrt(n) + sum_l (gamma_l / n) <z_l, x> z_l.
 
-    The low-rank part is never materialized; one application costs a packed
-    matvec plus O(r n) for the spikes.
+    X is any noise operator with ``.n`` and ``.apply`` (a SymmetricMatrix or an
+    InterpolatedNoise). The low-rank part is never materialized; one
+    application costs the noise apply plus O(r n) for the spikes.
     """
 
     def __init__(self, noise, spikes=()):
@@ -208,14 +230,14 @@ class SpikedOperator:
         x = np.ascontiguousarray(x, dtype=np.float64)
         if x.shape != (self.n,):
             raise RejectedInputError(f"vector length {x.shape} does not match n={self.n}")
-        y = sym_matvec(self.noise, x) * self._inv_sqrt_n
+        y = self.noise.apply(x) * self._inv_sqrt_n
         for gamma, z in self.spikes:
             y += (gamma / self.n) * np.dot(z, x) * z
         return y
 
 
 def build_spiked(x, spike, prior_vector=None):
-    """Assemble the spiked operator for noise matrix x and a SpikeSpec."""
+    """Assemble the spiked operator for noise operator x and a SpikeSpec."""
     n = x.n
     resolved = []
     for comp in spike.components:

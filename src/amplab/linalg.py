@@ -1,4 +1,4 @@
-"""Dense symmetric-matrix storage, vector kernels, a Jacobi eigensolver, and Cholesky.
+"""Dense symmetric-matrix storage, the packed matvec, a Jacobi eigensolver, and Cholesky.
 
 Symmetric matrices are kept in packed upper-triangle storage, column ordered
 (BLAS 'U' convention): entry (i, j) with i <= j lives at ``i + j*(j+1)//2``.
@@ -226,33 +226,3 @@ def cholesky(s, jitter=1e-12):
         raise NotPositiveSemidefiniteError(
             f"matrix is not positive semidefinite within jitter {jitter}: {exc}"
         ) from exc
-
-
-def dot(x, y):
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise RejectedInputError(f"length mismatch: {x.shape} vs {y.shape}")
-    return float(np.dot(x, y))
-
-
-def norm2(x):
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise RejectedInputError(f"expected a vector, got shape {x.shape}")
-    return float(np.linalg.norm(x))
-
-
-def axpy(a, x, y):
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise RejectedInputError(f"length mismatch: {x.shape} vs {y.shape}")
-    return a * x + y
-
-
-def scale(a, x):
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise RejectedInputError(f"expected a vector, got shape {x.shape}")
-    return a * x

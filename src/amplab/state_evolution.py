@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import roots_hermite, roots_legendre
 
+from .ensembles import sample_prior
 from .errors import AccuracyError, DegenerateInputError, RejectedInputError
 from .linalg import cholesky
 from .nonlinear import Denoiser, TestFunction, denoiser_eval, phi_eval_rows, scalar_eval
@@ -221,18 +222,6 @@ def se_predict_phi(phi, k, se, prior, quad=QuadratureSpec(), check=True):
     return float(_converged(run, "se_predict_phi", check)[0][0])
 
 
-def _draw_prior_mc(prior, size, rng):
-    if prior.kind == "rademacher":
-        return rng.integers(0, 2, size=size).astype(np.float64) * 2.0 - 1.0
-    if prior.kind == "uniform_sqrt3":
-        return rng.uniform(-_SQRT3, _SQRT3, size=size)
-    if prior.kind == "three_point":
-        return rng.choice(np.asarray(prior.values), size=size, p=np.asarray(prior.probs))
-    if prior.kind == "gaussian":
-        return rng.standard_normal(size)
-    raise RejectedInputError(f"unknown prior kind {prior.kind!r}")
-
-
 def _stack_rows(v, u0, a):
     """(V_a, ..., V_1, U0) as an (a+1, m) array; column j-1 of v holds V_j."""
     rows = np.empty((a + 1, u0.shape[0]))
@@ -255,12 +244,12 @@ def se_covariance(denoisers, prior, K, quad=QuadratureSpec()):
         raise RejectedInputError(f"need {K} denoisers, got {len(denoisers)}")
     rng = np.random.default_rng(np.random.SeedSequence([int(quad.seed) & ((1 << 64) - 1), 0xC0]))
     m = quad.mc_samples
-    u0 = _draw_prior_mc(prior, m, rng)
+    u0 = sample_prior(m, prior, rng)
     f_rows = denoiser_eval(denoisers[0], 0, u0[None, :])[None, :]
     sigma = f_rows @ f_rows.T / m
     for level in range(2, K + 1):
         factor = cholesky(sigma, jitter=1e-12)
-        u0 = _draw_prior_mc(prior, m, rng)
+        u0 = sample_prior(m, prior, rng)
         xi = rng.standard_normal((m, level - 1))
         v = xi @ factor.T
         f_rows = np.empty((level, m))
@@ -276,7 +265,7 @@ def covariance_phi_prediction(secov, prior, phi, k, quad=QuadratureSpec()):
         raise RejectedInputError(f"iteration {k} outside 0..{secov.K}")
     rng = np.random.default_rng(np.random.SeedSequence([int(quad.seed) & ((1 << 64) - 1), 0xC1]))
     m = quad.mc_samples
-    u0 = _draw_prior_mc(prior, m, rng)
+    u0 = sample_prior(m, prior, rng)
     if k == 0:
         rows = u0[None, :]
     else:

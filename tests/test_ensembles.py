@@ -6,6 +6,7 @@ import pytest
 from amplab import ensembles
 from amplab.ensembles import (
     EnsembleSpec,
+    InterpolatedNoise,
     PriorSpec,
     SpikeComponent,
     SpikeSpec,
@@ -15,7 +16,7 @@ from amplab.ensembles import (
     sample_wigner,
 )
 from amplab.errors import RejectedInputError
-from amplab.linalg import SymmetricMatrix, packed_diagonal_indices, packed_length
+from amplab.linalg import SymmetricMatrix, packed_diagonal_indices, packed_length, sym_matvec
 
 
 class TestStreams:
@@ -223,3 +224,34 @@ class TestSpikedOperator:
     def test_negative_gamma_rejected(self):
         with pytest.raises(RejectedInputError):
             SpikeComponent(-0.5, None)
+
+    def test_matrix_noise_applies_the_packed_matvec_bytes(self):
+        rng = np.random.default_rng(12)
+        mat = sample_wigner(30, EnsembleSpec("gaussian"), derive_streams(3, 0).noise_a)
+        x = rng.normal(size=30)
+        got = build_spiked(mat, SpikeSpec()).apply(x)
+        assert got.tobytes() == (sym_matvec(mat, x) * (1.0 / math.sqrt(30))).tobytes()
+
+
+class TestInterpolatedNoise:
+    def test_against_dense_mixed_matrix_oracle(self):
+        n, t, gamma = 50, 0.25, 2.0
+        streams = derive_streams(5, 0)
+        u0 = sample_prior(n, PriorSpec("rademacher"), streams.shared)
+        mat_a = sample_wigner(n, EnsembleSpec("rademacher"), streams.noise_a)
+        mat_g = sample_wigner(n, EnsembleSpec("gaussian"), streams.noise_g)
+        op = build_spiked(InterpolatedNoise(mat_a, mat_g, t), SpikeSpec.rank_one(gamma), u0)
+        # oracle: materialize (sqrt(t) A + sqrt(1-t) G) / sqrt(n) + gamma u0 u0^T / n
+        mixed = math.sqrt(t) * mat_a.to_dense() + math.sqrt(1.0 - t) * mat_g.to_dense()
+        full = mixed / math.sqrt(n) + gamma * np.outer(u0, u0) / n
+        x = np.random.default_rng(13).normal(size=n)
+        assert float(np.max(np.abs(op.apply(x) - full @ x))) <= 1e-12
+
+    def test_mismatched_dimensions_rejected(self):
+        with pytest.raises(RejectedInputError):
+            InterpolatedNoise(SymmetricMatrix.zeros(3), SymmetricMatrix.zeros(4), 0.5)
+
+    @pytest.mark.parametrize("t", [-0.1, 1.5])
+    def test_t_outside_unit_interval_rejected(self, t):
+        with pytest.raises(RejectedInputError):
+            InterpolatedNoise(SymmetricMatrix.zeros(3), SymmetricMatrix.zeros(3), t)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from amplab.ensembles import (
 )
 from amplab.errors import ConfigError, RejectedInputError
 from amplab.experiments import fit_decay, run_experiment
+from amplab.linalg import packed_length
 from amplab.nonlinear import Denoiser
 from amplab.reporting import read_records_csv, write_records_csv, write_summary_json
 
@@ -264,6 +266,33 @@ class TestInterpolation:
         _, rows, summary = run_experiment(cfg)
         assert len(rows) == 2 * 3
         assert {e["group"] for e in summary["groups"]} == {0.0, 0.25, 1.0}
+
+    def test_peak_memory_stays_near_the_two_sampled_matrices(self):
+        n = 600
+        cfg = base_config(
+            experiment="interpolation", n_grid=[n], trials=1, t_grid=[0.0, 0.25, 0.5, 0.75, 1.0]
+        )
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A and G take 2x; forming each mixed matrix would add at least 1x more
+        assert peak < 3 * 8 * packed_length(n)
+
+    def test_records_byte_identical_on_rerun_and_across_threads(self, tmp_path):
+        overrides = dict(
+            experiment="interpolation", n_grid=[40, 60], trials=3, t_grid=[0.0, 0.3, 0.7, 1.0]
+        )
+        for name, threads in (("a", 1), ("b", 1), ("c", 2)):
+            columns, rows, summary = run_experiment(base_config(threads=threads, **overrides))
+            write_records_csv(tmp_path / f"{name}.csv", columns, rows)
+            write_summary_json(tmp_path / f"{name}.json", summary)
+        for suffix in ("csv", "json"):
+            first = (tmp_path / f"a.{suffix}").read_bytes()
+            assert first == (tmp_path / f"b.{suffix}").read_bytes()
+            assert first == (tmp_path / f"c.{suffix}").read_bytes()
 
 
 class TestConcentration:
