@@ -52,7 +52,6 @@ from .nonlinear import (
     denoiser_eval,
     denoiser_partial,
     fd_partial,
-    phi_eval,
     phi_eval_rows,
 )
 from .spectral import (

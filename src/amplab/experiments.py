@@ -1,13 +1,17 @@
 """Experiment orchestration: per-trial coupling, summaries, and decay fitting.
 
-Every trial derives its own random streams from (master_seed, trial index), so
-trials are independent tasks; with threads > 1 they run on a pool and the
-collector orders rows by (group key, trial index) before emission, making the
-output independent of scheduling. Trials that raise a library error are
-recorded with their error class in the status column and excluded from
-summaries, which count them separately.
+Every runner hands one trial body to ``_run_grid``, which walks the (gamma, n,
+trial) grid. Each trial derives its own random streams from (master_seed,
+trial index), so trials are independent tasks; with threads > 1 they run on a
+pool and the rows are sorted by their key columns before emission, making the
+output independent of scheduling. A trial that raises a library error
+(``AmpLabError``), a ``LinAlgError`` or an ``ArithmeticError`` such as
+``FloatingPointError`` -- while sampling or later -- is recorded with its error
+class in the status column and excluded from summaries, which count it
+separately; any other exception is a bug and ends the run.
 """
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 
@@ -43,6 +47,10 @@ from .state_evolution import (
 # concentration fixes (u0, Z) per n-group; group streams live far away from the
 # per-trial index range so the two can never collide
 _GROUP_STREAM_OFFSET = 1 << 40
+
+# errors that turn a trial into status rows instead of ending the run;
+# ArithmeticError covers FloatingPointError, and scipy raises numpy's LinAlgError
+_TRIAL_ERRORS = (AmpLabError, np.linalg.LinAlgError, ArithmeticError)
 
 COLUMNS = {
     "universality": ("n", "trial", "status", "phi_a", "phi_g", "abs_diff"),
@@ -89,15 +97,37 @@ def fit_decay(points):
     return float(np.dot(xc, y - y.mean()) / np.dot(xc, xc))
 
 
-def _run_tasks(tasks, threads):
-    if threads <= 1:
-        results = [task() for task in tasks]
+def _run_grid(cfg, one_trial, leading_axes=(), failure_rows=({},)):
+    """Rows of one_trial(streams, *key) for every key of the trial grid, sorted.
+
+    The keys are product(*leading_axes, n_grid, range(trials)); a key's
+    position in that product is its trial index, from which its streams
+    derive. A trial that raises one of _TRIAL_ERRORS, sampling included,
+    becomes one row per entry of failure_rows: the key fields, the error
+    class as status, the entry's own fields, and None in every other column.
+    Rows are sorted by the columns before "status", so the output does not
+    depend on how threads schedule the trials.
+    """
+    columns = COLUMNS[cfg.experiment]
+    key_fields = columns[: columns.index("status")]
+    keys = list(itertools.product(*leading_axes, cfg.n_grid, range(cfg.trials)))
+
+    def run(index):
+        key = keys[index]
+        try:
+            return one_trial(derive_streams(cfg.master_seed, index), *key)
+        except _TRIAL_ERRORS as exc:
+            failed = dict.fromkeys(columns)
+            failed.update(zip(key_fields, key), status=type(exc).__name__)
+            return [{**failed, **fields} for fields in failure_rows]
+
+    if cfg.threads <= 1:
+        chunks = [run(index) for index in range(len(keys))]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda task: task(), tasks))
-    rows = []
-    for chunk in results:
-        rows.extend(chunk)
+        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+            chunks = list(pool.map(run, range(len(keys))))
+    rows = [row for chunk in chunks for row in chunk]
+    rows.sort(key=lambda row: tuple(row[field] for field in key_fields))
     return rows
 
 
@@ -165,39 +195,30 @@ def run_universality(cfg):
     spike = SpikeSpec.rank_one(cfg.gamma)
     gauss = _gaussian_twin(cfg.ensemble)
 
-    def make_task(n_idx, n, trial):
-        index = n_idx * cfg.trials + trial
+    def one_trial(streams, n, trial):
+        u0 = sample_prior(n, cfg.prior, streams.shared)
+        mat_g = sample_wigner(n, gauss, streams.noise_g)
+        if cfg.couple_streams:
+            # diagnostic: A replays the G stream under the same (Gaussian) law, so A == G
+            mat_a = mat_g
+        else:
+            mat_a = sample_wigner(n, cfg.ensemble, streams.noise_a)
+        orbit_a = _run_independent(cfg, build_spiked(mat_a, spike, u0), denoisers, u0)
+        orbit_g = _run_independent(cfg, build_spiked(mat_g, spike, u0), denoisers, u0)
+        phi_a = phi_average(orbit_a, cfg.phi, cfg.K)
+        phi_g = phi_average(orbit_g, cfg.phi, cfg.K)
+        return [
+            {
+                "n": n,
+                "trial": trial,
+                "status": "ok",
+                "phi_a": phi_a,
+                "phi_g": phi_g,
+                "abs_diff": abs(phi_a - phi_g),
+            }
+        ]
 
-        def task():
-            streams = derive_streams(cfg.master_seed, index)
-            u0 = sample_prior(n, cfg.prior, streams.shared)
-            if cfg.couple_streams:
-                # diagnostic: the A side replays the very G stream, forcing A == G
-                a_stream = derive_streams(cfg.master_seed, index).noise_g
-            else:
-                a_stream = streams.noise_a
-            mat_a = sample_wigner(n, cfg.ensemble, a_stream)
-            mat_g = sample_wigner(n, gauss, streams.noise_g)
-            row = {"n": n, "trial": trial, "status": "ok"}
-            try:
-                orbit_a = _run_independent(cfg, build_spiked(mat_a, spike, u0), denoisers, u0)
-                orbit_g = _run_independent(cfg, build_spiked(mat_g, spike, u0), denoisers, u0)
-                phi_a = phi_average(orbit_a, cfg.phi, cfg.K)
-                phi_g = phi_average(orbit_g, cfg.phi, cfg.K)
-                row.update(phi_a=phi_a, phi_g=phi_g, abs_diff=abs(phi_a - phi_g))
-            except AmpLabError as exc:
-                row.update(status=type(exc).__name__, phi_a=None, phi_g=None, abs_diff=None)
-            return [row]
-
-        return task
-
-    tasks = [
-        make_task(n_idx, n, trial)
-        for n_idx, n in enumerate(cfg.n_grid)
-        for trial in range(cfg.trials)
-    ]
-    rows = _run_tasks(tasks, cfg.threads)
-    rows.sort(key=lambda r: (r["n"], r["trial"]))
+    rows = _run_grid(cfg, one_trial)
     summaries = _summarize(rows, "n", "abs_diff")
     extras = {}
     positive = [(s["group"], s["mean"]) for s in summaries if s["mean"] > 0]
@@ -229,65 +250,42 @@ def run_state_evolution(cfg):
         ]
         sm_pred = [1.0] + [float(secov.sigma_matrix[k - 1, k - 1]) for k in range(1, cfg.K + 1)]
 
-    def make_task(n_idx, n, trial):
-        index = n_idx * cfg.trials + trial
+    def one_trial(streams, n, trial):
+        u0 = sample_prior(n, cfg.prior, streams.shared)
+        mat = sample_wigner(n, cfg.ensemble, streams.noise_a)
+        op = build_spiked(mat, spike, u0)
+        if cfg.init == "spectral":
+            orbit = run_spectral_amp(op, denoisers, u0, cfg.power_depth, cfg.K)
+        else:
+            orbit = _run_independent(cfg, op, denoisers, u0)
+        rows = []
+        for k in range(cfg.K + 1):
+            vk = orbit.iterates[k]
+            if cfg.init == "spectral":
+                emp = phi_pair_average(cfg.phi, u0, vk)
+            else:
+                emp = phi_average(orbit, cfg.phi, k)
+            rows.append(
+                {
+                    "n": n,
+                    "trial": trial,
+                    "k": k,
+                    "status": "ok",
+                    "phi_empirical": emp,
+                    "phi_prediction": phi_pred[k],
+                    "phi_abs_err": abs(emp - phi_pred[k]),
+                    "second_moment_empirical": float(np.mean(vk * vk)),
+                    "second_moment_prediction": sm_pred[k],
+                }
+            )
+        return rows
 
-        def task():
-            streams = derive_streams(cfg.master_seed, index)
-            u0 = sample_prior(n, cfg.prior, streams.shared)
-            mat = sample_wigner(n, cfg.ensemble, streams.noise_a)
-            op = build_spiked(mat, spike, u0)
-            rows = []
-            try:
-                if cfg.init == "spectral":
-                    orbit = run_spectral_amp(op, denoisers, u0, cfg.power_depth, cfg.K)
-                else:
-                    orbit = _run_independent(cfg, op, denoisers, u0)
-                for k in range(cfg.K + 1):
-                    vk = orbit.iterates[k]
-                    if cfg.init == "spectral":
-                        emp = phi_pair_average(cfg.phi, u0, vk)
-                    else:
-                        emp = phi_average(orbit, cfg.phi, k)
-                    rows.append(
-                        {
-                            "n": n,
-                            "trial": trial,
-                            "k": k,
-                            "status": "ok",
-                            "phi_empirical": emp,
-                            "phi_prediction": phi_pred[k],
-                            "phi_abs_err": abs(emp - phi_pred[k]),
-                            "second_moment_empirical": float(np.mean(vk * vk)),
-                            "second_moment_prediction": sm_pred[k],
-                        }
-                    )
-            except AmpLabError as exc:
-                for k in range(cfg.K + 1):
-                    rows.append(
-                        {
-                            "n": n,
-                            "trial": trial,
-                            "k": k,
-                            "status": type(exc).__name__,
-                            "phi_empirical": None,
-                            "phi_prediction": phi_pred[k],
-                            "phi_abs_err": None,
-                            "second_moment_empirical": None,
-                            "second_moment_prediction": sm_pred[k],
-                        }
-                    )
-            return rows
-
-        return task
-
-    tasks = [
-        make_task(n_idx, n, trial)
-        for n_idx, n in enumerate(cfg.n_grid)
-        for trial in range(cfg.trials)
+    # a failed trial keeps one row per k, with the predictions it was held to
+    failure_rows = [
+        {"k": k, "phi_prediction": phi_pred[k], "second_moment_prediction": sm_pred[k]}
+        for k in range(cfg.K + 1)
     ]
-    rows = _run_tasks(tasks, cfg.threads)
-    rows.sort(key=lambda r: (r["n"], r["trial"], r["k"]))
+    rows = _run_grid(cfg, one_trial, failure_rows=failure_rows)
     sm_errors = [
         {
             "k": r["k"],
@@ -308,53 +306,34 @@ def run_bbp(cfg):
     """Top eigenvalue, max(|lambda2|, |lambda_min|), and eigenvector overlap per SNR."""
     spike_cache = {g: SpikeSpec.rank_one(g) for g in cfg.gamma_grid}
 
-    def make_task(g_idx, gamma, n_idx, n, trial):
-        index = (g_idx * len(cfg.n_grid) + n_idx) * cfg.trials + trial
+    def one_trial(streams, gamma, n, trial):
+        u0 = sample_prior(n, cfg.prior, streams.shared)
+        mat = sample_wigner(n, cfg.ensemble, streams.noise_a)
+        op = build_spiked(mat, spike_cache[gamma], u0)
+        gc = gap_check(op, y0=u0 / np.linalg.norm(u0))
+        depth = resolve_power_depth(op, cfg.power_depth, gc)
+        try:
+            psi = spectral_init(op, u0, depth)
+            overlap = abs(float(np.dot(psi, u0))) / n
+            flag = 0
+        except _TRIAL_ERRORS:
+            overlap = 0.0
+            flag = 1
+        return [
+            {
+                "gamma": gamma,
+                "n": n,
+                "trial": trial,
+                "status": "ok",
+                "lambda1": gc.lambda1,
+                "lambda2_abs": gc.lambda2_abs,
+                "gap_pass": int(gc.passed),
+                "overlap": overlap,
+                "overlap_flag": flag,
+            }
+        ]
 
-        def task():
-            streams = derive_streams(cfg.master_seed, index)
-            u0 = sample_prior(n, cfg.prior, streams.shared)
-            mat = sample_wigner(n, cfg.ensemble, streams.noise_a)
-            op = build_spiked(mat, spike_cache[gamma], u0)
-            row = {"gamma": gamma, "n": n, "trial": trial, "status": "ok"}
-            try:
-                gc = gap_check(op, y0=u0 / np.linalg.norm(u0))
-                depth = resolve_power_depth(op, cfg.power_depth, gc)
-                try:
-                    psi = spectral_init(op, u0, depth)
-                    overlap = abs(float(np.dot(psi, u0))) / n
-                    flag = 0
-                except AmpLabError:
-                    overlap = 0.0
-                    flag = 1
-                row.update(
-                    lambda1=gc.lambda1,
-                    lambda2_abs=gc.lambda2_abs,
-                    gap_pass=int(gc.passed),
-                    overlap=overlap,
-                    overlap_flag=flag,
-                )
-            except AmpLabError as exc:
-                row.update(
-                    status=type(exc).__name__,
-                    lambda1=None,
-                    lambda2_abs=None,
-                    gap_pass=None,
-                    overlap=None,
-                    overlap_flag=None,
-                )
-            return [row]
-
-        return task
-
-    tasks = [
-        make_task(g_idx, gamma, n_idx, n, trial)
-        for g_idx, gamma in enumerate(cfg.gamma_grid)
-        for n_idx, n in enumerate(cfg.n_grid)
-        for trial in range(cfg.trials)
-    ]
-    rows = _run_tasks(tasks, cfg.threads)
-    rows.sort(key=lambda r: (r["gamma"], r["n"], r["trial"]))
+    rows = _run_grid(cfg, one_trial, leading_axes=(cfg.gamma_grid,))
     summaries = []
     for fieldname in ("lambda1", "overlap", "gap_pass"):
         summaries += _summarize(rows, "gamma", fieldname)
@@ -367,42 +346,30 @@ def run_interpolation(cfg):
     spike = SpikeSpec.rank_one(cfg.gamma)
     gauss = _gaussian_twin(cfg.ensemble)
 
-    def make_task(n_idx, n, trial):
-        index = n_idx * cfg.trials + trial
+    def one_trial(streams, n, trial):
+        u0 = sample_prior(n, cfg.prior, streams.shared)
+        mat_a = sample_wigner(n, cfg.ensemble, streams.noise_a)
+        mat_g = sample_wigner(n, gauss, streams.noise_g)
+        rows = []
+        for t in cfg.t_grid:
+            row = {"n": n, "trial": trial, "t": t, "status": "ok"}
+            # the endpoints run on A and G themselves, so they reproduce the
+            # pure runs exactly; interior t never forms the mixed matrix
+            if t == 1.0:
+                noise = mat_a
+            elif t == 0.0:
+                noise = mat_g
+            else:
+                noise = InterpolatedNoise(mat_a, mat_g, t)
+            try:
+                orbit = _run_independent(cfg, build_spiked(noise, spike, u0), denoisers, u0)
+                row["phi"] = phi_average(orbit, cfg.phi, cfg.K)
+            except _TRIAL_ERRORS as exc:
+                row.update(status=type(exc).__name__, phi=None)
+            rows.append(row)
+        return rows
 
-        def task():
-            streams = derive_streams(cfg.master_seed, index)
-            u0 = sample_prior(n, cfg.prior, streams.shared)
-            mat_a = sample_wigner(n, cfg.ensemble, streams.noise_a)
-            mat_g = sample_wigner(n, gauss, streams.noise_g)
-            rows = []
-            for t in cfg.t_grid:
-                row = {"n": n, "trial": trial, "t": t, "status": "ok"}
-                # the endpoints run on A and G themselves, so they reproduce the
-                # pure runs exactly; interior t never forms the mixed matrix
-                if t == 1.0:
-                    noise = mat_a
-                elif t == 0.0:
-                    noise = mat_g
-                else:
-                    noise = InterpolatedNoise(mat_a, mat_g, t)
-                try:
-                    orbit = _run_independent(cfg, build_spiked(noise, spike, u0), denoisers, u0)
-                    row["phi"] = phi_average(orbit, cfg.phi, cfg.K)
-                except AmpLabError as exc:
-                    row.update(status=type(exc).__name__, phi=None)
-                rows.append(row)
-            return rows
-
-        return task
-
-    tasks = [
-        make_task(n_idx, n, trial)
-        for n_idx, n in enumerate(cfg.n_grid)
-        for trial in range(cfg.trials)
-    ]
-    rows = _run_tasks(tasks, cfg.threads)
-    rows.sort(key=lambda r: (r["n"], r["trial"], r["t"]))
+    rows = _run_grid(cfg, one_trial, failure_rows=[{"t": t} for t in cfg.t_grid])
     summaries = _summarize(rows, "t", "phi")
     return rows, {"group_by": "t", "groups": summaries, "extras": {}}
 
@@ -417,30 +384,13 @@ def run_concentration(cfg):
         group_streams = derive_streams(cfg.master_seed, _GROUP_STREAM_OFFSET + n_idx)
         group_u0[n] = sample_prior(n, cfg.prior, group_streams.shared)
 
-    def make_task(n_idx, n, trial):
-        index = n_idx * cfg.trials + trial
+    def one_trial(streams, n, trial):
+        u0 = group_u0[n]
+        mat = sample_wigner(n, cfg.ensemble, streams.noise_g)
+        orbit = _run_independent(cfg, build_spiked(mat, spike, u0), denoisers, u0)
+        return [{"n": n, "trial": trial, "status": "ok", "phi": phi_average(orbit, cfg.phi, cfg.K)}]
 
-        def task():
-            streams = derive_streams(cfg.master_seed, index)
-            u0 = group_u0[n]
-            mat = sample_wigner(n, cfg.ensemble, streams.noise_g)
-            row = {"n": n, "trial": trial, "status": "ok"}
-            try:
-                orbit = _run_independent(cfg, build_spiked(mat, spike, u0), denoisers, u0)
-                row["phi"] = phi_average(orbit, cfg.phi, cfg.K)
-            except AmpLabError as exc:
-                row.update(status=type(exc).__name__, phi=None)
-            return [row]
-
-        return task
-
-    tasks = [
-        make_task(n_idx, n, trial)
-        for n_idx, n in enumerate(cfg.n_grid)
-        for trial in range(cfg.trials)
-    ]
-    rows = _run_tasks(tasks, cfg.threads)
-    rows.sort(key=lambda r: (r["n"], r["trial"]))
+    rows = _run_grid(cfg, one_trial)
     summaries = _summarize(rows, "n", "phi")
     extras = {}
     if cfg.trials == 1:
@@ -452,41 +402,33 @@ def run_power_bound(cfg):
     """Geometric power-method bound checked against exact Jacobi eigendata."""
     depth = 20 if cfg.power_depth == "auto" else int(cfg.power_depth)
 
-    def make_task(n_idx, n, trial):
-        index = n_idx * cfg.trials + trial
+    def one_trial(streams, n, trial):
+        mat = sample_wigner(n, cfg.ensemble, streams.noise_a)
+        # scale to the bulk and shift the diagonal so the spectrum is
+        # positive and the top eigenvalue dominates in magnitude
+        entries = mat.entries / math.sqrt(n)
+        shifted = entries.copy()
+        shifted[packed_diagonal_indices(n)] += cfg.diag_shift
+        instance = SymmetricMatrix(n, shifted)
+        y0 = streams.shared.standard_normal(n)
+        y0 /= np.linalg.norm(y0)
+        eig = jacobi_eigendecomp(instance, tol=1e-12)
+        result = power_method(instance, y0, depth, eigen=eig)
+        top = eig.eigenvectors[:, 0]
+        aligned = math.copysign(1.0, float(np.dot(top, y0))) * top
+        lhs = float(np.linalg.norm(result.vector - aligned))
+        return [
+            {
+                "n": n,
+                "trial": trial,
+                "status": "ok",
+                "lhs": lhs,
+                "rhs": result.bound,
+                "holds": int(lhs <= result.bound + 1e-8),
+            }
+        ]
 
-        def task():
-            streams = derive_streams(cfg.master_seed, index)
-            mat = sample_wigner(n, cfg.ensemble, streams.noise_a)
-            # scale to the bulk and shift the diagonal so the spectrum is
-            # positive and the top eigenvalue dominates in magnitude
-            entries = mat.entries / math.sqrt(n)
-            shifted = entries.copy()
-            shifted[packed_diagonal_indices(n)] += cfg.diag_shift
-            instance = SymmetricMatrix(n, shifted)
-            y0 = streams.shared.standard_normal(n)
-            y0 /= np.linalg.norm(y0)
-            row = {"n": n, "trial": trial, "status": "ok"}
-            try:
-                eig = jacobi_eigendecomp(instance, tol=1e-12)
-                result = power_method(instance, y0, depth, eigen=eig)
-                top = eig.eigenvectors[:, 0]
-                aligned = math.copysign(1.0, float(np.dot(top, y0))) * top
-                lhs = float(np.linalg.norm(result.vector - aligned))
-                row.update(lhs=lhs, rhs=result.bound, holds=int(lhs <= result.bound + 1e-8))
-            except AmpLabError as exc:
-                row.update(status=type(exc).__name__, lhs=None, rhs=None, holds=None)
-            return [row]
-
-        return task
-
-    tasks = [
-        make_task(n_idx, n, trial)
-        for n_idx, n in enumerate(cfg.n_grid)
-        for trial in range(cfg.trials)
-    ]
-    rows = _run_tasks(tasks, cfg.threads)
-    rows.sort(key=lambda r: (r["n"], r["trial"]))
+    rows = _run_grid(cfg, one_trial)
     summaries = _summarize(rows, "n", "holds") + _summarize(rows, "n", "lhs")
     return rows, {"group_by": "n", "groups": summaries, "extras": {}}
 

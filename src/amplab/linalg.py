@@ -24,13 +24,6 @@ def packed_length(n):
     return n * (n + 1) // 2
 
 
-def packed_index(i, j):
-    """Packed position of entry (i, j); symmetric, so order does not matter."""
-    if i > j:
-        i, j = j, i
-    return i + j * (j + 1) // 2
-
-
 def packed_diagonal_indices(n):
     i = np.arange(n)
     return i * (i + 3) // 2
@@ -86,19 +79,8 @@ class SymmetricMatrix:
         out[j, i] = self.entries[pos]
         return out
 
-    def get(self, i, j):
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise RejectedInputError(f"index ({i}, {j}) out of range for n={self.n}")
-        return float(self.entries[packed_index(i, j)])
-
     def apply(self, x):
         return sym_matvec(self, x)
-
-    def frobenius_norm(self):
-        # off-diagonal packed entries appear once but contribute twice
-        diag = self.entries[packed_diagonal_indices(self.n)]
-        total = 2.0 * float(np.dot(self.entries, self.entries)) - float(np.dot(diag, diag))
-        return float(np.sqrt(total))
 
 
 @dataclass(frozen=True, eq=False)

@@ -228,14 +228,6 @@ class TestFunction:
         return w * y
 
 
-def phi_eval(tf, row):
-    """Scalar phi on one coordinate's history (x_k, ..., x_0), newest first."""
-    row = np.asarray(row, dtype=np.float64)
-    if row.ndim != 1 or row.shape[0] < 1:
-        raise RejectedInputError(f"row must be a nonempty vector, got shape {row.shape}")
-    return float(tf.pair_eval(row[-1], row[0]))
-
-
 def phi_eval_rows(tf, rows):
     """Vectorized phi over a (k+1, n) rows array; returns length-n values."""
     rows = np.asarray(rows, dtype=np.float64)

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from amplab import experiments
 from amplab.config import parse_config
 from amplab.engine import phi_average, run_onsager
 from amplab.ensembles import (
@@ -36,6 +37,20 @@ def base_config(**overrides):
     }
     data.update(overrides)
     return parse_config(data)
+
+
+# gamma barely above 1 at small n: the gap check refuses some trials
+NEAR_TRANSITION_SE = dict(
+    experiment="state_evolution",
+    n_grid=[120],
+    trials=12,
+    K=1,
+    gamma=1.15,
+    init="spectral",
+    denoiser={"kind": "scaled_tanh", "schedule": "bayes"},
+    phi={"kind": "se_pair"},
+    power_depth=120,
+)
 
 
 class TestFitDecay:
@@ -158,18 +173,7 @@ class TestStateEvolution:
             assert row["second_moment_prediction"] == pytest.approx(1.0, abs=0.02)
 
     def test_failed_trials_recorded_and_excluded(self):
-        # gamma barely above 1 at small n: the gap check refuses some trials
-        cfg = base_config(
-            experiment="state_evolution",
-            n_grid=[120],
-            trials=12,
-            K=1,
-            gamma=1.15,
-            init="spectral",
-            denoiser={"kind": "scaled_tanh", "schedule": "bayes"},
-            phi={"kind": "se_pair"},
-            power_depth=120,
-        )
+        cfg = base_config(**NEAR_TRANSITION_SE)
         _, rows, summary = run_experiment(cfg)
         failed = [r for r in rows if r["status"] != "ok"]
         assert failed, "expected at least one refused trial near the transition"
@@ -181,20 +185,45 @@ class TestStateEvolution:
                 assert entry["count"] == ok_count
         assert sum(summary["failures"].values()) == len(failed)
 
+    def test_sampling_failure_becomes_status_rows_with_predictions(self, monkeypatch):
+        real_sample_wigner = experiments.sample_wigner
+        calls = []
+
+        def fail_second_trial(n, ens, stream):
+            calls.append(n)
+            if len(calls) == 2:
+                raise np.linalg.LinAlgError("sampling failed")
+            return real_sample_wigner(n, ens, stream)
+
+        monkeypatch.setattr(experiments, "sample_wigner", fail_second_trial)
+        cfg = base_config(
+            experiment="state_evolution",
+            n_grid=[100],
+            trials=3,
+            K=2,
+            gamma=0.0,
+            init="independent",
+            prior={"kind": "gaussian"},
+            denoiser={"kind": "identity"},
+            phi={"kind": "last_coord_clipped"},
+        )
+        _, rows, summary = run_experiment(cfg)
+        failed = [r for r in rows if r["status"] != "ok"]
+        assert [(r["trial"], r["k"], r["status"]) for r in failed] == [
+            (1, k, "LinAlgError") for k in range(3)
+        ]
+        ok_by_k = {r["k"]: r for r in rows if r["status"] == "ok"}
+        for row in failed:
+            assert row["phi_empirical"] is None and row["phi_abs_err"] is None
+            assert row["second_moment_empirical"] is None
+            assert row["phi_prediction"] == ok_by_k[row["k"]]["phi_prediction"]
+            assert row["second_moment_prediction"] == ok_by_k[row["k"]]["second_moment_prediction"]
+        assert summary["failures"] == {"0": 1, "1": 1, "2": 1}
+
     def test_summaries_recomputable_from_records_file(self, tmp_path):
         # failed trials must not contaminate summaries: recompute the grouped
         # means from the emitted CSV alone and compare
-        cfg = base_config(
-            experiment="state_evolution",
-            n_grid=[120],
-            trials=12,
-            K=1,
-            gamma=1.15,
-            init="spectral",
-            denoiser={"kind": "scaled_tanh", "schedule": "bayes"},
-            phi={"kind": "se_pair"},
-            power_depth=120,
-        )
+        cfg = base_config(**NEAR_TRANSITION_SE)
         columns, rows, summary = run_experiment(cfg)
         path = tmp_path / "records.csv"
         write_records_csv(path, columns, rows)
@@ -281,19 +310,6 @@ class TestInterpolation:
         # A and G take 2x; forming each mixed matrix would add at least 1x more
         assert peak < 3 * 8 * packed_length(n)
 
-    def test_records_byte_identical_on_rerun_and_across_threads(self, tmp_path):
-        overrides = dict(
-            experiment="interpolation", n_grid=[40, 60], trials=3, t_grid=[0.0, 0.3, 0.7, 1.0]
-        )
-        for name, threads in (("a", 1), ("b", 1), ("c", 2)):
-            columns, rows, summary = run_experiment(base_config(threads=threads, **overrides))
-            write_records_csv(tmp_path / f"{name}.csv", columns, rows)
-            write_summary_json(tmp_path / f"{name}.json", summary)
-        for suffix in ("csv", "json"):
-            first = (tmp_path / f"a.{suffix}").read_bytes()
-            assert first == (tmp_path / f"b.{suffix}").read_bytes()
-            assert first == (tmp_path / f"c.{suffix}").read_bytes()
-
 
 class TestConcentration:
     def test_u0_fixed_within_group(self):
@@ -343,6 +359,73 @@ class TestPowerBound:
         assert all(r["status"] == "ok" and r["holds"] == 1 for r in rows)
         holds = [e for e in summary["groups"] if e["field"] == "holds"]
         assert holds[0]["mean"] == 1.0
+
+    def test_floating_point_error_becomes_one_status_row(self, monkeypatch):
+        real_jacobi = experiments.jacobi_eigendecomp
+        calls = []
+
+        def fail_second_trial(m, **kwargs):
+            calls.append(m.n)
+            if len(calls) == 2:
+                raise FloatingPointError("overflow in rotation")
+            return real_jacobi(m, **kwargs)
+
+        monkeypatch.setattr(experiments, "jacobi_eigendecomp", fail_second_trial)
+        cfg = base_config(
+            experiment="power_bound",
+            ensemble={"kind": "gaussian"},
+            n_grid=[32],
+            trials=4,
+            denoiser={"kind": "identity"},
+            power_depth=15,
+        )
+        _, rows, summary = run_experiment(cfg)
+        assert [r["status"] for r in rows] == ["ok", "FloatingPointError", "ok", "ok"]
+        assert rows[1]["lhs"] is None and rows[1]["rhs"] is None and rows[1]["holds"] is None
+        assert summary["failures"] == {"32": 1}
+        assert [e["count"] for e in summary["groups"]] == [3, 3]
+
+    def test_programming_errors_still_end_the_run(self, monkeypatch):
+        def broken(m, **kwargs):
+            raise KeyError("bug")
+
+        monkeypatch.setattr(experiments, "jacobi_eigendecomp", broken)
+        cfg = base_config(experiment="power_bound", n_grid=[8], trials=2, power_depth=5)
+        with pytest.raises(KeyError):
+            run_experiment(cfg)
+
+
+# small configs for every experiment; the bbp and t grids do not ascend, so the
+# rows must be sorted, and the state_evolution config has failed trials
+BYTE_IDENTITY_CONFIGS = {
+    "universality": dict(n_grid=[40, 80], trials=3),
+    "state_evolution": NEAR_TRANSITION_SE,
+    "bbp": dict(n_grid=[100], trials=2, gamma_grid=[2.0, 0.5], denoiser={"kind": "identity"}),
+    "interpolation": dict(n_grid=[40, 60], trials=3, t_grid=[1.0, 0.3, 0.0, 0.7]),
+    "concentration": dict(ensemble={"kind": "gaussian"}, n_grid=[40, 80], trials=3),
+    "power_bound": dict(
+        ensemble={"kind": "gaussian"},
+        n_grid=[32],
+        trials=3,
+        denoiser={"kind": "identity"},
+        power_depth=15,
+    ),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(BYTE_IDENTITY_CONFIGS))
+def test_records_byte_identical_on_rerun_and_across_threads(tmp_path, experiment):
+    overrides = {"experiment": experiment, **BYTE_IDENTITY_CONFIGS[experiment]}
+    for name, threads in (("a", 1), ("b", 1), ("c", 2)):
+        columns, rows, summary = run_experiment(base_config(threads=threads, **overrides))
+        write_records_csv(tmp_path / f"{name}.csv", columns, rows)
+        write_summary_json(tmp_path / f"{name}.json", summary)
+    if experiment == "state_evolution":
+        assert any(row["status"] != "ok" for row in rows)
+    for suffix in ("csv", "json"):
+        first = (tmp_path / f"a.{suffix}").read_bytes()
+        assert first == (tmp_path / f"b.{suffix}").read_bytes()
+        assert first == (tmp_path / f"c.{suffix}").read_bytes()
 
 
 class TestConfigValidation:

@@ -10,7 +10,6 @@ from amplab.nonlinear import (
     denoiser_eval,
     denoiser_partial,
     fd_partial,
-    phi_eval,
     phi_eval_rows,
 )
 
@@ -124,25 +123,25 @@ class TestPartials:
 class TestTestFunctions:
     def test_last_coord_clipped_inside_range(self):
         tf = TestFunction("last_coord_clipped", clip=10.0)
-        assert phi_eval(tf, np.array([3.0, 7.0, -2.0])) == 3.0
+        assert phi_eval_rows(tf, np.array([[3.0], [7.0], [-2.0]])) == 3.0
 
     def test_last_coord_clipped_clips(self):
         tf = TestFunction("last_coord_clipped", clip=1.5)
-        assert phi_eval(tf, np.array([3.0])) == 1.5
+        assert phi_eval_rows(tf, np.array([[3.0]])) == 1.5
 
     def test_tanh_product_zero_factor(self):
         tf = TestFunction("tanh_product")
-        assert phi_eval(tf, np.array([0.0, 5.0, 1.0])) == 0.0
+        assert phi_eval_rows(tf, np.array([[0.0], [5.0], [1.0]])) == 0.0
 
     def test_raw_overlap_product(self):
         tf = TestFunction("raw_overlap")
-        assert phi_eval(tf, np.array([2.0, 9.0, 3.0])) == 6.0
+        assert phi_eval_rows(tf, np.array([[2.0], [9.0], [3.0]])) == 6.0
         assert tf.diagnostic_only
 
     def test_se_pair_form(self):
         tf = TestFunction("se_pair")
-        row = np.array([1.2, 0.0, -0.7])  # y = 1.2 (newest), w = -0.7 (oldest)
-        assert phi_eval(tf, row) == pytest.approx(-0.7 * math.tanh(1.2))
+        rows = np.array([[1.2], [0.0], [-0.7]])  # y = 1.2 (newest), w = -0.7 (oldest)
+        assert phi_eval_rows(tf, rows) == pytest.approx(-0.7 * math.tanh(1.2))
         np.testing.assert_allclose(tf.pair_eval(-0.7, 1.2), -0.7 * math.tanh(1.2))
 
     def test_bad_clip_rejected(self):
