@@ -137,9 +137,10 @@ def run_spectral_amp(op, denoisers, u0, power_depth, K, margin=0.05):
             f"lambda2_abs={gap.lambda2_abs:.6g}, margin={margin}"
         )
     try:
-        psi = spectral.spectral_init(op, u0, d)
+        psi = spectral.spectral_init(op, u0, d, gap)
     except DegenerateInputError as exc:
         raise PreconditionError(f"spectral initialization refused: {exc}") from exc
+    del gap  # frees the Lanczos basis before the orbit allocates
     return run_onsager(op, denoisers, psi, K)
 
 

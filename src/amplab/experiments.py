@@ -313,7 +313,7 @@ def run_bbp(cfg):
         gc = gap_check(op, y0=u0 / np.linalg.norm(u0))
         depth = resolve_power_depth(op, cfg.power_depth, gc)
         try:
-            psi = spectral_init(op, u0, depth)
+            psi = spectral_init(op, u0, depth, gc)
             overlap = abs(float(np.dot(psi, u0))) / n
             flag = 0
         except _TRIAL_ERRORS:

@@ -5,6 +5,11 @@ and SpikedOperator both do). The power iterate is renormalized every step,
 which leaves the direction identical to normalizing Y^d y once at the end.
 The gap check reads lambda1, lambda2 and lambda_min from one Lanczos solve
 with full reorthogonalization; every product goes through ``op.apply``.
+
+The spectral init is the d-step power iterate. When it is given the gap check
+of a Lanczos run started along +-u0, it reads its first min(d, k) steps from
+that run's basis Q (k+1 rows) and tridiagonal T by the Lanczos relation
+A^j q0 = Q^T T^j e1 (j <= k), and applies op only for the remaining steps.
 """
 
 import math
@@ -35,8 +40,6 @@ _BREAKDOWN = 1e-12  # relative size of a new Lanczos vector taken as an invarian
 @dataclass
 class PowerResult:
     vector: np.ndarray  # unit norm
-    rayleigh: float
-    iterations_used: int
     bound: float | None = None  # geometric error bound when eigendata was supplied
 
 
@@ -44,6 +47,9 @@ class GapCheckResult(NamedTuple):
     lambda1: float
     lambda2_abs: float
     passed: bool
+    # (Q, alpha, beta) of the Lanczos run: basis rows q0..qk, diagonal and
+    # off-diagonal of T; None for a result built by hand
+    krylov: tuple | None = None
 
 
 def power_bound_rhs(eigen, y0, d):
@@ -78,38 +84,65 @@ def power_method(op, y0, d, eigen=None):
         raise RejectedInputError("start vector must have unit norm")
     y = y0
     for _ in range(d):
-        z = op.apply(y)
-        nz = np.linalg.norm(z)
-        if nz < _UNDERFLOW:
-            raise DegenerateInputError(
-                "power iterate vanished; start vector has no overlap with the spectrum"
-            )
-        y = z / nz
-    rayleigh = float(np.dot(y, op.apply(y)))
+        y = _normalized(op.apply(y))
     bound = power_bound_rhs(eigen, y0, d) if eigen is not None else None
-    return PowerResult(vector=y, rayleigh=rayleigh, iterations_used=d, bound=bound)
+    return PowerResult(vector=y, bound=bound)
 
 
-def spectral_init(op, u0, d):
-    """sqrt(n)-normalized top-eigenvector estimate, sign-aligned with u0."""
+def _normalized(z):
+    nz = np.linalg.norm(z)
+    if nz < _UNDERFLOW:
+        raise DegenerateInputError(
+            "power iterate vanished; start vector has no overlap with the spectrum"
+        )
+    return z / nz
+
+
+def spectral_init(op, u0, d, gap=None):
+    """sqrt(n)-normalized d-step power iterate from u0, sign-aligned with u0.
+
+    ``gap`` (the GapCheckResult of ``gap_check(op, y0=+-u0/|u0|)``) supplies
+    the first min(d, k) steps from its Lanczos basis; without it all d steps
+    apply op.
+    """
+    if d < 1:
+        raise RejectedInputError(f"iteration count must be >= 1, got {d}")
     u0 = np.ascontiguousarray(u0, dtype=np.float64)
     norm = np.linalg.norm(u0)
     if norm == 0.0:
         raise DegenerateInputError("prior vector is zero")
-    result = power_method(op, u0 / norm, d)
-    overlap = float(np.dot(result.vector, u0))
+    y0 = u0 / norm
+    if gap is None:
+        basis, alpha, beta = y0[None, :], np.zeros(1), np.zeros(0)
+    elif gap.krylov is None or abs(abs(float(np.dot(gap.krylov[0][0], y0))) - 1.0) > 1e-10:
+        raise RejectedInputError("gap check result has no Lanczos basis started along +-u0")
+    else:
+        basis, alpha, beta = gap.krylov
+    j = min(d, len(basis) - 1)
+    c = np.zeros(len(basis))  # coordinates of the iterate in the basis: T^j e1, normalized
+    c[0] = 1.0
+    for _ in range(j):
+        t = alpha * c
+        t[1:] += beta * c[:-1]
+        t[:-1] += beta * c[1:]
+        c = _normalized(t)
+    y = c @ basis
+    if d > j:
+        y = power_method(op, y, d - j).vector
+    overlap = float(np.dot(y, u0))
     if overlap == 0.0:
         raise DegenerateInputError(
             "top-eigenvector estimate is orthogonal to u0; sign undefined"
         )
-    return math.copysign(1.0, overlap) * math.sqrt(op.n) * result.vector
+    return math.copysign(1.0, overlap) * math.sqrt(op.n) * y
 
 
-def _orthogonalize(w, basis):
-    """w minus its projection on the rows of basis, by classical Gram-Schmidt run twice."""
-    for _ in range(2):
-        w -= basis.T @ (basis @ w)
-    return w
+def _ritz(alpha, beta, lo, hi):
+    """Eigenpairs lo..hi (ascending) of the tridiagonal with diagonal alpha, off-diagonal beta."""
+    try:
+        return eigh_tridiagonal(alpha, beta, select="i", select_range=(lo, hi))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"tridiagonal eigensolver failed: {exc}") from exc
 
 
 def gap_check(op, *, margin=0.05, y0=None):
@@ -136,25 +169,29 @@ def gap_check(op, *, margin=0.05, y0=None):
             basis = np.concatenate([basis, np.empty((min(_LANCZOS_BLOCK, dim - k), n))])
         w = op.apply(q)
         basis[k] = q
+        done = basis[: k + 1]
         alpha.append(float(np.dot(q, w)))
-        w = _orthogonalize(w, basis[: k + 1])
+        w -= alpha[-1] * q
+        if k:
+            w -= beta[-1] * basis[k - 1]
+        w -= done.T @ (done @ w)  # one classical Gram-Schmidt pass against the whole basis
         b = float(np.linalg.norm(w))
         scale = max(scale, abs(alpha[-1]), b)
         breakdown = b <= _BREAKDOWN * scale
         if k + 1 == n or (not breakdown and ((k + 1) % _LANCZOS_CHECK_EVERY == 0 or k + 1 == dim)):
-            try:
-                theta, s = eigh_tridiagonal(np.array(alpha), np.array(beta))
-            except np.linalg.LinAlgError as exc:
-                raise NumericalFailureError(f"tridiagonal eigensolver failed: {exc}") from exc
-            residual = b * float(np.max(np.abs(s[-1, [-1, -2, 0]])))
+            a, e = np.array(alpha), np.array(beta)
+            theta_min, s_min = _ritz(a, e, 0, 0)
+            theta_top, s_top = _ritz(a, e, k - 1, k)
+            residual = b * max(abs(float(s_min[-1, 0])), float(np.max(np.abs(s_top[-1]))))
             if residual <= _LANCZOS_TOL * scale:
-                lambda1, lambda2, lambda_min = (float(t) for t in theta[[-1, -2, 0]])
-                lambda2_abs = max(abs(lambda2), abs(lambda_min))
+                lambda1, lambda2 = float(theta_top[-1]), float(theta_top[0])
+                lambda2_abs = max(abs(lambda2), abs(float(theta_min[0])))
                 passed = lambda1 > max(lambda2_abs, 1.0) + margin
-                return GapCheckResult(lambda1=lambda1, lambda2_abs=lambda2_abs, passed=bool(passed))
+                return GapCheckResult(lambda1, lambda2_abs, bool(passed), (done, a, e))
         if breakdown:
-            rng = np.random.default_rng([_DEFAULT_START_SEED, k])
-            w = _orthogonalize(rng.standard_normal(n), basis[: k + 1])
+            w = np.random.default_rng([_DEFAULT_START_SEED, k]).standard_normal(n)
+            for _ in range(2):  # a fresh vector is far from orthogonal: Gram-Schmidt twice
+                w -= done.T @ (done @ w)
         beta.append(0.0 if breakdown else b)
         q = w / np.linalg.norm(w)
     raise NumericalFailureError(
