@@ -430,11 +430,11 @@ def test_records_byte_identical_on_rerun_and_across_threads(tmp_path, experiment
 
 class TestConfigValidation:
     def test_unknown_top_level_key(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"unknown configuration keys: \['bogus'\]"):
             parse_config({"experiment": "universality", "n_grid": [10], "bogus": 1})
 
     def test_unknown_nested_key(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"unknown ensemble keys: \['spice'\]"):
             parse_config(
                 {
                     "experiment": "universality",
@@ -444,29 +444,29 @@ class TestConfigValidation:
             )
 
     def test_unknown_experiment(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"unknown experiment 'quantum'; expected one of"):
             parse_config({"experiment": "quantum", "n_grid": [10]})
 
     def test_n_grid_must_ascend(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"n_grid must be strictly ascending"):
             parse_config({"experiment": "universality", "n_grid": [100, 50]})
 
     def test_bbp_requires_gamma_grid(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"bbp requires gamma_grid"):
             parse_config({"experiment": "bbp", "n_grid": [10]})
 
     def test_interpolation_requires_t_grid(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"interpolation requires t_grid"):
             parse_config({"experiment": "interpolation", "n_grid": [10]})
 
     def test_t_grid_range_checked(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"t_grid values must lie in \[0, 1\]"):
             parse_config(
                 {"experiment": "interpolation", "n_grid": [10], "t_grid": [0.0, 1.5]}
             )
 
     def test_concentration_requires_gaussian(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"concentration measures the Gaussian orbit; ensemble must be gaussian"):
             parse_config(
                 {
                     "experiment": "concentration",
@@ -476,11 +476,11 @@ class TestConfigValidation:
             )
 
     def test_power_bound_scale_cap(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"power_bound runs at oracle scale; n_grid must stay <= 256"):
             parse_config({"experiment": "power_bound", "n_grid": [512]})
 
     def test_spectral_se_needs_supercritical_gamma(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"spectral-init state evolution requires gamma > 1"):
             parse_config(
                 {
                     "experiment": "state_evolution",
@@ -491,7 +491,7 @@ class TestConfigValidation:
             )
 
     def test_independent_se_needs_gaussian_prior(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"independent-init state evolution compares .*; prior must be gaussian"):
             parse_config(
                 {
                     "experiment": "state_evolution",
@@ -503,7 +503,7 @@ class TestConfigValidation:
             )
 
     def test_bayes_schedule_needs_supercritical_gamma(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"the bayes tanh schedule requires gamma > 1"):
             parse_config(
                 {
                     "experiment": "universality",
@@ -518,6 +518,41 @@ class TestConfigValidation:
         resolved = json.loads(cfg.canonical_json())
         assert resolved["experiment"] == "universality"
         assert resolved["trials"] == 4
+
+    def test_resolved_dict_lists_every_default(self):
+        cfg = parse_config({"experiment": "universality", "n_grid": [10], "gamma": 2.0})
+        assert cfg.resolved_dict() == {
+            "experiment": "universality",
+            "n_grid": [10],
+            "trials": 50,
+            "master_seed": 0,
+            "K": 5,
+            "gamma": 2.0,
+            "gamma_grid": None,
+            "t_grid": None,
+            "ensemble": {"kind": "gaussian", "param": None, "diagonal_policy": "same_law"},
+            "prior": {"kind": "rademacher", "values": [], "probs": []},
+            "denoiser": {
+                "kind": "scaled_tanh",
+                "schedule": "bayes",
+                "weights": [],
+                "offset": 0.0,
+                "delta": 0.01,
+            },
+            "phi": {"kind": "tanh_product", "clip": 10.0},
+            "engine": "onsager",
+            "init": {"kind": "independent"},
+            "power_depth": "auto",
+            "diag_shift": 3.0,
+            "couple_streams": False,
+            "gauss_hermite_nodes": 61,
+            "gauss_legendre_nodes": 64,
+            "mc_samples": 100000,
+            "se_seed": 0,
+            "records_csv": None,
+            "summary_json": None,
+            "threads": 1,
+        }
 
 
 class TestReportingRoundTrip:
