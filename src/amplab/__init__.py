@@ -19,7 +19,6 @@ from .ensembles import (
     EnsembleSpec,
     InterpolatedNoise,
     PriorSpec,
-    SpikeComponent,
     SpikeSpec,
     SpikedOperator,
     TrialStreams,

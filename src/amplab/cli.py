@@ -35,16 +35,10 @@ def _build_parser():
 
 
 def _output_paths(cfg, out_dir):
-    records = cfg.records_csv
-    summary = cfg.summary_json
+    records, summary = f"{cfg.experiment}_records.csv", f"{cfg.experiment}_summary.json"
     if out_dir is not None:
-        records = os.path.join(out_dir, f"{cfg.experiment}_records.csv")
-        summary = os.path.join(out_dir, f"{cfg.experiment}_summary.json")
-    if records is None:
-        records = f"{cfg.experiment}_records.csv"
-    if summary is None:
-        summary = f"{cfg.experiment}_summary.json"
-    return records, summary
+        return os.path.join(out_dir, records), os.path.join(out_dir, summary)
+    return cfg.records_csv or records, cfg.summary_json or summary
 
 
 def _cmd_run(args):
@@ -67,9 +61,6 @@ def _cmd_run(args):
     records_path, summary_path = _output_paths(cfg, args.out_dir)
     try:
         columns, rows, summary = run_experiment(cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except AmpLabError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -1,170 +1,25 @@
 """Experiment configuration: a single strict JSON document.
 
-Unknown keys are rejected at every level so that typos fail loudly instead of
-silently running a default. All defaults are documented here and echoed by the
-CLI's --dry-run as canonical JSON.
+The fields of ExperimentConfig are the table of top-level keys: a key's type,
+its default, and in the field metadata an optional minimum and the check of
+a key whose type does not say how to parse it. A nested object takes the
+fields of its spec dataclass as keys. Unknown keys are rejected at every
+level so that typos fail loudly instead of silently running a default. The
+CLI's --dry-run echoes the resolved configuration as canonical JSON.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 
 from .ensembles import EnsembleSpec, PriorSpec
 from .errors import ConfigError, RejectedInputError
+from .experiments import COLUMNS
 from .nonlinear import Denoiser, TestFunction
 from .state_evolution import QuadratureSpec
 
-EXPERIMENTS = (
-    "universality",
-    "state_evolution",
-    "bbp",
-    "interpolation",
-    "concentration",
-    "power_bound",
-)
+EXPERIMENTS = tuple(COLUMNS)
 
-_TOP_KEYS = {
-    "experiment",
-    "n_grid",
-    "trials",
-    "master_seed",
-    "K",
-    "gamma",
-    "gamma_grid",
-    "t_grid",
-    "ensemble",
-    "prior",
-    "denoiser",
-    "phi",
-    "engine",
-    "init",
-    "power_depth",
-    "diag_shift",
-    "couple_streams",
-    "gauss_hermite_nodes",
-    "gauss_legendre_nodes",
-    "mc_samples",
-    "se_seed",
-    "records_csv",
-    "summary_json",
-    "threads",
-}
-
-_ENSEMBLE_KEYS = {"kind", "param", "diagonal_policy"}
-_PRIOR_KEYS = {"kind", "values", "probs"}
-_DENOISER_KEYS = {"kind", "schedule", "weights", "offset", "delta"}
-_PHI_KEYS = {"kind", "clip"}
-_INIT_KEYS = {"kind"}
-
-
-@dataclass
-class ExperimentConfig:
-    experiment: str
-    n_grid: tuple
-    trials: int = 50
-    master_seed: int = 0
-    K: int = 5
-    gamma: float = 0.0
-    gamma_grid: tuple | None = None
-    t_grid: tuple | None = None
-    ensemble: EnsembleSpec = field(default_factory=lambda: EnsembleSpec("gaussian"))
-    prior: PriorSpec = field(default_factory=lambda: PriorSpec("rademacher"))
-    denoiser_kind: str = "scaled_tanh"
-    denoiser_schedule: object = "bayes"  # "bayes" or an explicit tuple
-    denoiser_weights: tuple = ()
-    denoiser_offset: float = 0.0
-    denoiser_delta: float = 1e-2
-    phi: TestFunction = field(default_factory=lambda: TestFunction("tanh_product"))
-    engine: str = "onsager"
-    init: str = "independent"
-    power_depth: object = "auto"
-    diag_shift: float = 3.0
-    couple_streams: bool = False
-    gauss_hermite_nodes: int = 61
-    gauss_legendre_nodes: int = 64
-    mc_samples: int = 100_000
-    se_seed: int = 0
-    records_csv: str | None = None
-    summary_json: str | None = None
-    threads: int = 1
-
-    def quadrature(self):
-        return QuadratureSpec(
-            gauss_hermite_nodes=self.gauss_hermite_nodes,
-            gauss_legendre_nodes=self.gauss_legendre_nodes,
-            mc_samples=self.mc_samples,
-            seed=self.se_seed,
-        )
-
-    def build_denoiser(self):
-        """The configured Denoiser, or the marker "bayes" (resolved at run time)."""
-        if self.denoiser_kind == "scaled_tanh" and self.denoiser_schedule == "bayes":
-            return "bayes"
-        kwargs = {"kind": self.denoiser_kind}
-        if self.denoiser_kind in ("scaled_tanh", "smooth_soft_threshold"):
-            if not isinstance(self.denoiser_schedule, tuple):
-                raise ConfigError(
-                    f"{self.denoiser_kind} needs an explicit schedule or 'bayes'"
-                )
-            kwargs["schedule"] = self.denoiser_schedule
-            if self.denoiser_kind == "smooth_soft_threshold":
-                kwargs["delta"] = self.denoiser_delta
-        if self.denoiser_kind == "linear_combo":
-            kwargs["weights"] = self.denoiser_weights
-            kwargs["offset"] = self.denoiser_offset
-        try:
-            return Denoiser(**kwargs)
-        except RejectedInputError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    def resolved_dict(self):
-        """Full configuration with defaults applied, as plain JSON data."""
-        return {
-            "experiment": self.experiment,
-            "n_grid": list(self.n_grid),
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "K": self.K,
-            "gamma": self.gamma,
-            "gamma_grid": None if self.gamma_grid is None else list(self.gamma_grid),
-            "t_grid": None if self.t_grid is None else list(self.t_grid),
-            "ensemble": {
-                "kind": self.ensemble.kind,
-                "param": self.ensemble.param,
-                "diagonal_policy": self.ensemble.diagonal_policy,
-            },
-            "prior": {
-                "kind": self.prior.kind,
-                "values": list(self.prior.values),
-                "probs": list(self.prior.probs),
-            },
-            "denoiser": {
-                "kind": self.denoiser_kind,
-                "schedule": (
-                    self.denoiser_schedule
-                    if isinstance(self.denoiser_schedule, str) or self.denoiser_schedule is None
-                    else list(self.denoiser_schedule)
-                ),
-                "weights": list(self.denoiser_weights),
-                "offset": self.denoiser_offset,
-                "delta": self.denoiser_delta,
-            },
-            "phi": {"kind": self.phi.kind, "clip": self.phi.clip},
-            "engine": self.engine,
-            "init": {"kind": self.init},
-            "power_depth": self.power_depth,
-            "diag_shift": self.diag_shift,
-            "couple_streams": self.couple_streams,
-            "gauss_hermite_nodes": self.gauss_hermite_nodes,
-            "gauss_legendre_nodes": self.gauss_legendre_nodes,
-            "mc_samples": self.mc_samples,
-            "se_seed": self.se_seed,
-            "records_csv": self.records_csv,
-            "summary_json": self.summary_json,
-            "threads": self.threads,
-        }
-
-    def canonical_json(self):
-        return json.dumps(self.resolved_dict(), sort_keys=True, indent=2)
+_QUADRATURE = QuadratureSpec()
 
 
 def _reject_unknown(d, allowed, where):
@@ -181,132 +36,203 @@ def _as_int(value, name, minimum=None):
     return value
 
 
-def _as_number(value, name):
+def _as_number(value, name, minimum=None):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    value = float(value)
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
+def _as_list(value, name, entry=_as_number, minimum=None):
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a list, got {value!r}")
+    return tuple(entry(v, f"{name} entry", minimum) for v in value)
+
+
+def _parse(value, f):
+    """The JSON value of field f, parsed by the check in its metadata or else by its type.
+
+    null keeps a default of None. A dataclass default is a nested object; a
+    list becomes a tuple of floats. A value outside the field's choices fails.
+    """
+    name, minimum, check = f.name, f.metadata.get("minimum"), f.metadata.get("check")
+    if value is None and f.default is None:
+        return None
+    if check:
+        value = check(value, f)
+    elif is_dataclass(f.default):
+        value = _nested(value, f)
+    elif f.type is int:
+        value = _as_int(value, name, minimum)
+    elif f.type in (float, float | None):
+        value = _as_number(value, name, minimum)
+    elif f.type is bool and not isinstance(value, bool):
+        raise ConfigError(f"{name} must be a boolean")
+    elif f.type == str | None and not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string path")
+    elif f.type is tuple or isinstance(value, list):
+        value = _as_list(value, name)
+    choices = f.metadata.get("choices")
+    if choices and value not in choices:
+        raise ConfigError(f"unknown {name} {value!r}; expected one of {choices}")
+    return value
+
+
+def _nested(value, f):
+    """f's default spec with the keys of a JSON object replaced; its keys are the spec's fields."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{f.name} must be a JSON object, got {value!r}")
+    spec_fields = fields(f.default)
+    _reject_unknown(value, {g.name for g in spec_fields}, f.name)
+    given = {g.name: _parse(value[g.name], g) for g in spec_fields if g.name in value}
+    try:
+        return replace(f.default, **given)
+    except RejectedInputError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+# checks of the keys whose type does not say how to parse them: check(value, f)
+
+
+def _n_grid(value, f):
+    grid = _as_list(value, f.name, _as_int, f.metadata["minimum"])
+    if not grid:
+        raise ConfigError("n_grid must be nonempty")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ConfigError("n_grid must be strictly ascending")
+    return grid
+
+
+def _gamma_grid(value, f):
+    grid = _as_list(value, f.name, minimum=f.metadata["minimum"])
+    if not grid:
+        raise ConfigError("gamma_grid must be nonempty")
+    return grid
+
+
+def _t_grid(value, f):
+    grid = _as_list(value, f.name)
+    if any(not (0.0 <= t <= 1.0) for t in grid):
+        raise ConfigError("t_grid values must lie in [0, 1]")
+    return grid
+
+
+def _denoiser(value, f):
+    if isinstance(value, dict) and value.get("kind", "scaled_tanh") != "scaled_tanh":
+        value = {"schedule": None, **value}  # only scaled_tanh defaults to the bayes schedule
+    return _nested(value, f)
+
+
+def _init(value, f):
+    if isinstance(value, dict):
+        _reject_unknown(value, {"kind"}, f.name)
+        return value.get("kind")
+    return value
+
+
+def _power_depth(value, f):
+    return value if value == "auto" else _as_int(value, f.name, f.metadata["minimum"])
+
+
+def _key(default=MISSING, check=None, minimum=None, choices=None):
+    return field(default=default, metadata={"check": check, "minimum": minimum, "choices": choices})
+
+
+@dataclass(frozen=True)
+class DenoiserSpec:
+    """The configured denoiser family; the Denoiser itself is built by ``build``.
+
+    ``schedule`` is a tuple, None, or "bayes": the scaled_tanh schedule
+    a_k = gamma * mu_k / sigma_k^2 of the scalar recursion, resolved at run time.
+    """
+
+    kind: str = "scaled_tanh"
+    schedule: object = "bayes"
+    weights: tuple = ()
+    offset: float = 0.0
+    delta: float = 1e-2
+
+    def __post_init__(self):
+        if not isinstance(self.schedule, tuple) and self.schedule not in ("bayes", None):
+            raise ConfigError(f"schedule must be a list or 'bayes', got {self.schedule!r}")
+        self.build()  # a bad family fails when the config is parsed
+
+    def build(self):
+        """The Denoiser, or the marker "bayes"."""
+        if self.kind == "scaled_tanh" and self.schedule == "bayes":
+            return "bayes"
+        schedule = self.schedule if isinstance(self.schedule, tuple) else ()
+        try:
+            return Denoiser(self.kind, schedule, self.weights, self.offset, self.delta)
+        except RejectedInputError as exc:
+            raise ConfigError(str(exc)) from exc
+
+
+@dataclass
+class ExperimentConfig:
+    """One run; the fields are the table of top-level keys."""
+
+    experiment: str = _key(choices=EXPERIMENTS)
+    n_grid: tuple = _key(check=_n_grid, minimum=1)
+    trials: int = _key(50, minimum=1)
+    master_seed: int = 0
+    K: int = _key(5, minimum=0)
+    gamma: float = _key(0.0, minimum=0)
+    gamma_grid: tuple | None = _key(None, _gamma_grid, minimum=0)
+    t_grid: tuple | None = _key(None, _t_grid)
+    ensemble: EnsembleSpec = EnsembleSpec("gaussian")
+    prior: PriorSpec = PriorSpec("rademacher")
+    denoiser: DenoiserSpec = _key(DenoiserSpec(), _denoiser)
+    phi: TestFunction = TestFunction("tanh_product")
+    engine: str = _key("onsager", choices=("onsager", "generalized"))
+    init: str = _key("independent", _init, choices=("independent", "spectral"))
+    power_depth: object = _key("auto", _power_depth, minimum=1)
+    diag_shift: float = 3.0
+    couple_streams: bool = False
+    gauss_hermite_nodes: int = _key(_QUADRATURE.gauss_hermite_nodes, minimum=2)
+    gauss_legendre_nodes: int = _key(_QUADRATURE.gauss_legendre_nodes, minimum=2)
+    mc_samples: int = _key(_QUADRATURE.mc_samples, minimum=10_000)
+    se_seed: int = _QUADRATURE.seed
+    records_csv: str | None = None
+    summary_json: str | None = None
+    threads: int = _key(1, minimum=1)
+
+    def quadrature(self):
+        return QuadratureSpec(
+            self.gauss_hermite_nodes, self.gauss_legendre_nodes, self.mc_samples, self.se_seed
+        )
+
+    def resolved_dict(self):
+        """Full configuration with defaults applied, as plain JSON data."""
+        out = {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+        out["init"] = {"kind": self.init}
+        return out
+
+    def canonical_json(self):
+        return json.dumps(self.resolved_dict(), sort_keys=True, indent=2)
+
+
+def _plain(value):
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    return list(value) if isinstance(value, tuple) else value
 
 
 def parse_config(data):
     """Validate a decoded JSON document and build an ExperimentConfig."""
     if not isinstance(data, dict):
         raise ConfigError("configuration must be a JSON object")
-    _reject_unknown(data, _TOP_KEYS, "configuration")
-    if "experiment" not in data:
-        raise ConfigError("missing required key 'experiment'")
-    experiment = data["experiment"]
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {experiment!r}; expected one of {EXPERIMENTS}")
-    if "n_grid" not in data:
-        raise ConfigError("missing required key 'n_grid'")
-    n_grid = tuple(_as_int(v, "n_grid entry", minimum=1) for v in data["n_grid"])
-    if not n_grid:
-        raise ConfigError("n_grid must be nonempty")
-    if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
-        raise ConfigError("n_grid must be strictly ascending")
-
-    cfg = ExperimentConfig(experiment=experiment, n_grid=n_grid)
-    if "trials" in data:
-        cfg.trials = _as_int(data["trials"], "trials", minimum=1)
-    if "master_seed" in data:
-        cfg.master_seed = _as_int(data["master_seed"], "master_seed")
-    if "K" in data:
-        cfg.K = _as_int(data["K"], "K", minimum=0)
-    if "gamma" in data:
-        cfg.gamma = _as_number(data["gamma"], "gamma")
-        if cfg.gamma < 0:
-            raise ConfigError(f"gamma must be >= 0, got {cfg.gamma}")
-    if data.get("gamma_grid") is not None:
-        cfg.gamma_grid = tuple(_as_number(v, "gamma_grid entry") for v in data["gamma_grid"])
-        if not cfg.gamma_grid:
-            raise ConfigError("gamma_grid must be nonempty")
-    if data.get("t_grid") is not None:
-        cfg.t_grid = tuple(_as_number(v, "t_grid entry") for v in data["t_grid"])
-        if any(not (0.0 <= t <= 1.0) for t in cfg.t_grid):
-            raise ConfigError("t_grid values must lie in [0, 1]")
-
-    try:
-        if "ensemble" in data:
-            ens = dict(data["ensemble"])
-            _reject_unknown(ens, _ENSEMBLE_KEYS, "ensemble")
-            cfg.ensemble = EnsembleSpec(
-                kind=ens.get("kind", "gaussian"),
-                param=ens.get("param"),
-                diagonal_policy=ens.get("diagonal_policy", "same_law"),
-            )
-        if "prior" in data:
-            pri = dict(data["prior"])
-            _reject_unknown(pri, _PRIOR_KEYS, "prior")
-            cfg.prior = PriorSpec(
-                kind=pri.get("kind", "rademacher"),
-                values=tuple(pri.get("values", ())),
-                probs=tuple(pri.get("probs", ())),
-            )
-        if "phi" in data:
-            phi = dict(data["phi"])
-            _reject_unknown(phi, _PHI_KEYS, "phi")
-            cfg.phi = TestFunction(kind=phi.get("kind", "tanh_product"), clip=phi.get("clip", 10.0))
-    except RejectedInputError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    if "denoiser" in data:
-        den = dict(data["denoiser"])
-        _reject_unknown(den, _DENOISER_KEYS, "denoiser")
-        cfg.denoiser_kind = den.get("kind", "scaled_tanh")
-        schedule = den.get("schedule", "bayes" if cfg.denoiser_kind == "scaled_tanh" else None)
-        if isinstance(schedule, str):
-            if schedule != "bayes":
-                raise ConfigError(f"schedule must be a list or 'bayes', got {schedule!r}")
-            cfg.denoiser_schedule = "bayes"
-        elif schedule is None:
-            cfg.denoiser_schedule = None
-        else:
-            cfg.denoiser_schedule = tuple(_as_number(v, "schedule entry") for v in schedule)
-        cfg.denoiser_weights = tuple(
-            _as_number(v, "weights entry") for v in den.get("weights", ())
-        )
-        cfg.denoiser_offset = _as_number(den.get("offset", 0.0), "offset")
-        cfg.denoiser_delta = _as_number(den.get("delta", 1e-2), "delta")
-
-    if "engine" in data:
-        if data["engine"] not in ("onsager", "generalized"):
-            raise ConfigError(f"engine must be 'onsager' or 'generalized', got {data['engine']!r}")
-        cfg.engine = data["engine"]
-    if "init" in data:
-        init = data["init"]
-        if isinstance(init, str):
-            init = {"kind": init}
-        init = dict(init)
-        _reject_unknown(init, _INIT_KEYS, "init")
-        if init.get("kind") not in ("independent", "spectral"):
-            raise ConfigError(f"init kind must be 'independent' or 'spectral', got {init.get('kind')!r}")
-        cfg.init = init["kind"]
-    if "power_depth" in data:
-        depth = data["power_depth"]
-        if depth != "auto":
-            depth = _as_int(depth, "power_depth", minimum=1)
-        cfg.power_depth = depth
-    if "diag_shift" in data:
-        cfg.diag_shift = _as_number(data["diag_shift"], "diag_shift")
-    if "couple_streams" in data:
-        if not isinstance(data["couple_streams"], bool):
-            raise ConfigError("couple_streams must be a boolean")
-        cfg.couple_streams = data["couple_streams"]
-    for key, minimum in (
-        ("gauss_hermite_nodes", 2),
-        ("gauss_legendre_nodes", 2),
-        ("mc_samples", 10_000),
-        ("se_seed", None),
-        ("threads", 1),
-    ):
-        if key in data:
-            setattr(cfg, key, _as_int(data[key], key, minimum=minimum))
-    for key in ("records_csv", "summary_json"):
-        if data.get(key) is not None:
-            if not isinstance(data[key], str):
-                raise ConfigError(f"{key} must be a string path")
-            setattr(cfg, key, data[key])
-
+    keys = fields(ExperimentConfig)
+    _reject_unknown(data, {f.name for f in keys}, "configuration")
+    values = {}
+    for f in keys:
+        if f.name in data:
+            values[f.name] = _parse(data[f.name], f)
+        elif f.default is MISSING:
+            raise ConfigError(f"missing required key '{f.name}'")
+    cfg = ExperimentConfig(**values)
     _validate_experiment(cfg)
     return cfg
 
@@ -332,13 +258,13 @@ def _validate_experiment(cfg):
                 "independent-init state evolution compares against the Gaussian "
                 "covariance recursion; prior must be gaussian"
             )
-    if cfg.denoiser_schedule == "bayes" and cfg.denoiser_kind == "scaled_tanh":
+    if cfg.denoiser.schedule == "bayes" and cfg.denoiser.kind == "scaled_tanh":
         needs_se = cfg.experiment in ("universality", "state_evolution", "interpolation", "concentration")
         if needs_se and cfg.gamma <= 1.0:
             raise ConfigError("the bayes tanh schedule requires gamma > 1")
-    if isinstance(cfg.denoiser_schedule, tuple) and len(cfg.denoiser_schedule) < cfg.K:
+    if isinstance(cfg.denoiser.schedule, tuple) and len(cfg.denoiser.schedule) < cfg.K:
         raise ConfigError(
-            f"schedule of length {len(cfg.denoiser_schedule)} does not cover K={cfg.K} iterations"
+            f"schedule of length {len(cfg.denoiser.schedule)} does not cover K={cfg.K} iterations"
         )
     if cfg.couple_streams and cfg.ensemble.kind != "gaussian":
         raise ConfigError("couple_streams makes both sides identical; ensemble must be gaussian")

@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergenceError, PreconditionError, RejectedInputError
+from . import spectral
+from .errors import DegenerateInputError, DivergenceError, PreconditionError, RejectedInputError
 from .nonlinear import Denoiser, denoiser_eval, denoiser_partial, phi_eval_rows
 
 DIVERGENCE_LIMIT = 1e12
@@ -115,26 +116,23 @@ def run_onsager(op, denoisers, v0, K):
     return AmpOrbit(n=n, K=K, iterates=iterates, onsager_log=log)
 
 
-def run_spectral_amp(op, denoisers, u0, power_depth, K, margin=0.05):
+def run_spectral_amp(op, denoisers, u0, power_depth, K):
     """Memory-corrected orbit started from the sign-corrected top eigenvector.
 
     Refuses to run (PreconditionError) when the eigenvalue gap check fails or
     the eigenvector has zero overlap with u0, mirroring the hypotheses under
     which the initialization is defined.
     """
-    from . import spectral  # local import to avoid a cycle
-    from .errors import DegenerateInputError
-
     u0 = np.ascontiguousarray(u0, dtype=np.float64)
     norm = np.linalg.norm(u0)
     if norm == 0.0:
         raise PreconditionError("prior vector is zero; spectral initialization undefined")
-    gap = spectral.gap_check(op, margin=margin, y0=u0 / norm)
+    gap = spectral.gap_check(op, y0=u0 / norm)
     d = spectral.resolve_power_depth(op, power_depth, gap)
     if not gap.passed:
         raise PreconditionError(
             f"eigenvalue gap check failed: lambda1={gap.lambda1:.6g}, "
-            f"lambda2_abs={gap.lambda2_abs:.6g}, margin={margin}"
+            f"lambda2_abs={gap.lambda2_abs:.6g}, margin={spectral.GAP_MARGIN}"
         )
     try:
         psi = spectral.spectral_init(op, u0, d, gap)

@@ -84,40 +84,27 @@ class PriorSpec:
             raise RejectedInputError(f"{self.kind} prior takes no values/probs")
 
 
-@dataclass(frozen=True, eq=False)
-class SpikeComponent:
-    """One rank-one term (gamma / n) z (x) z; vector=None means use the trial's u0."""
+@dataclass(frozen=True)
+class SpikeSpec:
+    """The rank-one spike (gamma / n) u0 (x) u0; gamma 0 adds no spike term."""
 
-    gamma: float
-    vector: np.ndarray | None = None
+    gamma: float = 0.0
 
     def __post_init__(self):
         if self.gamma < 0:
             raise RejectedInputError(f"spike SNR must be >= 0, got {self.gamma}")
-        if self.vector is not None:
-            object.__setattr__(
-                self, "vector", np.ascontiguousarray(self.vector, dtype=np.float64)
-            )
-
-
-@dataclass(frozen=True, eq=False)
-class SpikeSpec:
-    components: tuple = ()
 
     @staticmethod
     def rank_one(gamma):
-        """The spiked model of a single SNR with z = u0."""
-        if gamma == 0.0:
-            return SpikeSpec(())
-        return SpikeSpec((SpikeComponent(gamma, None),))
+        return SpikeSpec(gamma)
 
 
 @dataclass
 class TrialStreams:
     """Three independent deterministic substreams for one trial.
 
-    The shared stream draws u0 and any spike data; the two noise streams never
-    consume from it, so the noise stays independent of (u0, Z).
+    The shared stream draws u0; the two noise streams never consume from it,
+    so the noise stays independent of (u0, Z).
     """
 
     shared: np.random.Generator
@@ -213,17 +200,17 @@ class InterpolatedNoise:
 
 
 class SpikedOperator:
-    """Lazy operator x -> X x / sqrt(n) + sum_l (gamma_l / n) <z_l, x> z_l.
+    """Lazy operator x -> X x / sqrt(n) + (gamma / n) <z, x> z.
 
     X is any noise operator with ``.n`` and ``.apply`` (a SymmetricMatrix or an
-    InterpolatedNoise). The low-rank part is never materialized; one
-    application costs the noise apply plus O(r n) for the spikes.
+    InterpolatedNoise); z=None means no spike term. The rank-one part is never
+    materialized; one application costs the noise apply plus O(n).
     """
 
-    def __init__(self, noise, spikes=()):
+    def __init__(self, noise, gamma=0.0, z=None):
         self.noise = noise
         self.n = noise.n
-        self.spikes = tuple(spikes)  # (gamma, z) pairs with len(z) == n
+        self.gamma, self.z = gamma, z  # len(z) == n
         self._inv_sqrt_n = 1.0 / math.sqrt(self.n)
 
     def apply(self, x):
@@ -231,35 +218,18 @@ class SpikedOperator:
         if x.shape != (self.n,):
             raise RejectedInputError(f"vector length {x.shape} does not match n={self.n}")
         y = self.noise.apply(x) * self._inv_sqrt_n
-        for gamma, z in self.spikes:
-            y += (gamma / self.n) * np.dot(z, x) * z
+        if self.z is not None:
+            y += (self.gamma / self.n) * np.dot(self.z, x) * self.z
         return y
 
 
 def build_spiked(x, spike, prior_vector=None):
-    """Assemble the spiked operator for noise operator x and a SpikeSpec."""
-    n = x.n
-    resolved = []
-    for comp in spike.components:
-        if comp.vector is None:
-            if prior_vector is None:
-                raise RejectedInputError("spike sourced from the prior requires prior_vector")
-            z = np.ascontiguousarray(prior_vector, dtype=np.float64)
-            if z.shape != (n,):
-                raise RejectedInputError(
-                    f"prior vector length {z.shape} does not match n={n}"
-                )
-        else:
-            z = comp.vector
-            if z.shape != (n,):
-                raise RejectedInputError(
-                    f"spike vector length {z.shape} does not match n={n}"
-                )
-            norm = float(np.linalg.norm(z))
-            target = math.sqrt(n)
-            if abs(norm - target) > 1e-8 * target:
-                raise RejectedInputError(
-                    f"explicit spike vector must have norm sqrt(n)={target:.6g}, got {norm:.6g}"
-                )
-        resolved.append((float(comp.gamma), z))
-    return SpikedOperator(x, resolved)
+    """Assemble the spiked operator for noise operator x, a SpikeSpec and z = prior_vector."""
+    if spike.gamma == 0.0:
+        return SpikedOperator(x)
+    if prior_vector is None:
+        raise RejectedInputError("spike sourced from the prior requires prior_vector")
+    z = np.ascontiguousarray(prior_vector, dtype=np.float64)
+    if z.shape != (x.n,):
+        raise RejectedInputError(f"prior vector length {z.shape} does not match n={x.n}")
+    return SpikedOperator(x, float(spike.gamma), z)

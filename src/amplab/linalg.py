@@ -48,16 +48,6 @@ class SymmetricMatrix:
         object.__setattr__(self, "entries", entries)
 
     @classmethod
-    def zeros(cls, n):
-        return cls(n, np.zeros(packed_length(n)))
-
-    @classmethod
-    def identity(cls, n):
-        entries = np.zeros(packed_length(n))
-        entries[packed_diagonal_indices(n)] = 1.0
-        return cls(n, entries)
-
-    @classmethod
     def from_dense(cls, a):
         a = np.asarray(a, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:

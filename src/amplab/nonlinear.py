@@ -7,7 +7,6 @@ iterate number (``j = k`` is the newest argument), matching the memory-term
 convention of the iteration.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,15 +56,6 @@ class Denoiser:
         if self.kind == "linear_combo" and not self.weights and self.offset == 0.0:
             raise RejectedInputError("linear_combo requires weights or a nonzero offset")
 
-    def lipschitz_constant(self):
-        if self.kind == "identity":
-            return 1.0
-        if self.kind == "scaled_tanh":
-            return max(abs(a) for a in self.schedule)
-        if self.kind == "smooth_soft_threshold":
-            return 1.0
-        return math.sqrt(sum(w * w for w in self.weights)) if self.weights else 0.0
-
     def newest_only(self):
         """True when f_k depends on x_k alone (scalar state-evolution compatible)."""
         if self.kind in ("identity", "scaled_tanh", "smooth_soft_threshold"):
@@ -73,13 +63,11 @@ class Denoiser:
         return len(self.weights) <= 1
 
     def _param(self, k):
-        if self.kind in _SCHEDULED_KINDS:
-            if len(self.schedule) < k + 1:
-                raise RejectedInputError(
-                    f"schedule of length {len(self.schedule)} does not cover iteration {k}"
-                )
-            return self.schedule[k]
-        return None
+        if len(self.schedule) < k + 1:
+            raise RejectedInputError(
+                f"schedule of length {len(self.schedule)} does not cover iteration {k}"
+            )
+        return self.schedule[k]
 
 
 def _check_rows(k, j, rows):
@@ -162,7 +150,6 @@ def denoiser_partial(f, k, j, rows):
     d = k - j  # depth of argument j in the newest-first layout
     if f.newest_only():
         if d == 0:
-            f._param(k)  # surface schedule errors even for the derivative path
             return scalar_derivative(f, k, rows[0])
         return np.zeros(n)
     w = f.weights[d] if d < len(f.weights) else 0.0
@@ -201,19 +188,6 @@ class TestFunction:
             raise RejectedInputError(f"unknown test function kind {self.kind!r}")
         if self.clip <= 0:
             raise RejectedInputError(f"clip bound must be positive, got {self.clip}")
-
-    @property
-    def diagnostic_only(self):
-        return self.kind == "raw_overlap"
-
-    def lipschitz_constant(self):
-        if self.kind == "last_coord_clipped":
-            return 1.0
-        if self.kind == "tanh_product":
-            return 2.0
-        if self.kind == "se_pair":
-            return math.sqrt(1.0 + self.clip * self.clip)
-        return None  # raw_overlap carries no global constant
 
     def pair_eval(self, w, y):
         """Two-argument form phi(w, y); w plays x_0 and y plays x_k."""

@@ -5,14 +5,12 @@ finite differences, the Jacobi eigensolver) and compares. These mirror the
 oracle tests in the test suite, sized to run in a few seconds.
 """
 
-import math
-
 import numpy as np
 
-from .ensembles import EnsembleSpec, derive_streams, sample_wigner
-from .linalg import SymmetricMatrix, cholesky, jacobi_eigendecomp, packed_diagonal_indices, sym_matvec
+from .ensembles import EnsembleSpec, derive_streams
+from .experiments import power_bound_trial
+from .linalg import SymmetricMatrix, cholesky, jacobi_eigendecomp, sym_matvec
 from .nonlinear import Denoiser, denoiser_partial, fd_partial
-from .spectral import power_method
 
 
 def _check_matvec(rng):
@@ -62,23 +60,10 @@ def _check_partials(rng):
     return True
 
 
-def _check_power_bound(rng):
-    ok = True
-    for trial in range(10):
-        streams = derive_streams(1234, trial)
-        mat = sample_wigner(32, EnsembleSpec("gaussian"), streams.noise_a)
-        entries = mat.entries / math.sqrt(32)
-        entries[packed_diagonal_indices(32)] += 3.0
-        instance = SymmetricMatrix(32, entries)
-        y0 = streams.shared.standard_normal(32)
-        y0 /= np.linalg.norm(y0)
-        eig = jacobi_eigendecomp(instance, tol=1e-12)
-        result = power_method(instance, y0, 15, eigen=eig)
-        top = eig.eigenvectors[:, 0]
-        aligned = math.copysign(1.0, float(np.dot(top, y0))) * top
-        lhs = float(np.linalg.norm(result.vector - aligned))
-        ok = ok and lhs <= result.bound + 1e-8
-    return ok
+def _check_power_bound(_rng):
+    gaussian = EnsembleSpec("gaussian")
+    bounds = [power_bound_trial(derive_streams(1234, t), 32, gaussian, 3.0, 15) for t in range(10)]
+    return all(lhs <= rhs + 1e-8 for lhs, rhs in bounds)
 
 
 def _check_streams(_rng):

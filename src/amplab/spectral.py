@@ -29,6 +29,7 @@ _DEFAULT_START_SEED = 0x9E3779B97F4A7C15
 POWER_DEPTH_MAX = 300
 POWER_DEPTH_MIN = 30
 _DEPTH_EPS = 1e-6
+GAP_MARGIN = 0.05  # lambda1 must exceed max(lambda2_abs, 1) by this much
 
 LANCZOS_MAX_DIM = 1000  # Krylov dimension cap; larger n than this must converge before it
 _LANCZOS_TOL = 1e-10
@@ -145,10 +146,10 @@ def _ritz(alpha, beta, lo, hi):
         raise NumericalFailureError(f"tridiagonal eigensolver failed: {exc}") from exc
 
 
-def gap_check(op, *, margin=0.05, y0=None):
+def gap_check(op, *, y0=None):
     """(lambda1, max(|lambda2|, |lambda_min|)) of op and the separation condition.
 
-    Passes when lambda1 > max(lambda2_abs, 1) + margin. Lanczos from ``y0`` (a
+    Passes when lambda1 > max(lambda2_abs, 1) + GAP_MARGIN. Lanczos from ``y0`` (a
     fixed pseudo-random vector when None) stops once the top two and bottom Ritz
     residuals are below _LANCZOS_TOL times the largest coefficient seen; on
     breakdown it goes on from a fresh deterministic vector orthogonal to the basis.
@@ -186,7 +187,7 @@ def gap_check(op, *, margin=0.05, y0=None):
             if residual <= _LANCZOS_TOL * scale:
                 lambda1, lambda2 = float(theta_top[-1]), float(theta_top[0])
                 lambda2_abs = max(abs(lambda2), abs(float(theta_min[0])))
-                passed = lambda1 > max(lambda2_abs, 1.0) + margin
+                passed = lambda1 > max(lambda2_abs, 1.0) + GAP_MARGIN
                 return GapCheckResult(lambda1, lambda2_abs, bool(passed), (done, a, e))
         if breakdown:
             w = np.random.default_rng([_DEFAULT_START_SEED, k]).standard_normal(n)
@@ -199,25 +200,24 @@ def gap_check(op, *, margin=0.05, y0=None):
     )
 
 
-def default_power_depth(op, gap=None, eps=_DEPTH_EPS, d_max=POWER_DEPTH_MAX):
+def default_power_depth(op, gap):
     """Depth making the geometric factor ~ eps/sqrt(n): ceil(log(n/eps^2)/log(ratio)).
 
-    The ratio lambda1/lambda2_abs is read from ``gap`` (the operator's gap
-    check, run here when None). Below the transition it degenerates to 1 and
-    the depth is capped at d_max, which keeps refused runs finite.
+    The ratio lambda1/lambda2_abs is read from ``gap``, the operator's gap
+    check, and eps is _DEPTH_EPS. Below the transition the ratio degenerates
+    to 1 and the depth is capped at POWER_DEPTH_MAX, which keeps refused runs
+    finite.
     """
-    if gap is None:
-        gap = gap_check(op)
     lam1, lam2 = gap.lambda1, gap.lambda2_abs
     if lam1 <= 0 or lam2 <= 0 or lam1 <= lam2 * (1.0 + 1e-9):
-        return d_max
-    depth = math.ceil(math.log(op.n / (eps * eps)) / math.log(lam1 / lam2))
-    return int(min(max(depth, POWER_DEPTH_MIN), d_max))
+        return POWER_DEPTH_MAX
+    depth = math.ceil(math.log(op.n / (_DEPTH_EPS * _DEPTH_EPS)) / math.log(lam1 / lam2))
+    return int(min(max(depth, POWER_DEPTH_MIN), POWER_DEPTH_MAX))
 
 
 def resolve_power_depth(op, power_depth, gap):
     """Accepts an explicit depth or the string 'auto', read from ``gap`` (a GapCheckResult)."""
-    if power_depth == "auto" or power_depth is None:
+    if power_depth == "auto":
         return default_power_depth(op, gap)
     depth = int(power_depth)
     if depth < 1:

@@ -111,10 +111,8 @@ def initial_se_params(gamma):
     return math.sqrt(1.0 - gamma**-2), 1.0 / gamma
 
 
-def _converged(run, what, check):
+def _converged(run, what):
     """run(factor) at doubling factors until two levels agree within 1e-8."""
-    if not check:
-        return run(1)
     prev = run(1)
     for level in range(1, _MAX_DOUBLINGS + 1):
         cur = run(2**level)
@@ -153,17 +151,17 @@ def _spiked_pass(gamma, make_scalar, K, w_vals, w_probs, g_vals, g_probs):
     return np.array(mu), np.array(sig), params
 
 
-def _run_spiked(gamma, prior, make_scalar, K, quad, check, what):
+def _run_spiked(gamma, prior, make_scalar, K, quad, what):
     def run(factor):
         w_vals, w_probs = _prior_nodes(prior, quad, factor)
         g_vals, g_probs = _gauss_hermite(factor * quad.gauss_hermite_nodes)
         mu, sig, params = _spiked_pass(gamma, make_scalar, K, w_vals, w_probs, g_vals, g_probs)
         return mu, sig, np.array([0.0 if p is None else p for p in params])
 
-    return _converged(run, what, check)
+    return _converged(run, what)
 
 
-def se_spiked(gamma, prior, f, K, quad=QuadratureSpec(), check=True):
+def se_spiked(gamma, prior, f, K, quad=QuadratureSpec()):
     """Scalar recursion driven by a newest-only denoiser family."""
     if not isinstance(f, Denoiser) or not f.newest_only():
         raise RejectedInputError(
@@ -173,11 +171,11 @@ def se_spiked(gamma, prior, f, K, quad=QuadratureSpec(), check=True):
     def make_scalar(k, _mu, _sig):
         return (lambda y: scalar_eval(f, k, y)), None
 
-    mu, sigma, _ = _run_spiked(gamma, prior, make_scalar, K, quad, check, "se_spiked")
+    mu, sigma, _ = _run_spiked(gamma, prior, make_scalar, K, quad, "se_spiked")
     return SEParams(mu=mu, sigma=sigma, gamma=float(gamma))
 
 
-def bayes_tanh_schedule(gamma, prior, K, quad=QuadratureSpec(), check=True):
+def bayes_tanh_schedule(gamma, prior, K, quad=QuadratureSpec()):
     """Scaled-tanh schedule a_k = gamma * mu_k / sigma_k^2 with its own track.
 
     Returns (denoiser, SEParams); the schedule carries a_0..a_K so that the
@@ -188,9 +186,7 @@ def bayes_tanh_schedule(gamma, prior, K, quad=QuadratureSpec(), check=True):
         a = gamma * mu_k / (sig_k * sig_k)
         return (lambda y, a=a: np.tanh(a * y)), a
 
-    mu, sigma, params = _run_spiked(
-        gamma, prior, make_scalar, K, quad, check, "bayes_tanh_schedule"
-    )
+    mu, sigma, params = _run_spiked(gamma, prior, make_scalar, K, quad, "bayes_tanh_schedule")
     schedule = tuple(params) + (gamma * mu[K] / (sigma[K] * sigma[K]),)
     denoiser = Denoiser(kind="scaled_tanh", schedule=schedule)
     return denoiser, SEParams(mu=mu, sigma=sigma, gamma=float(gamma))
@@ -204,7 +200,7 @@ def _phi_pair_fn(phi):
     raise RejectedInputError("phi must be a TestFunction or a callable (w, y) -> value")
 
 
-def se_predict_phi(phi, k, se, prior, quad=QuadratureSpec(), check=True):
+def se_predict_phi(phi, k, se, prior, quad=QuadratureSpec()):
     """E phi(w, mu_k w + sigma_k g) by quadrature."""
     if not (0 <= k <= se.K):
         raise RejectedInputError(f"iteration {k} outside 0..{se.K}")
@@ -219,7 +215,7 @@ def se_predict_phi(phi, k, se, prior, quad=QuadratureSpec(), check=True):
         vals = fn(np.broadcast_to(w_vals[:, None], grid.shape), grid)
         return (np.array([float(w_probs @ (vals @ g_probs))]),)
 
-    return float(_converged(run, "se_predict_phi", check)[0][0])
+    return float(_converged(run, "se_predict_phi")[0][0])
 
 
 def _stack_rows(v, u0, a):

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 
 from amplab.cli import main
 from amplab.reporting import read_records_csv
@@ -135,6 +136,47 @@ class TestRunCommand:
         assert main(["run", "--config", write_config(tmp_path, cfg)]) == 0
         assert (tmp_path / "custom" / "rec.csv").exists()
         assert (tmp_path / "custom" / "sum.json").exists()
+
+
+# malformed shapes, each paired with the key its error message must name
+MALFORMED = [
+    ({"n_grid": 5}, "n_grid"),
+    ({"gamma_grid": 2.0}, "gamma_grid"),
+    ({"ensemble": 5}, "ensemble"),
+    ({"ensemble": "gaussian"}, "ensemble"),
+    ({"init": 5}, "init"),
+    ({"phi": {"clip": "x"}}, "clip"),
+    ({"ensemble": {"kind": "centered_bernoulli", "param": "x"}}, "param"),
+]
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("overrides, key", MALFORMED, ids=[json.dumps(o) for o, _ in MALFORMED])
+    def test_malformed_shape_is_config_error(self, tmp_path, capsys, overrides, key):
+        code = main(["run", "--config", write_config(tmp_path, {**BASE, **overrides})])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:")
+        assert key in err
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (
+                {"experiment": "bbp", "gamma_grid": [2.0], "denoiser": {"kind": "bogus"}},
+                "unknown denoiser kind 'bogus'",
+            ),
+            (
+                {"denoiser": {"kind": "smooth_soft_threshold", "schedule": "bayes"}},
+                "smooth_soft_threshold requires a per-iteration schedule",
+            ),
+        ],
+        ids=["unknown_kind_on_bbp", "bayes_soft_threshold"],
+    )
+    def test_denoiser_checked_by_dry_run(self, tmp_path, capsys, overrides, message):
+        cfg = write_config(tmp_path, {**BASE, **overrides})
+        assert main(["run", "--config", cfg, "--dry-run"]) == 1
+        assert message in capsys.readouterr().err
 
 
 class TestSelftest:

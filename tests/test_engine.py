@@ -289,7 +289,7 @@ class TestRunSpectralAmp:
         dense[0, 0] = 3.0
         mat = SymmetricMatrix.from_dense(dense)
         u0 = np.ones(n)
-        orbit = run_spectral_amp(mat, [Denoiser(kind="identity")], u0, 60, 1, margin=0.05)
+        orbit = run_spectral_amp(mat, [Denoiser(kind="identity")], u0, 60, 1)
         psi = orbit.iterates[0]
         expected = math.sqrt(n) * np.eye(n)[:, 0]
         assert float(np.min([np.linalg.norm(psi - expected), np.linalg.norm(psi + expected)])) < 1e-9

@@ -455,6 +455,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=r"bbp requires gamma_grid"):
             parse_config({"experiment": "bbp", "n_grid": [10]})
 
+    def test_gamma_grid_entries_nonnegative(self):
+        with pytest.raises(ConfigError, match=r"gamma_grid entry must be >= 0, got -0.5"):
+            parse_config({"experiment": "bbp", "n_grid": [10], "gamma_grid": [2.0, -0.5]})
+
     def test_interpolation_requires_t_grid(self):
         with pytest.raises(ConfigError, match=r"interpolation requires t_grid"):
             parse_config({"experiment": "interpolation", "n_grid": [10]})

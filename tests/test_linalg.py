@@ -32,7 +32,7 @@ class TestSymmetricMatrix:
 
 class TestSymMatvec:
     def test_identity(self):
-        m = SymmetricMatrix.identity(2)
+        m = SymmetricMatrix.from_dense(np.eye(2))
         np.testing.assert_array_equal(sym_matvec(m, [3.0, -1.0]), [3.0, -1.0])
 
     def test_permutation(self):
@@ -48,7 +48,7 @@ class TestSymMatvec:
         np.testing.assert_allclose(sym_matvec(m, x), naive, rtol=1e-13, atol=1e-13)
 
     def test_dimension_mismatch(self):
-        m = SymmetricMatrix.identity(3)
+        m = SymmetricMatrix.from_dense(np.eye(3))
         with pytest.raises(RejectedInputError):
             sym_matvec(m, np.ones(4))
 
@@ -140,11 +140,11 @@ class TestJacobi:
         assert info.value.residual > 1e-12 * np.linalg.norm(dense)
 
     def test_rejects_bad_tol_and_large_n(self):
-        m = SymmetricMatrix.identity(2)
+        m = SymmetricMatrix.from_dense(np.eye(2))
         with pytest.raises(RejectedInputError):
             jacobi_eigendecomp(m, tol=0.0)
         with pytest.raises(RejectedInputError):
-            jacobi_eigendecomp(SymmetricMatrix.identity(1025))
+            jacobi_eigendecomp(SymmetricMatrix.from_dense(np.eye(1025)))
 
 
 class TestCholesky:

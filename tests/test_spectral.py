@@ -103,17 +103,17 @@ class TestPowerMethod:
         assert lhs <= exact.bound
 
     def test_rejects_non_unit_start(self):
-        m = SymmetricMatrix.identity(3)
+        m = SymmetricMatrix.from_dense(np.eye(3))
         with pytest.raises(RejectedInputError):
             power_method(m, np.array([1.0, 1.0, 0.0]), 5)
 
     def test_rejects_zero_iterations(self):
-        m = SymmetricMatrix.identity(2)
+        m = SymmetricMatrix.from_dense(np.eye(2))
         with pytest.raises(RejectedInputError):
             power_method(m, np.array([1.0, 0.0]), 0)
 
     def test_degenerate_on_zero_operator(self):
-        m = SymmetricMatrix.zeros(3)
+        m = SymmetricMatrix.from_dense(np.zeros((3, 3)))
         with pytest.raises(DegenerateInputError):
             power_method(m, np.array([1.0, 0.0, 0.0]), 3)
 
@@ -202,7 +202,7 @@ class TestSpectralInit:
         u0 = sample_prior(n, PriorSpec("rademacher"), streams.shared)
         mat = sample_wigner(n, EnsembleSpec("gaussian"), streams.noise_g)
         op = build_spiked(mat, SpikeSpec.rank_one(gamma), u0)
-        psi = spectral_init(op, u0, default_power_depth(op))
+        psi = spectral_init(op, u0, default_power_depth(op, gap_check(op)))
         overlap = float(np.dot(psi, u0)) / n
         assert 0.816 <= overlap <= 0.916
 
@@ -297,7 +297,7 @@ class TestGapCheck:
 
     def test_rejects_one_by_one(self):
         with pytest.raises(RejectedInputError):
-            gap_check(SymmetricMatrix.identity(1))
+            gap_check(SymmetricMatrix.from_dense(np.eye(1)))
 
 
 class TestDefaultPowerDepth:
@@ -307,7 +307,7 @@ class TestDefaultPowerDepth:
         u0 = sample_prior(n, PriorSpec("rademacher"), streams.shared)
         mat = sample_wigner(n, EnsembleSpec("gaussian"), streams.noise_g)
         op = build_spiked(mat, SpikeSpec.rank_one(2.0), u0)
-        depth = default_power_depth(op)
+        depth = default_power_depth(op, gap_check(op))
         assert 30 <= depth <= 300
 
     def test_degenerate_ratio_hits_cap(self):
@@ -316,7 +316,7 @@ class TestDefaultPowerDepth:
         streams = derive_streams(43, 0)
         mat = sample_wigner(n, EnsembleSpec("gaussian"), streams.noise_g)
         op = build_spiked(mat, SpikeSpec())
-        assert default_power_depth(op) == 300
+        assert default_power_depth(op, gap_check(op)) == 300
 
     def test_reads_ratio_from_gap_result_without_applies(self):
         op, _ = spiked_instance(500, 2.0, 41)
