@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 1 on configuration errors, 2 on numerical failures.
+Exit codes: 0 on success, 1 on configuration errors, 2 on numerical failures
+and on running out of memory; a run that fails writes no records.
 """
 
 import argparse
@@ -42,14 +43,15 @@ def _output_paths(cfg, out_dir):
 
 
 def _cmd_run(args):
+    overrides = {}
+    if args.seed is not None:
+        overrides["master_seed"] = args.seed
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg.master_seed = args.seed
         if args.threads is not None:
-            cfg.threads = args.threads
+            overrides["threads"] = args.threads
         elif os.environ.get(_THREADS_ENV):
-            cfg.threads = max(1, int(os.environ[_THREADS_ENV]))
+            overrides["threads"] = int(os.environ[_THREADS_ENV])
+        cfg = load_config(args.config, **overrides)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -63,6 +65,9 @@ def _cmd_run(args):
         columns, rows, summary = run_experiment(cfg)
     except AmpLabError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
     summary["master_seed"] = cfg.master_seed

@@ -270,8 +270,10 @@ def _validate_experiment(cfg):
         raise ConfigError("couple_streams makes both sides identical; ensemble must be gaussian")
 
 
-def load_config(path):
-    """Read and parse a JSON config file; errors carry the offending path."""
+def load_config(path, **overrides):
+    """Parse a JSON config file, overrides replacing its top-level keys before the checks.
+
+    Errors carry the offending path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -281,4 +283,6 @@ def load_config(path):
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    if isinstance(data, dict):
+        data = {**data, **overrides}
     return parse_config(data)

@@ -129,16 +129,21 @@ def _role_rng(master_seed, trial_index, role):
     return np.random.default_rng(seed)
 
 
-def sample_wigner(n, ens, stream):
+def sample_wigner(n, ens, stream, out=None):
     """Symmetric matrix with i.i.d. upper-triangle entries from the ensemble law.
 
-    The entries are drawn chunk by chunk into one float64 array. Every law
-    consumes the stream in order, so the result is byte-identical to a single
-    draw of all entries, without full-size integer or boolean temporaries.
+    The entries are drawn chunk by chunk into one float64 array: ``out`` if
+    given (C-contiguous float64 of length n(n+1)/2, which the matrix then
+    shares), else a new one. Every law consumes the stream in order, so the
+    result is byte-identical to a single draw of all entries, without
+    full-size integer or boolean temporaries.
     """
     if n < 1:
         raise RejectedInputError(f"dimension must be >= 1, got {n}")
-    entries = np.empty(packed_length(n))
+    entries = np.empty(packed_length(n)) if out is None else out
+    ok = isinstance(entries, np.ndarray) and entries.dtype == np.float64 and entries.flags.writeable
+    if not (ok and entries.flags.c_contiguous and entries.shape == (packed_length(n),)):
+        raise RejectedInputError(f"out must be a writeable contiguous float64[{packed_length(n)}]")
     for start in range(0, entries.size, _DRAW_CHUNK):
         seg = entries[start : start + _DRAW_CHUNK]
         if ens.kind == "gaussian":

@@ -9,10 +9,19 @@ output independent of scheduling. A trial that raises a library error
 ``FloatingPointError`` -- while sampling or later -- is recorded with its error
 class in the status column and excluded from summaries, which count it
 separately; any other exception is a bug and ends the run.
+
+Universality and interpolation draw their noise into a scratch the runner
+creates, so its buffers die with the run: each worker thread reuses its packed
+buffers from trial to trial and faults their pages in once. Universality reduces
+G's orbit to phi_g before A is drawn into the same buffer (the noise streams are
+independent, so the order changes no value); interpolation holds A and G. The
+other experiments hold one matrix and allocate it per trial; power_bound must,
+as its Jacobi instance is kept by callers after the run and may not alias a buffer.
 """
 
 import itertools
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -34,7 +43,7 @@ from .ensembles import (
     sample_wigner,
 )
 from .errors import AmpLabError, RejectedInputError
-from .linalg import SymmetricMatrix, jacobi_eigendecomp, packed_diagonal_indices
+from .linalg import SymmetricMatrix, jacobi_eigendecomp, packed_diagonal_indices, packed_length
 from .spectral import gap_check, power_method, resolve_power_depth, spectral_init
 from .state_evolution import (
     bayes_tanh_schedule,
@@ -131,6 +140,20 @@ def _run_grid(cfg, one_trial, leading_axes=(), failure_rows=({},)):
     return rows
 
 
+class _PackedScratch(threading.local):
+    """One run's packed noise buffers by slot, each thread its own; see the module docstring."""
+
+    def __init__(self):
+        self.slots = {}
+
+    def packed(self, slot, n):
+        """The float64 buffer of length n(n+1)/2 in slot; reallocated when n changes."""
+        if slot not in self.slots or self.slots[slot].size != packed_length(n):
+            self.slots.pop(slot, None)  # drop the old buffer before allocating the new one
+            self.slots[slot] = np.empty(packed_length(n))
+        return self.slots[slot]
+
+
 def _summarize(rows, group_field, value_field):
     """One summary entry per group: mean, sample std, standard error, count."""
     groups = {}
@@ -187,19 +210,19 @@ def run_universality(cfg):
     denoisers, _ = _resolve_denoisers(cfg)
     spike = SpikeSpec.rank_one(cfg.gamma)
     gauss = _gaussian_twin(cfg.ensemble)
+    scratch = _PackedScratch()
 
     def one_trial(streams, n, trial):
         u0 = sample_prior(n, cfg.prior, streams.shared)
-        mat_g = sample_wigner(n, gauss, streams.noise_g)
-        if cfg.couple_streams:
-            # diagnostic: A replays the G stream under the same (Gaussian) law, so A == G
-            mat_a = mat_g
-        else:
-            mat_a = sample_wigner(n, cfg.ensemble, streams.noise_a)
-        orbit_a = _run_independent(cfg, build_spiked(mat_a, spike, u0), denoisers, u0)
-        orbit_g = _run_independent(cfg, build_spiked(mat_g, spike, u0), denoisers, u0)
-        phi_a = phi_average(orbit_a, cfg.phi, cfg.K)
-        phi_g = phi_average(orbit_g, cfg.phi, cfg.K)
+
+        def phi_on(ensemble, stream):
+            mat = sample_wigner(n, ensemble, stream, out=scratch.packed(0, n))
+            orbit = _run_independent(cfg, build_spiked(mat, spike, u0), denoisers, u0)
+            return phi_average(orbit, cfg.phi, cfg.K)
+
+        phi_g = phi_on(gauss, streams.noise_g)
+        # diagnostic: coupled streams make A replay G's stream under the same law, so A == G
+        phi_a = phi_g if cfg.couple_streams else phi_on(cfg.ensemble, streams.noise_a)
         return [
             {
                 "n": n,
@@ -336,11 +359,12 @@ def run_interpolation(cfg):
     denoisers, _ = _resolve_denoisers(cfg)
     spike = SpikeSpec.rank_one(cfg.gamma)
     gauss = _gaussian_twin(cfg.ensemble)
+    scratch = _PackedScratch()
 
     def one_trial(streams, n, trial):
         u0 = sample_prior(n, cfg.prior, streams.shared)
-        mat_a = sample_wigner(n, cfg.ensemble, streams.noise_a)
-        mat_g = sample_wigner(n, gauss, streams.noise_g)
+        mat_a = sample_wigner(n, cfg.ensemble, streams.noise_a, out=scratch.packed(0, n))
+        mat_g = sample_wigner(n, gauss, streams.noise_g, out=scratch.packed(1, n))
         rows = []
         for t in cfg.t_grid:
             row = {"n": n, "trial": trial, "t": t, "status": "ok"}

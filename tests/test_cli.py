@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from amplab import experiments
 from amplab.cli import main
 from amplab.reporting import read_records_csv
 
@@ -127,6 +128,38 @@ class TestRunCommand:
         code = main(["run", "--config", write_config(tmp_path, cfg)])
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_memory_error_exits_2_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        def out_of_memory(n, ens, stream, **kwargs):
+            raise MemoryError("Unable to allocate 10.0 GiB")
+
+        monkeypatch.setattr(experiments, "sample_wigner", out_of_memory)
+        out_dir = tmp_path / "out"
+        code = main(["run", "--config", write_config(tmp_path, BASE), "--out-dir", str(out_dir)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: out of memory: Unable to allocate 10.0 GiB\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-4"])
+    def test_threads_flag_checked_like_the_config_key(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path, BASE)
+        code = main(["run", "--config", cfg, "--dry-run", "--threads", value])
+        assert code == 1
+        assert f"threads must be >= 1, got {value}" in capsys.readouterr().err
+
+    def test_threads_env_checked_like_the_config_key(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("AMPLAB_THREADS", "0")
+        assert main(["run", "--config", write_config(tmp_path, BASE), "--dry-run"]) == 1
+        assert "threads must be >= 1, got 0" in capsys.readouterr().err
+
+    def test_overrides_reach_the_resolved_config(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("AMPLAB_THREADS", "3")
+        cfg = write_config(tmp_path, {**BASE, "threads": 2})
+        assert main(["run", "--config", cfg, "--dry-run", "--seed", "9"]) == 0
+        resolved = json.loads(capsys.readouterr().out)
+        assert (resolved["threads"], resolved["master_seed"]) == (3, 9)
+        assert main(["run", "--config", cfg, "--dry-run", "--threads", "4"]) == 0
+        assert json.loads(capsys.readouterr().out)["threads"] == 4
 
     def test_config_paths_used_without_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -141,6 +141,34 @@ class TestSampleWigner:
             ref[packed_diagonal_indices(n)] = 0.0
         assert mat.entries.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("policy", ["same_law", "zero"])
+    @pytest.mark.parametrize(
+        "kind, param",
+        [("gaussian", None), ("rademacher", None), ("uniform", None), ("centered_bernoulli", 0.3)],
+    )
+    def test_out_buffer_gets_the_same_bytes(self, kind, param, policy):
+        n = 401
+        spec = EnsembleSpec(kind, param, policy)
+        buf = np.full(packed_length(n), np.nan)  # every entry must be overwritten
+        mat = sample_wigner(n, spec, derive_streams(13, 0).noise_a, out=buf)
+        ref = sample_wigner(n, spec, derive_streams(13, 0).noise_a)
+        assert np.shares_memory(mat.entries, buf)
+        assert buf.tobytes() == ref.entries.tobytes()
+
+    @pytest.mark.parametrize(
+        "buf",
+        [
+            np.empty(packed_length(10) + 1),
+            np.empty(packed_length(10), dtype=np.float32),
+            np.empty(2 * packed_length(10))[::2],
+            np.empty((5, 11)),
+        ],
+        ids=["wrong_length", "float32", "non_contiguous", "two_dimensional"],
+    )
+    def test_bad_out_buffer_rejected(self, buf):
+        with pytest.raises(RejectedInputError, match="out must be"):
+            sample_wigner(10, EnsembleSpec("gaussian"), derive_streams(1, 0).noise_a, out=buf)
+
 
 class TestSamplePrior:
     def test_rademacher_support(self):

@@ -1,4 +1,5 @@
 import json
+import threading
 import tracemalloc
 
 import numpy as np
@@ -131,6 +132,24 @@ class TestUniversality:
         _, rows1, _ = run_experiment(cfg1)
         _, rows2, _ = run_experiment(cfg2)
         assert rows1 == rows2
+
+    @pytest.mark.parametrize("threads, bound", [(1, 1.6), (2, 3.0)])
+    def test_peak_memory_is_one_packed_matrix_per_worker(self, threads, bound):
+        n = 600
+        cfg = base_config(
+            n_grid=[n],
+            trials=4,
+            threads=threads,
+            denoiser={"kind": "scaled_tanh", "schedule": "bayes"},
+        )
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # G is reduced to phi_g before A is drawn into the same buffer
+        assert peak < bound * 8 * packed_length(n)
 
 
 class TestStateEvolution:
@@ -309,6 +328,53 @@ class TestInterpolation:
             tracemalloc.stop()
         # A and G take 2x; forming each mixed matrix would add at least 1x more
         assert peak < 3 * 8 * packed_length(n)
+
+
+def record_noise_buffers(monkeypatch):
+    """Forward sample_wigner, recording (thread, ensemble kind, out's data pointer) per call."""
+    real_sample_wigner = experiments.sample_wigner
+    calls = []
+
+    def forward(n, ens, stream, **kwargs):
+        out = kwargs.get("out")
+        calls.append((threading.get_ident(), ens.kind, None if out is None else out.ctypes.data))
+        return real_sample_wigner(n, ens, stream, **kwargs)
+
+    monkeypatch.setattr(experiments, "sample_wigner", forward)
+    return calls
+
+
+class TestNoiseBuffers:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_interpolation_trials_reuse_two_buffers_per_thread(self, monkeypatch, threads):
+        calls = record_noise_buffers(monkeypatch)
+        cfg = base_config(
+            experiment="interpolation", n_grid=[60], trials=6, t_grid=[0.0, 0.5], threads=threads
+        )
+        run_experiment(cfg)
+        assert len(calls) == 2 * 6
+        per_thread = {}
+        for thread, kind, pointer in calls:
+            assert pointer is not None
+            per_thread.setdefault(thread, {}).setdefault(kind, set()).add(pointer)
+        buffers = []
+        for by_kind in per_thread.values():
+            assert sorted(by_kind) == ["gaussian", "rademacher"]
+            assert all(len(pointers) == 1 for pointers in by_kind.values())
+            buffers += [pointer for pointers in by_kind.values() for pointer in pointers]
+        assert len(set(buffers)) == len(buffers)  # A and G apart, and no thread shares one
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_universality_draws_a_and_g_into_one_buffer_per_thread(self, monkeypatch, threads):
+        calls = record_noise_buffers(monkeypatch)
+        run_experiment(base_config(n_grid=[60], trials=6, threads=threads))
+        assert sorted(kind for _, kind, _ in calls) == ["gaussian"] * 6 + ["rademacher"] * 6
+        per_thread = {}
+        for thread, _, pointer in calls:
+            assert pointer is not None
+            per_thread.setdefault(thread, set()).add(pointer)
+        assert all(len(pointers) == 1 for pointers in per_thread.values())
+        assert len(set.union(*per_thread.values())) == len(per_thread)
 
 
 class TestConcentration:
