@@ -55,7 +55,6 @@ from .nonlinear import (
 )
 from .spectral import (
     GapCheckResult,
-    PowerResult,
     default_power_depth,
     gap_check,
     power_method,

@@ -50,7 +50,11 @@ def _cmd_run(args):
         if args.threads is not None:
             overrides["threads"] = args.threads
         elif os.environ.get(_THREADS_ENV):
-            overrides["threads"] = int(os.environ[_THREADS_ENV])
+            raw = os.environ[_THREADS_ENV]
+            try:
+                overrides["threads"] = int(raw)
+            except ValueError:
+                raise ConfigError(f"{_THREADS_ENV} must be an integer, got {raw!r}") from None
         cfg = load_config(args.config, **overrides)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -190,7 +190,6 @@ class ExperimentConfig:
     init: str = _key("independent", _init, choices=("independent", "spectral"))
     power_depth: object = _key("auto", _power_depth, minimum=1)
     diag_shift: float = 3.0
-    couple_streams: bool = False
     gauss_hermite_nodes: int = _key(_QUADRATURE.gauss_hermite_nodes, minimum=2)
     gauss_legendre_nodes: int = _key(_QUADRATURE.gauss_legendre_nodes, minimum=2)
     mc_samples: int = _key(_QUADRATURE.mc_samples, minimum=10_000)
@@ -266,8 +265,6 @@ def _validate_experiment(cfg):
         raise ConfigError(
             f"schedule of length {len(cfg.denoiser.schedule)} does not cover K={cfg.K} iterations"
         )
-    if cfg.couple_streams and cfg.ensemble.kind != "gaussian":
-        raise ConfigError("couple_streams makes both sides identical; ensemble must be gaussian")
 
 
 def load_config(path, **overrides):

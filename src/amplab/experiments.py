@@ -1,14 +1,16 @@
 """Experiment orchestration: per-trial coupling, summaries, and decay fitting.
 
 Every runner hands one trial body to ``_run_grid``, which walks the (gamma, n,
-trial) grid. Each trial derives its own random streams from (master_seed,
-trial index), so trials are independent tasks; with threads > 1 they run on a
-pool and the rows are sorted by their key columns before emission, making the
-output independent of scheduling. A trial that raises a library error
-(``AmpLabError``), a ``LinAlgError`` or an ``ArithmeticError`` such as
-``FloatingPointError`` -- while sampling or later -- is recorded with its error
-class in the status column and excluded from summaries, which count it
-separately; any other exception is a bug and ends the run.
+trial) grid and builds every record row: a body returns only the fields it
+measures, and the grid adds the key fields, the status and None in every
+column left unset. Each trial derives its own random streams from
+(master_seed, trial index), so trials are independent tasks; with threads > 1
+they run on a pool and the rows are sorted by their key columns before
+emission, making the output independent of scheduling. A trial that raises a
+library error (``AmpLabError``), a ``LinAlgError`` or an ``ArithmeticError``
+such as ``FloatingPointError`` -- while sampling or later -- is recorded with
+its error class in the status column and excluded from summaries, which count
+it separately; any other exception is a bug and ends the run.
 
 Universality and interpolation draw their noise into a scratch the runner
 creates, so its buffers die with the run: each worker thread reuses its packed
@@ -44,7 +46,7 @@ from .ensembles import (
 )
 from .errors import AmpLabError, RejectedInputError
 from .linalg import SymmetricMatrix, jacobi_eigendecomp, packed_diagonal_indices, packed_length
-from .spectral import gap_check, power_method, resolve_power_depth, spectral_init
+from .spectral import gap_check, power_bound_rhs, power_method, resolve_power_depth, spectral_init
 from .state_evolution import (
     bayes_tanh_schedule,
     covariance_phi_prediction,
@@ -107,15 +109,17 @@ def fit_decay(points):
 
 
 def _run_grid(cfg, one_trial, leading_axes=(), failure_rows=({},)):
-    """Rows of one_trial(streams, *key) for every key of the trial grid, sorted.
+    """Every record row of the experiment, sorted; the only place rows are built.
 
     The keys are product(*leading_axes, n_grid, range(trials)); a key's
     position in that product is its trial index, from which its streams
-    derive. A trial that raises one of _TRIAL_ERRORS, sampling included,
-    becomes one row per entry of failure_rows: the key fields, the error
-    class as status, the entry's own fields, and None in every other column.
-    Rows are sorted by the columns before "status", so the output does not
-    depend on how threads schedule the trials.
+    derive. one_trial(streams, *key) returns a list of dicts of what it
+    measured, one per row. Each row starts as None in every column, takes the
+    key fields and status "ok", then the dict's fields. A trial that raises
+    one of _TRIAL_ERRORS, sampling included, takes the entries of failure_rows
+    instead, with the error class as status. Rows are sorted by the columns
+    before "status", so the output does not depend on how threads schedule
+    the trials.
     """
     columns = COLUMNS[cfg.experiment]
     key_fields = columns[: columns.index("status")]
@@ -123,12 +127,14 @@ def _run_grid(cfg, one_trial, leading_axes=(), failure_rows=({},)):
 
     def run(index):
         key = keys[index]
+        row = dict.fromkeys(columns)
+        row.update(zip(key_fields, key), status="ok")
         try:
-            return one_trial(derive_streams(cfg.master_seed, index), *key)
+            measured = one_trial(derive_streams(cfg.master_seed, index), *key)
         except _TRIAL_ERRORS as exc:
-            failed = dict.fromkeys(columns)
-            failed.update(zip(key_fields, key), status=type(exc).__name__)
-            return [{**failed, **fields} for fields in failure_rows]
+            row["status"] = type(exc).__name__
+            measured = failure_rows
+        return [{**row, **fields} for fields in measured]
 
     if cfg.threads <= 1:
         chunks = [run(index) for index in range(len(keys))]
@@ -221,18 +227,8 @@ def run_universality(cfg):
             return phi_average(orbit, cfg.phi, cfg.K)
 
         phi_g = phi_on(gauss, streams.noise_g)
-        # diagnostic: coupled streams make A replay G's stream under the same law, so A == G
-        phi_a = phi_g if cfg.couple_streams else phi_on(cfg.ensemble, streams.noise_a)
-        return [
-            {
-                "n": n,
-                "trial": trial,
-                "status": "ok",
-                "phi_a": phi_a,
-                "phi_g": phi_g,
-                "abs_diff": abs(phi_a - phi_g),
-            }
-        ]
+        phi_a = phi_on(cfg.ensemble, streams.noise_a)
+        return [{"phi_a": phi_a, "phi_g": phi_g, "abs_diff": abs(phi_a - phi_g)}]
 
     rows = _run_grid(cfg, one_trial)
     summaries = _summarize(rows, "n", "abs_diff")
@@ -265,6 +261,11 @@ def run_state_evolution(cfg):
             for k in range(cfg.K + 1)
         ]
         sm_pred = [1.0] + [float(secov.sigma_matrix[k - 1, k - 1]) for k in range(1, cfg.K + 1)]
+    # every row of k carries the predictions it is held to, a failed trial's rows too
+    predictions = [
+        {"k": k, "phi_prediction": phi_pred[k], "second_moment_prediction": sm_pred[k]}
+        for k in range(cfg.K + 1)
+    ]
 
     def one_trial(streams, n, trial):
         u0 = sample_prior(n, cfg.prior, streams.shared)
@@ -275,7 +276,7 @@ def run_state_evolution(cfg):
         else:
             orbit = _run_independent(cfg, op, denoisers, u0)
         rows = []
-        for k in range(cfg.K + 1):
+        for k, pred in enumerate(predictions):
             vk = orbit.iterates[k]
             if cfg.init == "spectral":
                 emp = phi_pair_average(cfg.phi, u0, vk)
@@ -283,33 +284,17 @@ def run_state_evolution(cfg):
                 emp = phi_average(orbit, cfg.phi, k)
             rows.append(
                 {
-                    "n": n,
-                    "trial": trial,
-                    "k": k,
-                    "status": "ok",
+                    **pred,
                     "phi_empirical": emp,
-                    "phi_prediction": phi_pred[k],
                     "phi_abs_err": abs(emp - phi_pred[k]),
                     "second_moment_empirical": float(np.mean(vk * vk)),
-                    "second_moment_prediction": sm_pred[k],
                 }
             )
         return rows
 
-    # a failed trial keeps one row per k, with the predictions it was held to
-    failure_rows = [
-        {"k": k, "phi_prediction": phi_pred[k], "second_moment_prediction": sm_pred[k]}
-        for k in range(cfg.K + 1)
-    ]
-    rows = _run_grid(cfg, one_trial, failure_rows=failure_rows)
+    rows = _run_grid(cfg, one_trial, failure_rows=predictions)
     sm_errors = [
-        {
-            "k": r["k"],
-            "status": "ok",
-            "second_moment_abs_err": abs(
-                r["second_moment_empirical"] - r["second_moment_prediction"]
-            ),
-        }
+        {**r, "second_moment_abs_err": abs(r["second_moment_empirical"] - r["second_moment_prediction"])}
         for r in rows
         if r["status"] == "ok"
     ]
@@ -335,10 +320,6 @@ def run_bbp(cfg):
             flag = 1
         return [
             {
-                "gamma": gamma,
-                "n": n,
-                "trial": trial,
-                "status": "ok",
                 "lambda1": gc.lambda1,
                 "lambda2_abs": gc.lambda2_abs,
                 "gap_pass": int(gc.passed),
@@ -367,7 +348,7 @@ def run_interpolation(cfg):
         mat_g = sample_wigner(n, gauss, streams.noise_g, out=scratch.packed(1, n))
         rows = []
         for t in cfg.t_grid:
-            row = {"n": n, "trial": trial, "t": t, "status": "ok"}
+            row = {"t": t}
             # the endpoints run on A and G themselves, so they reproduce the
             # pure runs exactly; interior t never forms the mixed matrix
             if t == 1.0:
@@ -380,7 +361,7 @@ def run_interpolation(cfg):
                 orbit = _run_independent(cfg, build_spiked(noise, spike, u0), denoisers, u0)
                 row["phi"] = phi_average(orbit, cfg.phi, cfg.K)
             except _TRIAL_ERRORS as exc:
-                row.update(status=type(exc).__name__, phi=None)
+                row["status"] = type(exc).__name__
             rows.append(row)
         return rows
 
@@ -403,7 +384,7 @@ def run_concentration(cfg):
         u0 = group_u0[n]
         mat = sample_wigner(n, cfg.ensemble, streams.noise_g)
         orbit = _run_independent(cfg, build_spiked(mat, spike, u0), denoisers, u0)
-        return [{"n": n, "trial": trial, "status": "ok", "phi": phi_average(orbit, cfg.phi, cfg.K)}]
+        return [{"phi": phi_average(orbit, cfg.phi, cfg.K)}]
 
     rows = _run_grid(cfg, one_trial)
     summaries = _summarize(rows, "n", "phi")
@@ -428,10 +409,10 @@ def power_bound_trial(streams, n, ensemble, diag_shift, depth):
     y0 = streams.shared.standard_normal(n)
     y0 /= np.linalg.norm(y0)
     eig = jacobi_eigendecomp(instance, tol=1e-12)
-    result = power_method(instance, y0, depth, eigen=eig)
+    y = power_method(instance, y0, depth)
     top = eig.eigenvectors[:, 0]
     aligned = math.copysign(1.0, float(np.dot(top, y0))) * top
-    return float(np.linalg.norm(result.vector - aligned)), result.bound
+    return float(np.linalg.norm(y - aligned)), power_bound_rhs(eig, y0, depth)
 
 
 def run_power_bound(cfg):
@@ -440,16 +421,7 @@ def run_power_bound(cfg):
 
     def one_trial(streams, n, trial):
         lhs, rhs = power_bound_trial(streams, n, cfg.ensemble, cfg.diag_shift, depth)
-        return [
-            {
-                "n": n,
-                "trial": trial,
-                "status": "ok",
-                "lhs": lhs,
-                "rhs": rhs,
-                "holds": int(lhs <= rhs + 1e-8),
-            }
-        ]
+        return [{"lhs": lhs, "rhs": rhs, "holds": int(lhs <= rhs + 1e-8)}]
 
     rows = _run_grid(cfg, one_trial)
     summaries = _summarize(rows, "n", "holds") + _summarize(rows, "n", "lhs")

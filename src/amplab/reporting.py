@@ -41,9 +41,3 @@ def write_summary_json(path, payload):
 def _ensure_parent(path):
     parent = os.path.dirname(os.path.abspath(path))
     os.makedirs(parent, exist_ok=True)
-
-
-def read_records_csv(path):
-    """Rows as dicts of strings; companion to write_records_csv (used by checks)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return list(csv.DictReader(fh))

@@ -13,7 +13,6 @@ A^j q0 = Q^T T^j e1 (j <= k), and applies op only for the remaining steps.
 """
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -36,12 +35,6 @@ _LANCZOS_TOL = 1e-10
 _LANCZOS_CHECK_EVERY = 8  # steps between residual tests
 _LANCZOS_BLOCK = 64  # basis rows allocated at a time
 _BREAKDOWN = 1e-12  # relative size of a new Lanczos vector taken as an invariant subspace
-
-
-@dataclass
-class PowerResult:
-    vector: np.ndarray  # unit norm
-    bound: float | None = None  # geometric error bound when eigendata was supplied
 
 
 class GapCheckResult(NamedTuple):
@@ -69,12 +62,11 @@ def power_bound_rhs(eigen, y0, d):
     return (ratio**d) / abs(overlap)
 
 
-def power_method(op, y0, d, eigen=None):
-    """Normalized power iteration from a unit start vector.
+def power_method(op, y0, d):
+    """Unit-norm d-step power iterate from a unit start vector.
 
-    When ``eigen`` (exact eigendata of the same operator) is supplied, the
-    result carries the geometric bound on the distance to the sign-aligned top
-    eigenvector.
+    ``power_bound_rhs`` bounds its distance to the sign-aligned top
+    eigenvector, given the operator's exact eigendata.
     """
     if d < 1:
         raise RejectedInputError(f"iteration count must be >= 1, got {d}")
@@ -86,8 +78,7 @@ def power_method(op, y0, d, eigen=None):
     y = y0
     for _ in range(d):
         y = _normalized(op.apply(y))
-    bound = power_bound_rhs(eigen, y0, d) if eigen is not None else None
-    return PowerResult(vector=y, bound=bound)
+    return y
 
 
 def _normalized(z):
@@ -129,7 +120,7 @@ def spectral_init(op, u0, d, gap=None):
         c = _normalized(t)
     y = c @ basis
     if d > j:
-        y = power_method(op, y, d - j).vector
+        y = power_method(op, y, d - j)
     overlap = float(np.dot(y, u0))
     if overlap == 0.0:
         raise DegenerateInputError(

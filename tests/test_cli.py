@@ -1,10 +1,10 @@
+import csv
 import json
 
 import pytest
 
 from amplab import experiments
 from amplab.cli import main
-from amplab.reporting import read_records_csv
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -68,7 +68,8 @@ class TestRunCommand:
             ["run", "--config", write_config(tmp_path, BASE), "--out-dir", str(out_dir)]
         )
         assert code == 0
-        records = read_records_csv(out_dir / "universality_records.csv")
+        with open(out_dir / "universality_records.csv", encoding="utf-8", newline="") as fh:
+            records = list(csv.DictReader(fh))
         assert len(records) == len(BASE["n_grid"]) * BASE["trials"]
         summary = json.loads((out_dir / "universality_summary.json").read_text())
         assert len(summary["groups"]) == len(BASE["n_grid"])
@@ -151,6 +152,13 @@ class TestRunCommand:
         monkeypatch.setenv("AMPLAB_THREADS", "0")
         assert main(["run", "--config", write_config(tmp_path, BASE), "--dry-run"]) == 1
         assert "threads must be >= 1, got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["x", "2.5"])
+    def test_threads_env_must_be_an_integer(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("AMPLAB_THREADS", value)
+        assert main(["run", "--config", write_config(tmp_path, BASE), "--dry-run"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: AMPLAB_THREADS must be an integer, got {value!r}\n"
 
     def test_overrides_reach_the_resolved_config(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("AMPLAB_THREADS", "3")

@@ -1,3 +1,4 @@
+import csv
 import json
 import threading
 import tracemalloc
@@ -10,17 +11,23 @@ from amplab.config import parse_config
 from amplab.engine import phi_average, run_onsager
 from amplab.ensembles import (
     EnsembleSpec,
+    InterpolatedNoise,
     SpikeSpec,
     build_spiked,
     derive_streams,
     sample_prior,
     sample_wigner,
 )
-from amplab.errors import ConfigError, RejectedInputError
+from amplab.errors import ConfigError, DegenerateInputError, DivergenceError, RejectedInputError
 from amplab.experiments import fit_decay, run_experiment
 from amplab.linalg import packed_length
 from amplab.nonlinear import Denoiser
-from amplab.reporting import read_records_csv, write_records_csv, write_summary_json
+from amplab.reporting import write_records_csv, write_summary_json
+
+
+def read_rows(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def base_config(**overrides):
@@ -88,14 +95,6 @@ class TestUniversality:
         assert all(r["status"] == "ok" for r in rows)
         _, rows2, _ = run_experiment(cfg)
         assert rows == rows2
-
-    def test_coupled_streams_give_zero_difference(self):
-        cfg = base_config(
-            ensemble={"kind": "gaussian"}, couple_streams=True, n_grid=[60], trials=3
-        )
-        _, rows, _ = run_experiment(cfg)
-        for row in rows:
-            assert row["abs_diff"] == 0.0
 
     def test_summary_consistency(self):
         cfg = base_config()
@@ -246,7 +245,7 @@ class TestStateEvolution:
         columns, rows, summary = run_experiment(cfg)
         path = tmp_path / "records.csv"
         write_records_csv(path, columns, rows)
-        parsed = read_records_csv(path)
+        parsed = read_rows(path)
         assert any(r["status"] != "ok" for r in parsed)
         by_k = {}
         for r in parsed:
@@ -279,6 +278,28 @@ class TestBbp:
             assert row["gap_pass"] == 1
         fields = {e["field"] for e in summary["groups"]}
         assert fields == {"lambda1", "overlap", "gap_pass"}
+
+    def test_failed_spectral_init_keeps_the_trial_and_flags_the_overlap(self, monkeypatch):
+        cfg = base_config(
+            experiment="bbp",
+            n_grid=[80],
+            trials=2,
+            gamma_grid=[2.0, 0.5],
+            denoiser={"kind": "identity"},
+        )
+        _, clean, _ = run_experiment(cfg)
+
+        def refuse(*args):
+            raise DegenerateInputError("top-eigenvector estimate is orthogonal to u0")
+
+        monkeypatch.setattr(experiments, "spectral_init", refuse)
+        _, rows, summary = run_experiment(cfg)
+        assert len(rows) == len(clean) == 4
+        for row, ref in zip(rows, clean):
+            assert ref["status"] == "ok"
+            # the gap check's lambda1, lambda2_abs and gap_pass are kept as recorded
+            assert row == {**ref, "overlap": 0.0, "overlap_flag": 1}
+        assert summary["failures"] == {"0.5": 0, "2.0": 0}
 
 
 class TestInterpolation:
@@ -314,6 +335,29 @@ class TestInterpolation:
         _, rows, summary = run_experiment(cfg)
         assert len(rows) == 2 * 3
         assert {e["group"] for e in summary["groups"]} == {0.0, 0.25, 1.0}
+
+    def test_diverged_interior_t_fails_only_its_own_rows(self, monkeypatch):
+        cfg = base_config(
+            experiment="interpolation", n_grid=[40], trials=2, t_grid=[0.0, 0.25, 0.75, 1.0]
+        )
+        _, clean, _ = run_experiment(cfg)
+        real_run_onsager = experiments.run_onsager
+
+        def diverge_on_mixed_noise(op, *args):
+            if isinstance(op.noise, InterpolatedNoise):
+                raise DivergenceError("iterate left the finite range", iteration=2)
+            return real_run_onsager(op, *args)
+
+        monkeypatch.setattr(experiments, "run_onsager", diverge_on_mixed_noise)
+        _, rows, summary = run_experiment(cfg)
+        assert len(rows) == len(clean) == 2 * 4
+        for row, ref in zip(rows, clean):
+            if row["t"] in (0.0, 1.0):
+                assert row == ref and row["status"] == "ok"
+            else:
+                assert row == {**ref, "status": "DivergenceError", "phi": None}
+        assert summary["failures"] == {"0.0": 0, "0.25": 2, "0.75": 2, "1.0": 0}
+        assert {e["group"] for e in summary["groups"]} == {0.0, 1.0}
 
     def test_peak_memory_stays_near_the_two_sampled_matrices(self):
         n = 600
@@ -614,7 +658,6 @@ class TestConfigValidation:
             "init": {"kind": "independent"},
             "power_depth": "auto",
             "diag_shift": 3.0,
-            "couple_streams": False,
             "gauss_hermite_nodes": 61,
             "gauss_legendre_nodes": 64,
             "mc_samples": 100000,
@@ -631,7 +674,7 @@ class TestReportingRoundTrip:
         columns, rows, summary = run_experiment(cfg)
         path = tmp_path / "records.csv"
         write_records_csv(path, columns, rows)
-        back = read_records_csv(path)
+        back = read_rows(path)
         assert len(back) == len(rows)
         assert float(back[0]["phi_a"]) == rows[0]["phi_a"]
 
