@@ -51,13 +51,12 @@ from .nonlinear import (
     denoiser_eval,
     denoiser_partial,
     fd_partial,
-    phi_eval_rows,
 )
 from .spectral import (
     GapCheckResult,
-    default_power_depth,
     gap_check,
     power_method,
+    resolve_power_depth,
     spectral_init,
 )
 from .state_evolution import (

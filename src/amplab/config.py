@@ -114,6 +114,8 @@ def _gamma_grid(value, f):
 
 def _t_grid(value, f):
     grid = _as_list(value, f.name)
+    if not grid:
+        raise ConfigError("t_grid must be nonempty")
     if any(not (0.0 <= t <= 1.0) for t in grid):
         raise ConfigError("t_grid values must lie in [0, 1]")
     return grid

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import spectral
 from .errors import DegenerateInputError, DivergenceError, PreconditionError, RejectedInputError
-from .nonlinear import Denoiser, denoiser_eval, denoiser_partial, phi_eval_rows
+from .nonlinear import Denoiser, denoiser_eval, denoiser_partial
 
 DIVERGENCE_LIMIT = 1e12
 
@@ -99,21 +99,20 @@ def run_onsager(op, denoisers, v0, K):
             "the corrected recursion needs Denoiser instances (analytic partials)"
         )
     n = op.n
-    iterates = [_checked(v0, 0, n).copy()]
+    orbit = AmpOrbit(n=n, K=K, iterates=[_checked(v0, 0, n).copy()])
     denoised = []  # denoised[j] = f_j(v^[j], ..., v^[0]), reused by later corrections
-    log = []
     for k in range(K):
-        rows = np.stack([iterates[k - d] for d in range(k + 1)])
+        rows = orbit.rows(k)
         fk = denoisers[k]
         mk = denoiser_eval(fk, k, rows)
         denoised.append(mk)
         b = onsager_coeffs(fk, rows)
-        log.append(b)
+        orbit.onsager_log.append(b)
         nxt = op.apply(mk)
         for j in range(1, k + 1):
             nxt -= b[j - 1] * denoised[j - 1]
-        iterates.append(_checked(nxt, k + 1, n))
-    return AmpOrbit(n=n, K=K, iterates=iterates, onsager_log=log)
+        orbit.iterates.append(_checked(nxt, k + 1, n))
+    return orbit
 
 
 def run_spectral_amp(op, denoisers, u0, power_depth, K):
@@ -143,9 +142,10 @@ def run_spectral_amp(op, denoisers, u0, power_depth, K):
 
 
 def phi_average(orbit, tf, k):
-    """Phi_{k,n} = (1/n) sum_i phi(v_i^[k], ..., v_i^[0])."""
-    rows = orbit.rows(k)
-    return float(np.mean(phi_eval_rows(tf, rows)))
+    """Phi_{k,n} = (1/n) sum_i phi(v_i^[0], v_i^[k]); every test function reads only that pair."""
+    if not (0 <= k <= orbit.K):
+        raise RejectedInputError(f"iteration {k} outside 0..{orbit.K}")
+    return phi_pair_average(tf, orbit.iterates[0], orbit.iterates[k])
 
 
 def phi_pair_average(tf, w, y):

@@ -17,8 +17,8 @@ creates, so its buffers die with the run: each worker thread reuses its packed
 buffers from trial to trial and faults their pages in once. Universality reduces
 G's orbit to phi_g before A is drawn into the same buffer (the noise streams are
 independent, so the order changes no value); interpolation holds A and G. The
-other experiments hold one matrix and allocate it per trial; power_bound must,
-as its Jacobi instance is kept by callers after the run and may not alias a buffer.
+other experiments hold one matrix and allocate it per trial (power_bound then
+scales it into a new array for its Jacobi instance).
 """
 
 import itertools
@@ -44,7 +44,7 @@ from .ensembles import (
     sample_prior,
     sample_wigner,
 )
-from .errors import AmpLabError, RejectedInputError
+from .errors import AmpLabError, DegenerateInputError, RejectedInputError
 from .linalg import SymmetricMatrix, jacobi_eigendecomp, packed_diagonal_indices, packed_length
 from .spectral import gap_check, power_bound_rhs, power_method, resolve_power_depth, spectral_init
 from .state_evolution import (
@@ -309,7 +309,10 @@ def run_bbp(cfg):
         u0 = sample_prior(n, cfg.prior, streams.shared)
         mat = sample_wigner(n, cfg.ensemble, streams.noise_a)
         op = build_spiked(mat, SpikeSpec.rank_one(gamma), u0)
-        gc = gap_check(op, y0=u0 / np.linalg.norm(u0))
+        norm = np.linalg.norm(u0)
+        if norm == 0.0:
+            raise DegenerateInputError("prior vector is zero; the gap check has no start vector")
+        gc = gap_check(op, y0=u0 / norm)
         depth = resolve_power_depth(op, cfg.power_depth, gc)
         try:
             psi = spectral_init(op, u0, depth, gc)

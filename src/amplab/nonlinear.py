@@ -171,7 +171,7 @@ def fd_partial(f, k, j, rows, h=1e-5):
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Lipschitz observables phi applied to (x_k, ..., x_0) rows.
+    """Lipschitz pair observables phi(x_0, x_k) of the initialization and iterate k.
 
     last_coord_clipped  clamp(x_k, -clip, clip)
     tanh_product        tanh(x_k) * tanh(x_0)
@@ -200,11 +200,3 @@ class TestFunction:
         if self.kind == "se_pair":
             return np.clip(w, -self.clip, self.clip) * np.tanh(y)
         return w * y
-
-
-def phi_eval_rows(tf, rows):
-    """Vectorized phi over a (k+1, n) rows array; returns length-n values."""
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[0] < 1:
-        raise RejectedInputError(f"rows must have shape (k+1, n), got {rows.shape}")
-    return tf.pair_eval(rows[-1], rows[0])

@@ -6,9 +6,9 @@ which leaves the direction identical to normalizing Y^d y once at the end.
 The gap check reads lambda1, lambda2 and lambda_min from one Lanczos solve
 with full reorthogonalization; every product goes through ``op.apply``.
 
-The spectral init is the d-step power iterate. When it is given the gap check
-of a Lanczos run started along +-u0, it reads its first min(d, k) steps from
-that run's basis Q (k+1 rows) and tridiagonal T by the Lanczos relation
+The spectral init is the d-step power iterate. It takes the gap check of a
+Lanczos run started along +-u0, reads its first min(d, k) steps from that
+run's basis Q (k+1 rows) and tridiagonal T by the Lanczos relation
 A^j q0 = Q^T T^j e1 (j <= k), and applies op only for the remaining steps.
 """
 
@@ -22,8 +22,8 @@ from .errors import DegenerateInputError, NumericalFailureError, RejectedInputEr
 
 _UNDERFLOW = 1e-290
 
-# fixed seed for the deterministic start vector used when none is supplied
-_DEFAULT_START_SEED = 0x9E3779B97F4A7C15
+# fixed seed of the vectors Lanczos restarts from after a breakdown
+_RESTART_SEED = 0x9E3779B97F4A7C15
 
 POWER_DEPTH_MAX = 300
 POWER_DEPTH_MIN = 30
@@ -33,7 +33,6 @@ GAP_MARGIN = 0.05  # lambda1 must exceed max(lambda2_abs, 1) by this much
 LANCZOS_MAX_DIM = 1000  # Krylov dimension cap; larger n than this must converge before it
 _LANCZOS_TOL = 1e-10
 _LANCZOS_CHECK_EVERY = 8  # steps between residual tests
-_LANCZOS_BLOCK = 64  # basis rows allocated at a time
 _BREAKDOWN = 1e-12  # relative size of a new Lanczos vector taken as an invariant subspace
 
 
@@ -42,7 +41,7 @@ class GapCheckResult(NamedTuple):
     lambda2_abs: float
     passed: bool
     # (Q, alpha, beta) of the Lanczos run: basis rows q0..qk, diagonal and
-    # off-diagonal of T; None for a result built by hand
+    # off-diagonal of T; None for a result built by hand, which spectral_init refuses
     krylov: tuple | None = None
 
 
@@ -90,12 +89,11 @@ def _normalized(z):
     return z / nz
 
 
-def spectral_init(op, u0, d, gap=None):
+def spectral_init(op, u0, d, gap):
     """sqrt(n)-normalized d-step power iterate from u0, sign-aligned with u0.
 
     ``gap`` (the GapCheckResult of ``gap_check(op, y0=+-u0/|u0|)``) supplies
-    the first min(d, k) steps from its Lanczos basis; without it all d steps
-    apply op.
+    the first min(d, k) steps from its Lanczos basis.
     """
     if d < 1:
         raise RejectedInputError(f"iteration count must be >= 1, got {d}")
@@ -103,13 +101,9 @@ def spectral_init(op, u0, d, gap=None):
     norm = np.linalg.norm(u0)
     if norm == 0.0:
         raise DegenerateInputError("prior vector is zero")
-    y0 = u0 / norm
-    if gap is None:
-        basis, alpha, beta = y0[None, :], np.zeros(1), np.zeros(0)
-    elif gap.krylov is None or abs(abs(float(np.dot(gap.krylov[0][0], y0))) - 1.0) > 1e-10:
+    if gap.krylov is None or abs(abs(float(np.dot(gap.krylov[0][0], u0 / norm))) - 1.0) > 1e-10:
         raise RejectedInputError("gap check result has no Lanczos basis started along +-u0")
-    else:
-        basis, alpha, beta = gap.krylov
+    basis, alpha, beta = gap.krylov
     j = min(d, len(basis) - 1)
     c = np.zeros(len(basis))  # coordinates of the iterate in the basis: T^j e1, normalized
     c[0] = 1.0
@@ -137,28 +131,25 @@ def _ritz(alpha, beta, lo, hi):
         raise NumericalFailureError(f"tridiagonal eigensolver failed: {exc}") from exc
 
 
-def gap_check(op, *, y0=None):
+def gap_check(op, *, y0):
     """(lambda1, max(|lambda2|, |lambda_min|)) of op and the separation condition.
 
-    Passes when lambda1 > max(lambda2_abs, 1) + GAP_MARGIN. Lanczos from ``y0`` (a
-    fixed pseudo-random vector when None) stops once the top two and bottom Ritz
-    residuals are below _LANCZOS_TOL times the largest coefficient seen; on
-    breakdown it goes on from a fresh deterministic vector orthogonal to the basis.
+    Passes when lambda1 > max(lambda2_abs, 1) + GAP_MARGIN. Lanczos from ``y0``
+    stops once the top two and bottom Ritz residuals are below _LANCZOS_TOL times
+    the largest coefficient seen; on breakdown it goes on from a fresh
+    deterministic vector orthogonal to the basis.
     """
     n = op.n
     if n < 2:
         raise RejectedInputError(f"gap check needs n >= 2, got {n}")
-    q = np.random.default_rng(_DEFAULT_START_SEED).standard_normal(n) if y0 is None else y0
-    q = np.ascontiguousarray(q, dtype=np.float64)
+    q = np.ascontiguousarray(y0, dtype=np.float64)
     if not np.any(q):
         raise DegenerateInputError("gap check start vector is zero")
     q = q / np.linalg.norm(q)
     dim = min(n, LANCZOS_MAX_DIM)
-    basis = np.empty((0, n))
+    basis = np.empty((dim, n))  # rows the solve never reaches are never written, so never committed
     alpha, beta, scale, residual = [], [], 0.0, math.inf
     for k in range(dim):
-        if k == len(basis):
-            basis = np.concatenate([basis, np.empty((min(_LANCZOS_BLOCK, dim - k), n))])
         w = op.apply(q)
         basis[k] = q
         done = basis[: k + 1]
@@ -181,7 +172,7 @@ def gap_check(op, *, y0=None):
                 passed = lambda1 > max(lambda2_abs, 1.0) + GAP_MARGIN
                 return GapCheckResult(lambda1, lambda2_abs, bool(passed), (done, a, e))
         if breakdown:
-            w = np.random.default_rng([_DEFAULT_START_SEED, k]).standard_normal(n)
+            w = np.random.default_rng([_RESTART_SEED, k]).standard_normal(n)
             for _ in range(2):  # a fresh vector is far from orthogonal: Gram-Schmidt twice
                 w -= done.T @ (done @ w)
         beta.append(0.0 if breakdown else b)
@@ -191,25 +182,20 @@ def gap_check(op, *, y0=None):
     )
 
 
-def default_power_depth(op, gap):
-    """Depth making the geometric factor ~ eps/sqrt(n): ceil(log(n/eps^2)/log(ratio)).
-
-    The ratio lambda1/lambda2_abs is read from ``gap``, the operator's gap
-    check, and eps is _DEPTH_EPS. Below the transition the ratio degenerates
-    to 1 and the depth is capped at POWER_DEPTH_MAX, which keeps refused runs
-    finite.
-    """
-    lam1, lam2 = gap.lambda1, gap.lambda2_abs
-    if lam1 <= 0 or lam2 <= 0 or lam1 <= lam2 * (1.0 + 1e-9):
-        return POWER_DEPTH_MAX
-    depth = math.ceil(math.log(op.n / (_DEPTH_EPS * _DEPTH_EPS)) / math.log(lam1 / lam2))
-    return int(min(max(depth, POWER_DEPTH_MIN), POWER_DEPTH_MAX))
-
-
 def resolve_power_depth(op, power_depth, gap):
-    """Accepts an explicit depth or the string 'auto', read from ``gap`` (a GapCheckResult)."""
+    """An explicit depth, or for 'auto' the depth making the geometric factor ~ eps/sqrt(n).
+
+    The auto depth is ceil(log(n/eps^2)/log(lambda1/lambda2_abs)) with the ratio
+    read from ``gap``, the operator's gap check, and eps = _DEPTH_EPS, clamped
+    to [POWER_DEPTH_MIN, POWER_DEPTH_MAX]. Below the transition the ratio
+    degenerates to 1 and the depth is the cap, which keeps refused runs finite.
+    """
     if power_depth == "auto":
-        return default_power_depth(op, gap)
+        lam1, lam2 = gap.lambda1, gap.lambda2_abs
+        if lam1 <= 0 or lam2 <= 0 or lam1 <= lam2 * (1.0 + 1e-9):
+            return POWER_DEPTH_MAX
+        depth = math.ceil(math.log(op.n / (_DEPTH_EPS * _DEPTH_EPS)) / math.log(lam1 / lam2))
+        return int(min(max(depth, POWER_DEPTH_MIN), POWER_DEPTH_MAX))
     depth = int(power_depth)
     if depth < 1:
         raise RejectedInputError(f"power depth must be >= 1, got {depth}")

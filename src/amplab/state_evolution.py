@@ -32,7 +32,7 @@ from scipy.special import roots_hermite, roots_legendre
 from .ensembles import sample_prior
 from .errors import AccuracyError, DegenerateInputError, RejectedInputError
 from .linalg import cholesky
-from .nonlinear import Denoiser, TestFunction, denoiser_eval, phi_eval_rows, scalar_eval
+from .nonlinear import Denoiser, denoiser_eval, scalar_eval
 
 _SQRT3 = math.sqrt(3.0)
 _QUAD_TOL = 1e-8
@@ -192,19 +192,10 @@ def bayes_tanh_schedule(gamma, prior, K, quad=QuadratureSpec()):
     return denoiser, SEParams(mu=mu, sigma=sigma, gamma=float(gamma))
 
 
-def _phi_pair_fn(phi):
-    if isinstance(phi, TestFunction):
-        return phi.pair_eval
-    if callable(phi):
-        return phi
-    raise RejectedInputError("phi must be a TestFunction or a callable (w, y) -> value")
-
-
 def se_predict_phi(phi, k, se, prior, quad=QuadratureSpec()):
-    """E phi(w, mu_k w + sigma_k g) by quadrature."""
+    """E phi(w, mu_k w + sigma_k g) by quadrature, for a TestFunction phi."""
     if not (0 <= k <= se.K):
         raise RejectedInputError(f"iteration {k} outside 0..{se.K}")
-    fn = _phi_pair_fn(phi)
     mu_k = float(se.mu[k])
     sig_k = float(se.sigma[k])
 
@@ -212,7 +203,7 @@ def se_predict_phi(phi, k, se, prior, quad=QuadratureSpec()):
         w_vals, w_probs = _prior_nodes(prior, quad, factor)
         g_vals, g_probs = _gauss_hermite(factor * quad.gauss_hermite_nodes)
         grid = mu_k * w_vals[:, None] + sig_k * g_vals[None, :]
-        vals = fn(np.broadcast_to(w_vals[:, None], grid.shape), grid)
+        vals = phi.pair_eval(np.broadcast_to(w_vals[:, None], grid.shape), grid)
         return (np.array([float(w_probs @ (vals @ g_probs))]),)
 
     return float(_converged(run, "se_predict_phi")[0][0])
@@ -256,16 +247,14 @@ def se_covariance(denoisers, prior, K, quad=QuadratureSpec()):
 
 
 def covariance_phi_prediction(secov, prior, phi, k, quad=QuadratureSpec()):
-    """Monte Carlo estimate of E phi(V_k, ..., V_1, U0) under the recursion's law."""
+    """Monte Carlo estimate of E phi(U0, V_k) under the recursion's law (V_0 = U0)."""
     if not (0 <= k <= secov.K):
         raise RejectedInputError(f"iteration {k} outside 0..{secov.K}")
     rng = np.random.default_rng(np.random.SeedSequence([int(quad.seed) & ((1 << 64) - 1), 0xC1]))
     m = quad.mc_samples
     u0 = sample_prior(m, prior, rng)
-    if k == 0:
-        rows = u0[None, :]
-    else:
+    vk = u0
+    if k:
         factor = cholesky(secov.sigma_matrix[:k, :k], jitter=1e-12)
-        v = rng.standard_normal((m, k)) @ factor.T
-        rows = _stack_rows(v, u0, k)
-    return float(np.mean(phi_eval_rows(phi, rows)))
+        vk = (rng.standard_normal((m, k)) @ factor.T)[:, k - 1]
+    return float(np.mean(phi.pair_eval(u0, vk)))

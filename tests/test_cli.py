@@ -130,6 +130,29 @@ class TestRunCommand:
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_zero_prior_draw_is_a_bbp_status_row(self, tmp_path):
+        # at n=2 the three-point prior draws u0 = 0 in some trials; the gap
+        # check has no start vector there, and only those trials fail
+        cfg = {
+            "experiment": "bbp",
+            "n_grid": [2],
+            "trials": 12,
+            "master_seed": 1,
+            "gamma_grid": [2.0],
+            "prior": {
+                "kind": "three_point",
+                "values": [-1.4142135623730951, 0.0, 1.4142135623730951],
+                "probs": [0.25, 0.5, 0.25],
+            },
+            "denoiser": {"kind": "identity"},
+        }
+        code = main(["run", "--config", write_config(tmp_path, cfg), "--out-dir", str(tmp_path)])
+        assert code == 0
+        with open(tmp_path / "bbp_records.csv", encoding="utf-8", newline="") as fh:
+            statuses = [row["status"] for row in csv.DictReader(fh)]
+        assert len(statuses) == 12
+        assert set(statuses) == {"ok", "DegenerateInputError"}
+
     def test_memory_error_exits_2_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
         def out_of_memory(n, ens, stream, **kwargs):
             raise MemoryError("Unable to allocate 10.0 GiB")
@@ -188,6 +211,7 @@ MALFORMED = [
     ({"init": 5}, "init"),
     ({"phi": {"clip": "x"}}, "clip"),
     ({"ensemble": {"kind": "centered_bernoulli", "param": "x"}}, "param"),
+    ({"experiment": "interpolation", "t_grid": []}, "t_grid"),
 ]
 
 

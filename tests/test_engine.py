@@ -277,8 +277,9 @@ class TestPhiAverage:
 
     def test_index_out_of_range(self):
         orbit = run_generalized(small_operator(3, 23), [], np.ones(3), 0)
-        with pytest.raises(RejectedInputError):
-            phi_average(orbit, TestFunction("tanh_product"), 1)
+        for k in (1, -1):  # a negative k must not wrap to the last iterate
+            with pytest.raises(RejectedInputError):
+                phi_average(orbit, TestFunction("tanh_product"), k)
 
 
 class TestRunSpectralAmp:

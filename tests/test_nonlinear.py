@@ -10,7 +10,6 @@ from amplab.nonlinear import (
     denoiser_eval,
     denoiser_partial,
     fd_partial,
-    phi_eval_rows,
 )
 
 BUILTIN_DENOISERS = [
@@ -123,38 +122,29 @@ class TestPartials:
 class TestTestFunctions:
     def test_last_coord_clipped_inside_range(self):
         tf = TestFunction("last_coord_clipped", clip=10.0)
-        assert phi_eval_rows(tf, np.array([[3.0], [7.0], [-2.0]])) == 3.0
+        assert tf.pair_eval(-2.0, 3.0) == 3.0  # (x_0, x_k) = (-2, 3)
 
     def test_last_coord_clipped_clips(self):
         tf = TestFunction("last_coord_clipped", clip=1.5)
-        assert phi_eval_rows(tf, np.array([[3.0]])) == 1.5
+        assert tf.pair_eval(3.0, 3.0) == 1.5  # k = 0: both arguments are x_0
 
     def test_tanh_product_zero_factor(self):
         tf = TestFunction("tanh_product")
-        assert phi_eval_rows(tf, np.array([[0.0], [5.0], [1.0]])) == 0.0
+        assert tf.pair_eval(1.0, 0.0) == 0.0
 
     def test_raw_overlap_product(self):
         tf = TestFunction("raw_overlap")
-        assert phi_eval_rows(tf, np.array([[2.0], [9.0], [3.0]])) == 6.0
+        assert tf.pair_eval(3.0, 2.0) == 6.0
 
     def test_se_pair_form(self):
         tf = TestFunction("se_pair")
-        rows = np.array([[1.2], [0.0], [-0.7]])  # y = 1.2 (newest), w = -0.7 (oldest)
-        assert phi_eval_rows(tf, rows) == pytest.approx(-0.7 * math.tanh(1.2))
-        np.testing.assert_allclose(tf.pair_eval(-0.7, 1.2), -0.7 * math.tanh(1.2))
+        # w = x_0 = -0.7 is clipped, y = x_k = 1.2 goes through tanh
+        assert tf.pair_eval(-0.7, 1.2) == pytest.approx(-0.7 * math.tanh(1.2))
+        assert tf.pair_eval(-20.0, 1.2) == pytest.approx(-10.0 * math.tanh(1.2))
 
     def test_bad_clip_rejected(self):
         with pytest.raises(RejectedInputError):
             TestFunction("last_coord_clipped", clip=0.0)
-
-    def test_rows_and_pair_agree(self):
-        rng = np.random.default_rng(4)
-        y = rng.normal(size=10)
-        w = rng.normal(size=10)
-        rows = np.stack([y, w])
-        for kind in ("last_coord_clipped", "tanh_product", "se_pair", "raw_overlap"):
-            tf = TestFunction(kind)
-            np.testing.assert_array_equal(phi_eval_rows(tf, rows), tf.pair_eval(w, y))
 
 
 class TestLipschitzCertificates:
@@ -193,7 +183,8 @@ class TestLipschitzCertificates:
         expected = constant if constant is not None else math.sqrt(1.0 + tf.clip**2)
         k = 2
         x, y = self._pairs(k, 10_000)
-        fx = phi_eval_rows(tf, x)
-        fy = phi_eval_rows(tf, y)
+        # phi reads (x_0, x_k), the last and first rows; the distance spans all rows
+        fx = tf.pair_eval(x[-1], x[0])
+        fy = tf.pair_eval(y[-1], y[0])
         dist = np.sqrt(np.sum((x - y) ** 2, axis=0))
         assert np.all(np.abs(fx - fy) <= expected * dist + 1e-12)

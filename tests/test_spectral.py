@@ -19,10 +19,10 @@ from amplab.errors import DegenerateInputError, NumericalFailureError, RejectedI
 from amplab.linalg import SymmetricMatrix, jacobi_eigendecomp, packed_diagonal_indices
 from amplab.spectral import (
     GapCheckResult,
-    default_power_depth,
     gap_check,
     power_bound_rhs,
     power_method,
+    resolve_power_depth,
     spectral_init,
 )
 
@@ -42,6 +42,30 @@ def spiked_instance(n, gamma, seed):
     u0 = sample_prior(n, PriorSpec("rademacher"), streams.shared)
     mat = sample_wigner(n, EnsembleSpec("gaussian"), streams.noise_a)
     return build_spiked(mat, SpikeSpec.rank_one(gamma), u0), u0
+
+
+def start_along(u0):
+    return u0 / np.linalg.norm(u0)
+
+
+def other_start(n, seed=0):
+    """A fixed pseudo-random unit start vector, unrelated to any u0."""
+    return start_along(np.random.default_rng(seed).standard_normal(n))
+
+
+def plain_power_init(op, u0, d):
+    """Reference spectral init: sqrt(n) times the d-step power iterate from
+    u0/|u0|, every step an operator apply, sign-aligned with u0."""
+    y = power_method(op, start_along(u0), d)
+    overlap = float(np.dot(y, u0))
+    if overlap == 0.0:
+        raise DegenerateInputError("power iterate is orthogonal to u0")
+    return math.copysign(1.0, overlap) * math.sqrt(op.n) * y
+
+
+def gapped_init(op, u0, d):
+    """The runners' spectral init: gap check from u0/|u0|, then its basis."""
+    return spectral_init(op, u0, d, gap_check(op, y0=start_along(u0)))
 
 
 class CountingOperator:
@@ -123,17 +147,17 @@ class TestSpectralInit:
         dense[0, 0] = 4.0
         m = SymmetricMatrix.from_dense(dense)
         u0 = np.ones(n)
-        psi = spectral_init(m, u0, 40)
+        psi = gapped_init(m, u0, 40)
         assert psi[0] > 0
         assert float(np.linalg.norm(psi)) == pytest.approx(math.sqrt(n), rel=1e-9)
 
     def test_sign_equivariance(self):
         instance, streams = shifted_bulk_instance(24, 3)
         u0 = streams.shared.standard_normal(24)
-        gc = gap_check(instance, y0=u0 / np.linalg.norm(u0))
-        for gap in (None, gc):
-            psi_plus = spectral_init(instance, u0, 60, gap)
-            psi_minus = spectral_init(instance, -u0, 60, gap)
+        gc = gap_check(instance, y0=start_along(u0))
+        for init in (plain_power_init, lambda op, u, d: spectral_init(op, u, d, gc)):
+            psi_plus = init(instance, u0, 60)
+            psi_minus = init(instance, -u0, 60)
             np.testing.assert_allclose(psi_minus, -psi_plus, atol=1e-12)
 
     def test_zero_overlap_degenerate(self):
@@ -141,8 +165,9 @@ class TestSpectralInit:
         # odd depth leaves the iterate exactly orthogonal to u0 = (1, 1)
         m = SymmetricMatrix.from_dense(np.diag([1.0, -1.0]))
         u0 = np.array([1.0, 1.0])
-        with pytest.raises(DegenerateInputError):
-            spectral_init(m, u0, 5)
+        for init in (plain_power_init, gapped_init):
+            with pytest.raises(DegenerateInputError):
+                init(m, u0, 5)
 
     @pytest.mark.parametrize("gamma", [0.5, 2.0])
     def test_lanczos_steps_agree_with_power_steps(self, gamma):
@@ -151,7 +176,7 @@ class TestSpectralInit:
         gc = gap_check(op, y0=u0 / np.linalg.norm(u0))
         k = len(gc.krylov[0]) - 1
         for d in (5, k, k + 1, 300):
-            plain = spectral_init(op, u0, d)
+            plain = plain_power_init(op, u0, d)
             read = spectral_init(op, u0, d, gc)
             assert float(np.max(np.abs(read - plain))) / math.sqrt(n) <= 1e-12, d
 
@@ -160,7 +185,7 @@ class TestSpectralInit:
         counting = CountingOperator(op)
         gc = gap_check(counting, y0=u0 / np.linalg.norm(u0))
         g = counting.applies
-        d = default_power_depth(counting, gc)
+        d = resolve_power_depth(counting, "auto", gc)
         spectral_init(counting, u0, d, gc)
         assert counting.applies == max(g, d + 1)
 
@@ -173,12 +198,12 @@ class TestSpectralInit:
         gc = gap_check(m, y0=u0 / np.linalg.norm(u0))
         for d in (5, 12, 40):
             np.testing.assert_allclose(
-                spectral_init(m, u0, d, gc), spectral_init(m, u0, d), rtol=0, atol=1e-12
+                spectral_init(m, u0, d, gc), plain_power_init(m, u0, d), rtol=0, atol=1e-12
             )
 
     def test_refuses_gap_result_from_another_start(self):
         op, u0 = spiked_instance(100, 2.0, 71)
-        for gap in (gap_check(op), GapCheckResult(2.5, 2.0, True)):
+        for gap in (gap_check(op, y0=other_start(100)), GapCheckResult(2.5, 2.0, True)):
             with pytest.raises(RejectedInputError):
                 spectral_init(op, u0, 10, gap)
         with pytest.raises(RejectedInputError):
@@ -189,9 +214,9 @@ class TestSpectralInit:
         m = SymmetricMatrix.from_dense(np.diag([2.0, 0.0, 0.0]))
         u0 = np.array([0.0, 1.0, 1.0])
         gc = gap_check(m, y0=u0 / np.linalg.norm(u0))
-        for gap in (None, gc):
+        for init in (plain_power_init, lambda op, u, d: spectral_init(op, u, d, gc)):
             with pytest.raises(DegenerateInputError):
-                spectral_init(m, u0, 4, gap)
+                init(m, u0, 4)
 
     def test_bbp_overlap_above_threshold(self):
         # limit overlap sqrt(1 - gamma^-2) = 0.8660 at gamma = 2
@@ -200,7 +225,8 @@ class TestSpectralInit:
         u0 = sample_prior(n, PriorSpec("rademacher"), streams.shared)
         mat = sample_wigner(n, EnsembleSpec("gaussian"), streams.noise_g)
         op = build_spiked(mat, SpikeSpec.rank_one(gamma), u0)
-        psi = spectral_init(op, u0, default_power_depth(op, gap_check(op)))
+        gc = gap_check(op, y0=start_along(u0))
+        psi = spectral_init(op, u0, resolve_power_depth(op, "auto", gc), gc)
         overlap = float(np.dot(psi, u0)) / n
         assert 0.816 <= overlap <= 0.916
 
@@ -208,14 +234,14 @@ class TestSpectralInit:
 class TestGapCheck:
     def test_exact_diagonal_spectrum(self):
         m = SymmetricMatrix.from_dense(np.diag([3.0, 1.0, -1.0]))
-        res = gap_check(m)
+        res = gap_check(m, y0=other_start(3))
         assert res.lambda1 == pytest.approx(3.0, abs=1e-9)
         assert res.lambda2_abs == pytest.approx(1.0, abs=1e-9)
         assert res.passed
 
     def test_sub_unit_top_eigenvalue_fails(self):
         m = SymmetricMatrix.from_dense(np.diag([0.9, 0.5]))
-        res = gap_check(m)
+        res = gap_check(m, y0=other_start(2))
         assert res.lambda1 == pytest.approx(0.9, abs=1e-9)
         assert not res.passed
 
@@ -282,7 +308,7 @@ class TestGapCheck:
         monkeypatch.setattr(spectral, "LANCZOS_MAX_DIM", 2)
         op, _ = spiked_instance(50, 2.0, 71)
         with pytest.raises(NumericalFailureError) as info:
-            gap_check(op)
+            gap_check(op, y0=other_start(50))
         assert info.value.residual is not None and info.value.residual > 0
 
     def test_tridiagonal_failure_becomes_numerical_failure(self, monkeypatch):
@@ -291,11 +317,11 @@ class TestGapCheck:
 
         monkeypatch.setattr(spectral, "eigh_tridiagonal", fail)
         with pytest.raises(NumericalFailureError):
-            gap_check(spiked_instance(50, 2.0, 71)[0])
+            gap_check(spiked_instance(50, 2.0, 71)[0], y0=other_start(50))
 
     def test_rejects_one_by_one(self):
         with pytest.raises(RejectedInputError):
-            gap_check(SymmetricMatrix.from_dense(np.eye(1)))
+            gap_check(SymmetricMatrix.from_dense(np.eye(1)), y0=np.ones(1))
 
 
 class TestDefaultPowerDepth:
@@ -305,7 +331,7 @@ class TestDefaultPowerDepth:
         u0 = sample_prior(n, PriorSpec("rademacher"), streams.shared)
         mat = sample_wigner(n, EnsembleSpec("gaussian"), streams.noise_g)
         op = build_spiked(mat, SpikeSpec.rank_one(2.0), u0)
-        depth = default_power_depth(op, gap_check(op))
+        depth = resolve_power_depth(op, "auto", gap_check(op, y0=start_along(u0)))
         assert 30 <= depth <= 300
 
     def test_degenerate_ratio_hits_cap(self):
@@ -314,11 +340,11 @@ class TestDefaultPowerDepth:
         streams = derive_streams(43, 0)
         mat = sample_wigner(n, EnsembleSpec("gaussian"), streams.noise_g)
         op = build_spiked(mat, SpikeSpec())
-        assert default_power_depth(op, gap_check(op)) == 300
+        assert resolve_power_depth(op, "auto", gap_check(op, y0=other_start(n))) == 300
 
     def test_reads_ratio_from_gap_result_without_applies(self):
         op, _ = spiked_instance(500, 2.0, 41)
         counting = CountingOperator(op)
-        depth = default_power_depth(counting, GapCheckResult(2.5, 2.0, True))
+        depth = resolve_power_depth(counting, "auto", GapCheckResult(2.5, 2.0, True))
         assert depth == math.ceil(math.log(500 / 1e-12) / math.log(1.25))
         assert counting.applies == 0

