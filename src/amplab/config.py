@@ -259,6 +259,17 @@ def _validate_experiment(cfg):
                 "independent-init state evolution compares against the Gaussian "
                 "covariance recursion; prior must be gaussian"
             )
+        if cfg.init == "independent" and cfg.gamma != 0.0:
+            raise ConfigError(
+                "independent-init state evolution follows the covariance recursion, "
+                "which has no spike term; gamma must be 0"
+            )
+        denoiser = cfg.denoiser.build()
+        if cfg.init == "spectral" and denoiser != "bayes" and not denoiser.newest_only():
+            raise ConfigError(
+                "spectral-init state evolution follows the scalar recursion; "
+                "the denoiser must act on the newest iterate only"
+            )
     if cfg.denoiser.schedule == "bayes" and cfg.denoiser.kind == "scaled_tanh":
         needs_se = cfg.experiment in ("universality", "state_evolution", "interpolation", "concentration")
         if needs_se and cfg.gamma <= 1.0:

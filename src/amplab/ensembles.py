@@ -149,7 +149,7 @@ def sample_wigner(n, ens, stream, out=None):
         if ens.kind == "gaussian":
             stream.standard_normal(out=seg)
         elif ens.kind == "rademacher":
-            np.multiply(stream.integers(0, 2, size=seg.size), 2.0, out=seg)
+            np.multiply(stream.integers(0, 2, size=seg.size, dtype=np.int32), 2.0, out=seg)
             seg -= 1.0
         elif ens.kind == "uniform":  # as Generator.uniform: low + (high - low) * random()
             stream.random(out=seg)

@@ -7,9 +7,16 @@ The gap check reads lambda1, lambda2 and lambda_min from one Lanczos solve
 with full reorthogonalization; every product goes through ``op.apply``.
 
 The spectral init is the d-step power iterate. It takes the gap check of a
-Lanczos run started along +-u0, reads its first min(d, k) steps from that
-run's basis Q (k+1 rows) and tridiagonal T by the Lanczos relation
-A^j q0 = Q^T T^j e1 (j <= k), and applies op only for the remaining steps.
+Lanczos run started along +-u0 and runs the normalized recurrence
+c <- T c / |T c| of that run's tridiagonal T for all d steps, the iterate
+being c @ Q for its basis Q (k+1 rows). By the Lanczos relation
+A Q^T = Q^T T + R, where R holds the couplings T drops (beta to the unbuilt
+q_{k+1}, and the residual each breakdown restart dropped), the applied iterate
+scaled by the same |T c_i| lies within e_d of it, with e_0 = 0 and
+e_{i+1} = (|A| e_i + sum_j |R e_j| |c_i[j]|) / |T c_i|, and |A| the Ritz
+estimate max(|lambda1|, lambda2_abs) + residual (Parlett, The Symmetric
+Eigenvalue Problem, ch. 13). When e_d <= 1e-12 no operator is applied;
+otherwise the first min(d, k) steps come from T and op is applied for the rest.
 """
 
 import math
@@ -34,15 +41,25 @@ LANCZOS_MAX_DIM = 1000  # Krylov dimension cap; larger n than this must converge
 _LANCZOS_TOL = 1e-10
 _LANCZOS_CHECK_EVERY = 8  # steps between residual tests
 _BREAKDOWN = 1e-12  # relative size of a new Lanczos vector taken as an invariant subspace
+_CERTIFIED = 1e-12  # bound on |T-iterate - applied iterate| under which the init applies nothing
+
+
+class Krylov(NamedTuple):
+    """The Lanczos run of a gap check: A Q^T = Q^T T + R."""
+
+    basis: np.ndarray  # rows q0..qk of Q
+    alpha: np.ndarray  # diagonal of T
+    beta: np.ndarray  # off-diagonal of T, 0 after a breakdown
+    dropped: np.ndarray  # |R e_j|: beta_k to the unbuilt q_{k+1} at j = k, a breakdown's residual at j < k
+    residual: float  # largest residual of the top two and bottom Ritz pairs
 
 
 class GapCheckResult(NamedTuple):
     lambda1: float
     lambda2_abs: float
     passed: bool
-    # (Q, alpha, beta) of the Lanczos run: basis rows q0..qk, diagonal and
-    # off-diagonal of T; None for a result built by hand, which spectral_init refuses
-    krylov: tuple | None = None
+    # None for a result built by hand, which spectral_init refuses
+    krylov: Krylov | None = None
 
 
 def power_bound_rhs(eigen, y0, d):
@@ -93,7 +110,7 @@ def spectral_init(op, u0, d, gap):
     """sqrt(n)-normalized d-step power iterate from u0, sign-aligned with u0.
 
     ``gap`` (the GapCheckResult of ``gap_check(op, y0=+-u0/|u0|)``) supplies
-    the first min(d, k) steps from its Lanczos basis.
+    T and the certificate; op is applied only when the certificate fails.
     """
     if d < 1:
         raise RejectedInputError(f"iteration count must be >= 1, got {d}")
@@ -101,22 +118,35 @@ def spectral_init(op, u0, d, gap):
     norm = np.linalg.norm(u0)
     if norm == 0.0:
         raise DegenerateInputError("prior vector is zero")
-    if gap.krylov is None or abs(abs(float(np.dot(gap.krylov[0][0], u0 / norm))) - 1.0) > 1e-10:
+    start = 0.0 if gap.krylov is None else float(np.dot(gap.krylov.basis[0], u0 / norm))
+    if abs(abs(start) - 1.0) > 1e-10:
         raise RejectedInputError("gap check result has no Lanczos basis started along +-u0")
-    basis, alpha, beta = gap.krylov
-    j = min(d, len(basis) - 1)
-    c = np.zeros(len(basis))  # coordinates of the iterate in the basis: T^j e1, normalized
+    basis, alpha, beta, dropped, residual = gap.krylov
+    norm_a = max(abs(gap.lambda1), gap.lambda2_abs) + residual
+    j = min(d, len(basis) - 1)  # steps the fallback reads from T
+    c = np.zeros(len(basis))  # coordinates of the iterate in the basis: T^i e1, normalized
     c[0] = 1.0
-    for _ in range(j):
+    head = c  # the iterate after j steps
+    err = 0.0  # e_i, the bound on the distance to the applied iterate
+    for i in range(d):
         t = alpha * c
         t[1:] += beta * c[:-1]
         t[:-1] += beta * c[1:]
-        c = _normalized(t)
-    y = c @ basis
-    if d > j:
-        y = power_method(op, y, d - j)
-    overlap = float(np.dot(y, u0))
-    if overlap == 0.0:
+        nxt = _normalized(t)
+        err = (norm_a * err + float(np.dot(dropped, np.abs(c)))) / float(np.linalg.norm(t))
+        c = nxt
+        if i + 1 == j:
+            head = c
+        if err > _CERTIFIED and i + 1 >= j:
+            break  # |T| <= norm_a, so the bound never falls again
+    if err <= _CERTIFIED:
+        # <c @ Q, u0/|u0|> = c[0] <q0, u0/|u0|>: the other rows are orthogonal to q0
+        overlap = float(c[0]) * start
+        y = c @ basis
+    else:
+        y = power_method(op, head @ basis, d - j) if d > j else head @ basis
+        overlap = float(np.dot(y, u0)) / norm
+    if abs(overlap) <= _CERTIFIED:  # T's rounding alone moves c[0] by ~d * eps
         raise DegenerateInputError(
             "top-eigenvector estimate is orthogonal to u0; sign undefined"
         )
@@ -148,7 +178,7 @@ def gap_check(op, *, y0):
     q = q / np.linalg.norm(q)
     dim = min(n, LANCZOS_MAX_DIM)
     basis = np.empty((dim, n))  # rows the solve never reaches are never written, so never committed
-    alpha, beta, scale, residual = [], [], 0.0, math.inf
+    alpha, beta, dropped, scale, residual = [], [], [], 0.0, math.inf
     for k in range(dim):
         w = op.apply(q)
         basis[k] = q
@@ -170,12 +200,14 @@ def gap_check(op, *, y0):
                 lambda1, lambda2 = float(theta_top[-1]), float(theta_top[0])
                 lambda2_abs = max(abs(lambda2), abs(float(theta_min[0])))
                 passed = lambda1 > max(lambda2_abs, 1.0) + GAP_MARGIN
-                return GapCheckResult(lambda1, lambda2_abs, bool(passed), (done, a, e))
+                krylov = Krylov(done, a, e, np.array(dropped + [b]), residual)
+                return GapCheckResult(lambda1, lambda2_abs, bool(passed), krylov)
         if breakdown:
             w = np.random.default_rng([_RESTART_SEED, k]).standard_normal(n)
             for _ in range(2):  # a fresh vector is far from orthogonal: Gram-Schmidt twice
                 w -= done.T @ (done @ w)
         beta.append(0.0 if breakdown else b)
+        dropped.append(b if breakdown else 0.0)
         q = w / np.linalg.norm(w)
     raise NumericalFailureError(
         f"Lanczos did not converge in {dim} steps (residual {residual:.3g})", residual=residual

@@ -104,6 +104,25 @@ class TestRunCommand:
         b = (tmp_path / "t4" / "universality_records.csv").read_bytes()
         assert a == b
 
+    def test_bbp_records_byte_identical_on_rerun_and_across_threads(self, tmp_path):
+        # below the transition some trials' spectral inits fall back to applies
+        cfg = {
+            "experiment": "bbp",
+            "n_grid": [300],
+            "trials": 4,
+            "master_seed": 20240810,
+            "gamma_grid": [0.5, 2.0],
+            "ensemble": {"kind": "rademacher"},
+            "denoiser": {"kind": "identity"},
+        }
+        cfg_path = write_config(tmp_path, cfg)
+        for name, threads in (("r1", "1"), ("r2", "1"), ("r3", "2")):
+            args = ["run", "--config", cfg_path, "--out-dir", str(tmp_path / name)]
+            assert main(args + ["--threads", threads]) == 0
+        first = (tmp_path / "r1" / "bbp_records.csv").read_bytes()
+        for name in ("r2", "r3"):
+            assert (tmp_path / name / "bbp_records.csv").read_bytes() == first
+
     def test_seed_override_changes_records(self, tmp_path):
         cfg_path = write_config(tmp_path, BASE)
         main(["run", "--config", cfg_path, "--out-dir", str(tmp_path / "s1")])
@@ -242,6 +261,37 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, {**BASE, **overrides})
         assert main(["run", "--config", cfg, "--dry-run"]) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (
+                {
+                    "gamma": 2.0,
+                    "init": "independent",
+                    "prior": {"kind": "gaussian"},
+                    "denoiser": {"kind": "identity"},
+                },
+                "has no spike term; gamma must be 0",
+            ),
+            (
+                {
+                    "gamma": 2.0,
+                    "init": "spectral",
+                    "denoiser": {"kind": "linear_combo", "weights": [1.0, 0.5]},
+                },
+                "the denoiser must act on the newest iterate only",
+            ),
+        ],
+        ids=["spiked_independent_init", "spectral_init_with_memory_denoiser"],
+    )
+    @pytest.mark.parametrize("dry_run", [True, False], ids=["dry_run", "run"])
+    def test_state_evolution_outside_its_recursion(self, tmp_path, capsys, overrides, message, dry_run):
+        cfg = {**BASE, "experiment": "state_evolution", "n_grid": [50], "trials": 1, "K": 3, **overrides}
+        args = ["run", "--config", write_config(tmp_path, cfg), "--out-dir", str(tmp_path / "out")]
+        assert main(args + ["--dry-run"] * dry_run) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestSelftest:

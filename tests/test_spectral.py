@@ -187,7 +187,21 @@ class TestSpectralInit:
         g = counting.applies
         d = resolve_power_depth(counting, "auto", gc)
         spectral_init(counting, u0, d, gc)
-        assert counting.applies == max(g, d + 1)
+        assert counting.applies == g
+
+    @pytest.mark.parametrize("n, seed", [(300, 71), (500, 81)])
+    def test_failed_certificate_applies_the_remaining_steps(self, n, seed):
+        # below the transition at the depth cap the top pair is unresolved at
+        # k, so the bound on the distance to the applied iterate exceeds 1e-12
+        op, u0 = spiked_instance(n, 0.5, seed)
+        counting = CountingOperator(op)
+        gc = gap_check(counting, y0=start_along(u0))
+        g, k = counting.applies, len(gc.krylov.basis) - 1
+        d = resolve_power_depth(op, "auto", gc)
+        psi = spectral_init(counting, u0, d, gc)
+        assert counting.applies - g == d - k > 0
+        plain = plain_power_init(op, u0, d)
+        assert float(np.max(np.abs(psi - plain))) / math.sqrt(n) <= 1e-12
 
     def test_lanczos_steps_across_breakdown(self):
         # the Krylov space of this start vector closes after eight steps, and
@@ -303,6 +317,22 @@ class TestGapCheck:
         res = gap_check(m, y0=y0)
         assert res.lambda1 == pytest.approx(lambda1, abs=1e-12)
         assert res.lambda2_abs == pytest.approx(lambda2_abs, abs=1e-12)
+
+    @pytest.mark.parametrize("breakdown", [False, True])
+    def test_dropped_couplings_close_the_lanczos_relation(self, breakdown):
+        # A Q^T = Q^T T + R with |R e_j| = dropped[j]: beta_k at the last
+        # column, and at a breakdown the residual the restart dropped
+        if breakdown:
+            m = SymmetricMatrix.from_dense(np.diag(np.arange(16.0) - 5.0))
+            y0 = np.zeros(16)
+            y0[4:12] = 1.0
+        else:
+            m, y0 = spiked_instance(200, 2.0, 71)
+        kr = gap_check(m, y0=y0 / np.linalg.norm(y0)).krylov
+        t = np.diag(kr.alpha) + np.diag(kr.beta, 1) + np.diag(kr.beta, -1)
+        r = np.column_stack([m.apply(q) for q in kr.basis]) - kr.basis.T @ t
+        np.testing.assert_allclose(np.linalg.norm(r, axis=0), kr.dropped, rtol=0, atol=1e-12)
+        assert (np.count_nonzero(kr.dropped[:-1]) > 0) == breakdown
 
     def test_krylov_cap_raises_with_residual(self, monkeypatch):
         monkeypatch.setattr(spectral, "LANCZOS_MAX_DIM", 2)
