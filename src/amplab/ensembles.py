@@ -132,40 +132,79 @@ def _role_rng(master_seed, trial_index, role):
 def sample_wigner(n, ens, stream, out=None):
     """Symmetric matrix with i.i.d. upper-triangle entries from the ensemble law.
 
-    The entries are drawn chunk by chunk into one float64 array: ``out`` if
-    given (C-contiguous float64 of length n(n+1)/2, which the matrix then
-    shares), else a new one. Every law consumes the stream in order, so the
-    result is byte-identical to a single draw of all entries, without
+    The n(n+1)/2 entries are drawn chunk by chunk, in packed column order,
+    into ``out`` if given, else into a new packed array; the matrix then shares
+    that array. ``out`` is either a writeable contiguous float64 array of
+    length n(n+1)/2 (packed storage) or a writeable Fortran-order float64
+    (n, n) array (dense storage): each chunk is then drawn into a scratch
+    array and copied into the tops of the columns it covers, and the lower
+    triangle is left as it was. Every law consumes the stream in order, so
+    both layouts hold the same bytes as a single draw of all entries, without
     full-size integer or boolean temporaries.
     """
     if n < 1:
         raise RejectedInputError(f"dimension must be >= 1, got {n}")
-    entries = np.empty(packed_length(n)) if out is None else out
+    size = packed_length(n)
+    entries = np.empty(size) if out is None else out
     ok = isinstance(entries, np.ndarray) and entries.dtype == np.float64 and entries.flags.writeable
-    if not (ok and entries.flags.c_contiguous and entries.shape == (packed_length(n),)):
-        raise RejectedInputError(f"out must be a writeable contiguous float64[{packed_length(n)}]")
-    for start in range(0, entries.size, _DRAW_CHUNK):
-        seg = entries[start : start + _DRAW_CHUNK]
-        if ens.kind == "gaussian":
-            stream.standard_normal(out=seg)
-        elif ens.kind == "rademacher":
-            np.multiply(stream.integers(0, 2, size=seg.size, dtype=np.int32), 2.0, out=seg)
-            seg -= 1.0
-        elif ens.kind == "uniform":  # as Generator.uniform: low + (high - low) * random()
-            stream.random(out=seg)
-            seg *= 2.0 * _SQRT3
-            seg -= _SQRT3
-        elif ens.kind == "centered_bernoulli":
-            p = float(ens.param)
-            stream.random(out=seg)
-            seg[...] = seg < p
-            seg -= p
-            seg /= math.sqrt(p * (1.0 - p))
-        else:
-            raise RejectedInputError(f"unknown ensemble kind {ens.kind!r}")
+    packed = ok and entries.flags.c_contiguous and entries.shape == (size,)
+    dense = ok and entries.flags.f_contiguous and entries.shape == (n, n)
+    if not (packed or dense):
+        raise RejectedInputError(
+            f"out must be a writeable contiguous float64[{size}] "
+            f"or a writeable Fortran-order float64 ({n}, {n}) array"
+        )
+    chunk = np.empty(min(size, _DRAW_CHUNK)) if dense else None
+    col = 0  # dense only: the column holding the next packed entry
+    for start in range(0, size, _DRAW_CHUNK):
+        seg = entries[start : start + _DRAW_CHUNK] if packed else chunk[: size - start]
+        _draw_entries(ens, stream, seg)
+        if dense:
+            col = _copy_to_columns(seg, start, col, entries)
     if ens.diagonal_policy == "zero":
-        entries[packed_diagonal_indices(n)] = 0.0
+        if packed:
+            entries[packed_diagonal_indices(n)] = 0.0
+        else:
+            np.fill_diagonal(entries, 0.0)
     return SymmetricMatrix(n, entries)
+
+
+def _draw_entries(ens, stream, seg):
+    """Fill seg with the next seg.size entries of the ensemble law from stream."""
+    if ens.kind == "gaussian":
+        stream.standard_normal(out=seg)
+    elif ens.kind == "rademacher":
+        np.multiply(stream.integers(0, 2, size=seg.size, dtype=np.int32), 2.0, out=seg)
+        seg -= 1.0
+    elif ens.kind == "uniform":  # as Generator.uniform: low + (high - low) * random()
+        stream.random(out=seg)
+        seg *= 2.0 * _SQRT3
+        seg -= _SQRT3
+    elif ens.kind == "centered_bernoulli":
+        p = float(ens.param)
+        stream.random(out=seg)
+        seg[...] = seg < p
+        seg -= p
+        seg /= math.sqrt(p * (1.0 - p))
+    else:
+        raise RejectedInputError(f"unknown ensemble kind {ens.kind!r}")
+
+
+def _copy_to_columns(seg, start, col, dense):
+    """Copy seg, the packed entries from index start on, into dense's upper triangle.
+
+    Packed column j holds rows 0..j from offset j(j+1)/2 on. ``col`` is the
+    column of entry start; the column of the entry after seg is returned.
+    """
+    pos, end = start, start + seg.size
+    while pos < end:
+        row = pos - col * (col + 1) // 2
+        take = min(col + 1 - row, end - pos)
+        dense[row : row + take, col] = seg[pos - start : pos - start + take]
+        pos += take
+        if row + take == col + 1:
+            col += 1
+    return col
 
 
 def sample_prior(n, prior, stream):

@@ -12,12 +12,17 @@ such as ``FloatingPointError`` -- while sampling or later -- is recorded with
 its error class in the status column and excluded from summaries, which count
 it separately; any other exception is a bug and ends the run.
 
-Universality and interpolation draw their noise into a scratch the runner
-creates, so its buffers die with the run: each worker thread reuses its packed
-buffers from trial to trial and faults their pages in once. Universality reduces
-G's orbit to phi_g before A is drawn into the same buffer (the noise streams are
-independent, so the order changes no value); interpolation holds A and G. The
-other experiments hold one matrix and allocate it per trial (power_bound then
+Universality, interpolation, bbp and spectral-init state_evolution draw their
+noise into a scratch the runner creates, so its buffers die with the run: each
+worker thread reuses its buffers from trial to trial and faults their pages in
+once. Universality and interpolation apply each matrix a few times and keep
+packed buffers. Universality reduces G's orbit to phi_g before A is drawn into
+the same buffer (the noise streams are independent, so the order changes no
+value); interpolation holds A and G. bbp and spectral-init state_evolution
+apply their matrix 100+ times in the gap check's Lanczos solve, so they keep
+one dense Fortran-order buffer, twice the packed size, whose threaded BLAS
+apply outruns the packed one. Concentration, power_bound and independent-init
+state_evolution allocate their packed matrix per trial (power_bound then
 scales it into a new array for its Jacobi instance).
 """
 
@@ -146,18 +151,28 @@ def _run_grid(cfg, one_trial, leading_axes=(), failure_rows=({},)):
     return rows
 
 
-class _PackedScratch(threading.local):
-    """One run's packed noise buffers by slot, each thread its own; see the module docstring."""
+class _NoiseScratch(threading.local):
+    """One run's packed or dense noise buffers by slot, each thread its own.
+
+    See the module docstring for which experiment keeps which.
+    """
 
     def __init__(self):
         self.slots = {}
 
+    def _buffer(self, slot, shape, order):
+        if slot not in self.slots or self.slots[slot].shape != shape:
+            self.slots.pop(slot, None)  # drop the old buffer before allocating the new one
+            self.slots[slot] = np.empty(shape, order=order)
+        return self.slots[slot]
+
     def packed(self, slot, n):
         """The float64 buffer of length n(n+1)/2 in slot; reallocated when n changes."""
-        if slot not in self.slots or self.slots[slot].size != packed_length(n):
-            self.slots.pop(slot, None)  # drop the old buffer before allocating the new one
-            self.slots[slot] = np.empty(packed_length(n))
-        return self.slots[slot]
+        return self._buffer(slot, (packed_length(n),), "C")
+
+    def dense(self, slot, n):
+        """The Fortran-order float64 (n, n) buffer in slot; reallocated when n changes."""
+        return self._buffer(slot, (n, n), "F")
 
 
 def _summarize(rows, group_field, value_field):
@@ -216,7 +231,7 @@ def run_universality(cfg):
     denoisers, _ = _resolve_denoisers(cfg)
     spike = SpikeSpec.rank_one(cfg.gamma)
     gauss = _gaussian_twin(cfg.ensemble)
-    scratch = _PackedScratch()
+    scratch = _NoiseScratch()
 
     def one_trial(streams, n, trial):
         u0 = sample_prior(n, cfg.prior, streams.shared)
@@ -248,6 +263,7 @@ def run_state_evolution(cfg):
     quad = cfg.quadrature()
     denoisers, se = _resolve_denoisers(cfg)
     spike = SpikeSpec.rank_one(cfg.gamma)
+    scratch = _NoiseScratch()
 
     if cfg.init == "spectral":
         if se is None:
@@ -269,12 +285,13 @@ def run_state_evolution(cfg):
 
     def one_trial(streams, n, trial):
         u0 = sample_prior(n, cfg.prior, streams.shared)
-        mat = sample_wigner(n, cfg.ensemble, streams.noise_a)
-        op = build_spiked(mat, spike, u0)
         if cfg.init == "spectral":
+            mat = sample_wigner(n, cfg.ensemble, streams.noise_a, out=scratch.dense(0, n))
+            op = build_spiked(mat, spike, u0)
             orbit = run_spectral_amp(op, denoisers, u0, cfg.power_depth, cfg.K)
         else:
-            orbit = _run_independent(cfg, op, denoisers, u0)
+            mat = sample_wigner(n, cfg.ensemble, streams.noise_a)
+            orbit = _run_independent(cfg, build_spiked(mat, spike, u0), denoisers, u0)
         rows = []
         for k, pred in enumerate(predictions):
             vk = orbit.iterates[k]
@@ -305,9 +322,11 @@ def run_state_evolution(cfg):
 
 def run_bbp(cfg):
     """Top eigenvalue, max(|lambda2|, |lambda_min|), and eigenvector overlap per SNR."""
+    scratch = _NoiseScratch()
+
     def one_trial(streams, gamma, n, trial):
         u0 = sample_prior(n, cfg.prior, streams.shared)
-        mat = sample_wigner(n, cfg.ensemble, streams.noise_a)
+        mat = sample_wigner(n, cfg.ensemble, streams.noise_a, out=scratch.dense(0, n))
         op = build_spiked(mat, SpikeSpec.rank_one(gamma), u0)
         norm = np.linalg.norm(u0)
         if norm == 0.0:
@@ -343,7 +362,7 @@ def run_interpolation(cfg):
     denoisers, _ = _resolve_denoisers(cfg)
     spike = SpikeSpec.rank_one(cfg.gamma)
     gauss = _gaussian_twin(cfg.ensemble)
-    scratch = _PackedScratch()
+    scratch = _NoiseScratch()
 
     def one_trial(streams, n, trial):
         u0 = sample_prior(n, cfg.prior, streams.shared)

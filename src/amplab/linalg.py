@@ -1,15 +1,21 @@
-"""Dense symmetric-matrix storage, the packed matvec, a Jacobi eigensolver, and Cholesky.
+"""Symmetric-matrix storage, its BLAS matvec, a Jacobi eigensolver, and Cholesky.
 
-Symmetric matrices are kept in packed upper-triangle storage, column ordered
-(BLAS 'U' convention): entry (i, j) with i <= j lives at ``i + j*(j+1)//2``.
-This halves the memory of the n x n noise matrices that dominate the footprint
-and feeds straight into the BLAS packed matvec.
+A symmetric matrix keeps its upper triangle in one of two layouts, both
+column ordered (BLAS 'U' convention):
+
+- packed, length n(n+1)/2: entry (i, j) with i <= j lives at
+  ``i + j*(j+1)//2``. Half the memory of the square, applied by BLAS
+  ``dspmv``, which the bundled OpenBLAS runs on one thread.
+- dense, a Fortran-order (n, n) array of which only the upper triangle is
+  read; the lower one may hold anything. Twice the memory, applied by BLAS
+  ``dsymv``, which OpenBLAS threads. Worth it for an operator applied 100+
+  times, as in the gap check's Lanczos solve.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dspmv
+from scipy.linalg.blas import dspmv, dsymv
 
 from .errors import (
     NotPositiveSemidefiniteError,
@@ -31,7 +37,12 @@ def packed_diagonal_indices(n):
 
 @dataclass(frozen=True, eq=False)
 class SymmetricMatrix:
-    """Dense symmetric n x n matrix, packed upper triangle (length n(n+1)/2)."""
+    """Symmetric n x n matrix held by its upper triangle.
+
+    ``entries`` is either the packed triangle (length n(n+1)/2) or a
+    Fortran-order float64 (n, n) array, kept as given, whose lower triangle
+    is never read; see the module docstring.
+    """
 
     n: int
     entries: np.ndarray
@@ -39,6 +50,14 @@ class SymmetricMatrix:
     def __post_init__(self):
         if self.n < 1:
             raise RejectedInputError(f"dimension must be >= 1, got {self.n}")
+        a = self.entries
+        if isinstance(a, np.ndarray) and a.ndim == 2:
+            if not (a.shape == (self.n, self.n) and a.dtype == np.float64 and a.flags.f_contiguous):
+                raise RejectedInputError(
+                    f"dense entries must be a Fortran-order float64 ({self.n}, {self.n}) array, "
+                    f"got shape {a.shape}"
+                )
+            return
         entries = np.ascontiguousarray(self.entries, dtype=np.float64)
         if entries.shape != (packed_length(self.n),):
             raise RejectedInputError(
@@ -62,6 +81,9 @@ class SymmetricMatrix:
         return cls(n, entries)
 
     def to_dense(self):
+        if self.entries.ndim == 2:
+            upper = np.triu(self.entries)
+            return upper + np.triu(upper, 1).T
         i, j = np.triu_indices(self.n)
         pos = i + j * (j + 1) // 2
         out = np.empty((self.n, self.n))
@@ -82,10 +104,12 @@ class EigenDecomp:
 
 
 def sym_matvec(m, x):
-    """y = M x for a packed SymmetricMatrix, via BLAS dspmv."""
+    """y = M x for a SymmetricMatrix: BLAS dsymv on the dense layout, dspmv on the packed."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.shape != (m.n,):
         raise RejectedInputError(f"vector length {x.shape} does not match n={m.n}")
+    if m.entries.ndim == 2:
+        return dsymv(1.0, m.entries, x, lower=0)
     return dspmv(m.n, 1.0, m.entries, x)
 
 

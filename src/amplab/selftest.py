@@ -17,10 +17,12 @@ def _check_matvec(rng):
     n = 8
     dense = rng.normal(size=(n, n))
     dense = (dense + dense.T) / 2.0
-    m = SymmetricMatrix.from_dense(dense)
     x = rng.normal(size=n)
     naive = np.array([sum(dense[i, j] * x[j] for j in range(n)) for i in range(n)])
-    return float(np.max(np.abs(sym_matvec(m, x) - naive))) < 1e-12
+    upper = np.asfortranarray(dense)
+    upper[np.tril_indices(n, -1)] = np.nan  # the dense apply must read the upper triangle only
+    forms = (SymmetricMatrix.from_dense(dense), SymmetricMatrix(n, upper))
+    return all(float(np.max(np.abs(sym_matvec(m, x) - naive))) < 1e-12 for m in forms)
 
 
 def _check_jacobi(rng):
@@ -78,7 +80,7 @@ def _check_streams(_rng):
 
 
 CHECKS = (
-    ("matvec vs naive two-loop multiply", _check_matvec),
+    ("packed and dense matvec vs naive two-loop multiply", _check_matvec),
     ("jacobi reconstruction and orthonormality", _check_jacobi),
     ("cholesky reconstruction", _check_cholesky),
     ("analytic partials vs finite differences", _check_partials),

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_hermite, roots_legendre
 
 from .ensembles import sample_prior
 from .errors import AccuracyError, DegenerateInputError, RejectedInputError
@@ -80,6 +79,10 @@ class SECovariance:
 
 
 def _gauss_hermite(nodes):
+    # scipy.special is imported where a Gauss rule is built, so processes that
+    # never build one (bbp, power_bound) do not pay for it
+    from scipy.special import roots_hermite
+
     x, w = roots_hermite(nodes)
     return x * math.sqrt(2.0), w / math.sqrt(math.pi)
 
@@ -95,6 +98,8 @@ def _prior_nodes(prior, quad, factor=1):
     if prior.kind == "three_point":
         return np.asarray(prior.values), np.asarray(prior.probs)
     if prior.kind == "uniform_sqrt3":
+        from scipy.special import roots_legendre
+
         t, w = roots_legendre(factor * quad.gauss_legendre_nodes)
         return _SQRT3 * t, w / 2.0
     if prior.kind == "gaussian":

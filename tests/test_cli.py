@@ -1,8 +1,12 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import amplab
 from amplab import experiments
 from amplab.cli import main
 
@@ -110,6 +114,27 @@ class TestRunCommand:
             "experiment": "bbp",
             "n_grid": [300],
             "trials": 4,
+            "master_seed": 20240810,
+            "gamma_grid": [0.5, 2.0],
+            "ensemble": {"kind": "rademacher"},
+            "denoiser": {"kind": "identity"},
+        }
+        cfg_path = write_config(tmp_path, cfg)
+        for name, threads in (("r1", "1"), ("r2", "1"), ("r3", "2")):
+            args = ["run", "--config", cfg_path, "--out-dir", str(tmp_path / name)]
+            assert main(args + ["--threads", threads]) == 0
+        first = (tmp_path / "r1" / "bbp_records.csv").read_bytes()
+        for name in ("r2", "r3"):
+            assert (tmp_path / name / "bbp_records.csv").read_bytes() == first
+
+    def test_bbp_records_byte_identical_where_blas_threads_the_apply(self, tmp_path):
+        # at n=1000 OpenBLAS splits the dense dsymv apply across its own
+        # threads (at n=300 it may run it on one), and two trial workers then
+        # call it concurrently
+        cfg = {
+            "experiment": "bbp",
+            "n_grid": [1000],
+            "trials": 2,
             "master_seed": 20240810,
             "gamma_grid": [0.5, 2.0],
             "ensemble": {"kind": "rademacher"},
@@ -292,6 +317,46 @@ class TestConfigErrors:
         assert main(args + ["--dry-run"] * dry_run) == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+def scipy_special_loaded(cfg_path, out_dir, preload=""):
+    """Whether scipy.special is loaded after `import amplab.cli` and after a run of the config.
+
+    Both are read in a fresh interpreter that imports amplab from this
+    checkout, after running the statement preload.
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(amplab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    loaded = "print('scipy.special loaded:', 'scipy.special' in sys.modules)"
+    run = f"main(['run', '--config', {cfg_path!r}, '--out-dir', {str(out_dir)!r}])"
+    code = "\n".join(["import sys", preload, "from amplab.cli import main", loaded, run, loaded])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return [line.split()[-1] for line in proc.stdout.splitlines() if line.startswith("scipy.special loaded:")]
+
+
+class TestImports:
+    def test_bbp_never_loads_scipy_special(self, tmp_path):
+        cfg = write_config(tmp_path, {**BASE, "experiment": "bbp", "gamma_grid": [2.0], "n_grid": [60]})
+        assert scipy_special_loaded(cfg, tmp_path / "out") == ["False", "False"]
+        assert (tmp_path / "out" / "bbp_records.csv").exists()
+
+    def test_state_evolution_loads_it_and_writes_the_same_records(self, tmp_path):
+        cfg = {
+            **BASE,
+            "experiment": "state_evolution",
+            "n_grid": [200],
+            "init": "spectral",
+            "prior": {"kind": "uniform_sqrt3"},  # Gauss-Legendre for the prior, Hermite for the noise
+            "phi": {"kind": "se_pair"},
+        }
+        cfg_path = write_config(tmp_path, cfg)
+        assert scipy_special_loaded(cfg_path, tmp_path / "lazy") == ["False", "True"]
+        # as when state_evolution imported scipy.special at module load
+        preload = "import scipy.special"
+        assert scipy_special_loaded(cfg_path, tmp_path / "eager", preload) == ["True", "True"]
+        records = [(tmp_path / name / "state_evolution_records.csv").read_bytes() for name in ("lazy", "eager")]
+        assert records[0] == records[1]
 
 
 class TestSelftest:

@@ -18,6 +18,9 @@ from amplab.errors import RejectedInputError
 from amplab.linalg import SymmetricMatrix, packed_diagonal_indices, packed_length, sym_matvec
 
 
+KINDS = [("gaussian", None), ("rademacher", None), ("uniform", None), ("centered_bernoulli", 0.3)]
+
+
 def zeros(n):
     return SymmetricMatrix.from_dense(np.zeros((n, n)))
 
@@ -166,6 +169,64 @@ class TestSampleWigner:
         ids=["wrong_length", "float32", "non_contiguous", "two_dimensional"],
     )
     def test_bad_out_buffer_rejected(self, buf):
+        with pytest.raises(RejectedInputError, match="out must be"):
+            sample_wigner(10, EnsembleSpec("gaussian"), derive_streams(1, 0).noise_a, out=buf)
+
+
+    @pytest.mark.parametrize("policy", ["same_law", "zero"])
+    @pytest.mark.parametrize("kind, param", KINDS)
+    def test_dense_buffer_holds_the_packed_bytes_in_its_upper_triangle(self, kind, param, policy):
+        n = 401  # 80601 entries: the draw crosses a chunk boundary inside a column
+        spec = EnsembleSpec(kind, param, policy)
+        packed_stream, dense_stream = derive_streams(13, 0).noise_a, derive_streams(13, 0).noise_a
+        ref = sample_wigner(n, spec, packed_stream)
+        buf = np.full((n, n), np.nan, order="F")
+        mat = sample_wigner(n, spec, dense_stream, out=buf)
+        assert mat.entries is buf
+        col, row = np.tril_indices(n)  # the upper triangle in packed (column) order
+        assert buf[row, col].tobytes() == ref.entries.tobytes()
+        assert dense_stream.bit_generator.state == packed_stream.bit_generator.state
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 6, 7, 11])
+    def test_dense_draw_for_every_chunk_boundary(self, monkeypatch, chunk):
+        # small chunks end at every offset within a column, the column's last entry included
+        monkeypatch.setattr(ensembles, "_DRAW_CHUNK", chunk)
+        n, spec = 12, EnsembleSpec("gaussian")
+        ref = sample_wigner(n, spec, derive_streams(5, 0).noise_a)
+        buf = np.full((n, n), np.nan, order="F")
+        sample_wigner(n, spec, derive_streams(5, 0).noise_a, out=buf)
+        col, row = np.tril_indices(n)
+        assert buf[row, col].tobytes() == ref.entries.tobytes()
+
+    @pytest.mark.parametrize("policy", ["same_law", "zero"])
+    @pytest.mark.parametrize("kind, param", KINDS)
+    def test_dense_apply_ignores_a_stale_lower_triangle(self, kind, param, policy):
+        n = 401
+        spec = EnsembleSpec(kind, param, policy)
+        buf = np.full((n, n), np.nan, order="F")  # the lower triangle is never written
+        mat = sample_wigner(n, spec, derive_streams(13, 0).noise_a, out=buf)
+        ref = sample_wigner(n, spec, derive_streams(13, 0).noise_a)
+        x = np.random.default_rng(15).normal(size=n)
+        got = build_spiked(mat, SpikeSpec()).apply(x)
+        np.testing.assert_allclose(got, build_spiked(ref, SpikeSpec()).apply(x), rtol=0, atol=1e-13)
+        full = mat.to_dense()
+        assert np.array_equal(full, full.T)
+        assert np.array_equal(full, ref.to_dense())
+
+    @pytest.mark.parametrize(
+        "shape, order, dtype, writeable",
+        [
+            ((10, 10), "C", np.float64, True),
+            ((10, 10), "F", np.float32, True),
+            ((10, 10), "F", np.float64, False),
+            ((11, 10), "F", np.float64, True),
+            ((10, 11), "F", np.float64, True),
+        ],
+        ids=["c_order", "float32", "read_only", "too_many_rows", "too_many_columns"],
+    )
+    def test_bad_dense_buffer_rejected(self, shape, order, dtype, writeable):
+        buf = np.empty(shape, dtype=dtype, order=order)
+        buf.flags.writeable = writeable
         with pytest.raises(RejectedInputError, match="out must be"):
             sample_wigner(10, EnsembleSpec("gaussian"), derive_streams(1, 0).noise_a, out=buf)
 

@@ -421,6 +421,41 @@ class TestNoiseBuffers:
         assert len(set.union(*per_thread.values())) == len(per_thread)
 
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(experiment="bbp", gamma_grid=[2.0, 0.5], denoiser={"kind": "identity"}),
+            dict(
+                experiment="state_evolution",
+                K=1,
+                init="spectral",
+                denoiser={"kind": "scaled_tanh", "schedule": "bayes"},
+                phi={"kind": "se_pair"},
+            ),
+        ],
+        ids=["bbp", "spectral_state_evolution"],
+    )
+    def test_gap_check_experiments_reuse_one_dense_buffer_per_thread(self, monkeypatch, threads, overrides):
+        real_sample_wigner = experiments.sample_wigner
+        layouts = []
+
+        def forward(n, ens, stream, out=None):
+            layouts.append((out.shape, out.flags.f_contiguous))
+            return real_sample_wigner(n, ens, stream, out=out)
+
+        monkeypatch.setattr(experiments, "sample_wigner", forward)
+        calls = record_noise_buffers(monkeypatch)
+        cfg = base_config(n_grid=[60], trials=6, threads=threads, **overrides)
+        run_experiment(cfg)
+        assert layouts == [((60, 60), True)] * len(calls)
+        per_thread = {}
+        for thread, _, pointer in calls:
+            per_thread.setdefault(thread, set()).add(pointer)
+        assert all(len(pointers) == 1 for pointers in per_thread.values())
+        assert len(set.union(*per_thread.values())) == len(per_thread)
+
+
 class TestConcentration:
     def test_u0_fixed_within_group(self):
         cfg = base_config(

@@ -29,6 +29,24 @@ class TestSymmetricMatrix:
         with pytest.raises(RejectedInputError):
             SymmetricMatrix.from_dense([[1.0, 2.0], [0.0, 1.0]])
 
+    def test_dense_layout_reads_the_upper_triangle_only(self):
+        rng = np.random.default_rng(3)
+        dense = random_symmetric(7, rng)
+        upper = np.asfortranarray(dense)
+        upper[np.tril_indices(7, -1)] = np.nan
+        m = SymmetricMatrix(7, upper)
+        assert m.entries is upper
+        np.testing.assert_array_equal(m.to_dense(), dense)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [np.zeros((3, 3)), np.zeros((3, 3), dtype=np.float32, order="F"), np.zeros((3, 4), order="F")],
+        ids=["c_order", "float32", "not_square"],
+    )
+    def test_rejects_a_dense_array_blas_cannot_read_in_place(self, entries):
+        with pytest.raises(RejectedInputError, match="Fortran-order float64"):
+            SymmetricMatrix(3, entries)
+
 
 class TestSymMatvec:
     def test_identity(self):
@@ -46,6 +64,15 @@ class TestSymMatvec:
         x = rng.normal(size=8)
         naive = np.array([sum(dense[i, j] * x[j] for j in range(8)) for i in range(8)])
         np.testing.assert_allclose(sym_matvec(m, x), naive, rtol=1e-13, atol=1e-13)
+
+    def test_dense_layout_against_naive_two_loop_oracle(self):
+        rng = np.random.default_rng(1)
+        dense = random_symmetric(8, rng)
+        upper = np.asfortranarray(dense)
+        upper[np.tril_indices(8, -1)] = np.nan  # a stale lower triangle must not be read
+        x = rng.normal(size=8)
+        naive = np.array([sum(dense[i, j] * x[j] for j in range(8)) for i in range(8)])
+        np.testing.assert_allclose(sym_matvec(SymmetricMatrix(8, upper), x), naive, rtol=1e-13, atol=1e-13)
 
     def test_dimension_mismatch(self):
         m = SymmetricMatrix.from_dense(np.eye(3))
