@@ -33,7 +33,6 @@ from .errors import (
     ConfigError,
     DegenerateInputError,
     DivergenceError,
-    NotPositiveSemidefiniteError,
     NumericalFailureError,
     PreconditionError,
     RejectedInputError,
@@ -41,7 +40,6 @@ from .errors import (
 from .linalg import (
     EigenDecomp,
     SymmetricMatrix,
-    cholesky,
     jacobi_eigendecomp,
     sym_matvec,
 )
@@ -61,10 +59,8 @@ from .spectral import (
 )
 from .state_evolution import (
     QuadratureSpec,
-    SECovariance,
     SEParams,
     bayes_tanh_schedule,
-    covariance_phi_prediction,
     se_covariance,
     se_predict_phi,
     se_spiked,

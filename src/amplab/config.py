@@ -194,16 +194,12 @@ class ExperimentConfig:
     diag_shift: float = 3.0
     gauss_hermite_nodes: int = _key(_QUADRATURE.gauss_hermite_nodes, minimum=2)
     gauss_legendre_nodes: int = _key(_QUADRATURE.gauss_legendre_nodes, minimum=2)
-    mc_samples: int = _key(_QUADRATURE.mc_samples, minimum=10_000)
-    se_seed: int = _QUADRATURE.seed
     records_csv: str | None = None
     summary_json: str | None = None
     threads: int = _key(1, minimum=1)
 
     def quadrature(self):
-        return QuadratureSpec(
-            self.gauss_hermite_nodes, self.gauss_legendre_nodes, self.mc_samples, self.se_seed
-        )
+        return QuadratureSpec(self.gauss_hermite_nodes, self.gauss_legendre_nodes)
 
     def resolved_dict(self):
         """Full configuration with defaults applied, as plain JSON data."""

@@ -17,10 +17,6 @@ class NumericalFailureError(AmpLabError, RuntimeError):
         self.residual = residual
 
 
-class NotPositiveSemidefiniteError(NumericalFailureError):
-    """Cholesky hit a negative pivot beyond the allowed jitter."""
-
-
 class DivergenceError(NumericalFailureError):
     """An iterate left the finite range; carries the offending iteration index."""
 

@@ -53,8 +53,8 @@ from .errors import AmpLabError, DegenerateInputError, RejectedInputError
 from .linalg import SymmetricMatrix, jacobi_eigendecomp, packed_diagonal_indices, packed_length
 from .spectral import gap_check, power_bound_rhs, power_method, resolve_power_depth, spectral_init
 from .state_evolution import (
+    SEParams,
     bayes_tanh_schedule,
-    covariance_phi_prediction,
     se_covariance,
     se_predict_phi,
     se_spiked,
@@ -257,26 +257,24 @@ def run_universality(cfg):
 def run_state_evolution(cfg):
     """Empirical orbit observables against the deterministic predictions.
 
-    Spectral init pairs with the scalar (mu_k, sigma_k) recursion; independent
-    init pairs with the Gaussian covariance recursion.
+    Both routes predict E phi(w, mu_k w + sigma_k g) and mu_k^2 + sigma_k^2 from
+    a (mu_k, sigma_k) track: the scalar recursion's for spectral init, and for
+    independent init (1, 0) at k = 0, where V_0 = U0, then (0, sqrt(Sigma_kk))
+    from the covariance recursion, whose Gaussian block is independent of U0.
     """
     quad = cfg.quadrature()
     denoisers, se = _resolve_denoisers(cfg)
     spike = SpikeSpec.rank_one(cfg.gamma)
     scratch = _NoiseScratch()
 
-    if cfg.init == "spectral":
-        if se is None:
-            se = se_spiked(cfg.gamma, cfg.prior, denoisers[0], cfg.K, quad)
-        phi_pred = [se_predict_phi(cfg.phi, k, se, cfg.prior, quad) for k in range(cfg.K + 1)]
-        sm_pred = [float(se.mu[k] ** 2 + se.sigma[k] ** 2) for k in range(cfg.K + 1)]
-    else:
-        secov = se_covariance(denoisers, cfg.prior, max(cfg.K, 1), quad)
-        phi_pred = [
-            covariance_phi_prediction(secov, cfg.prior, cfg.phi, k, quad)
-            for k in range(cfg.K + 1)
-        ]
-        sm_pred = [1.0] + [float(secov.sigma_matrix[k - 1, k - 1]) for k in range(1, cfg.K + 1)]
+    if cfg.init == "independent":
+        sd = np.sqrt(np.diag(se_covariance(denoisers, cfg.K, quad)))
+        sd[0] = 0.0
+        se = SEParams(mu=np.eye(1, cfg.K + 1)[0], sigma=sd, gamma=cfg.gamma)
+    elif se is None:
+        se = se_spiked(cfg.gamma, cfg.prior, denoisers[0], cfg.K, quad)
+    phi_pred = [se_predict_phi(cfg.phi, k, se, cfg.prior, quad) for k in range(cfg.K + 1)]
+    sm_pred = [float(se.mu[k] ** 2 + se.sigma[k] ** 2) for k in range(cfg.K + 1)]
     # every row of k carries the predictions it is held to, a failed trial's rows too
     predictions = [
         {"k": k, "phi_prediction": phi_pred[k], "second_moment_prediction": sm_pred[k]}
@@ -293,17 +291,13 @@ def run_state_evolution(cfg):
             mat = sample_wigner(n, cfg.ensemble, streams.noise_a)
             orbit = _run_independent(cfg, build_spiked(mat, spike, u0), denoisers, u0)
         rows = []
-        for k, pred in enumerate(predictions):
-            vk = orbit.iterates[k]
-            if cfg.init == "spectral":
-                emp = phi_pair_average(cfg.phi, u0, vk)
-            else:
-                emp = phi_average(orbit, cfg.phi, k)
+        for pred, vk in zip(predictions, orbit.iterates):
+            emp = phi_pair_average(cfg.phi, u0, vk)  # an independent orbit starts at u0 itself
             rows.append(
                 {
                     **pred,
                     "phi_empirical": emp,
-                    "phi_abs_err": abs(emp - phi_pred[k]),
+                    "phi_abs_err": abs(emp - pred["phi_prediction"]),
                     "second_moment_empirical": float(np.mean(vk * vk)),
                 }
             )

@@ -1,4 +1,4 @@
-"""Symmetric-matrix storage, its BLAS matvec, a Jacobi eigensolver, and Cholesky.
+"""Symmetric-matrix storage, its BLAS matvec, and a from-scratch Jacobi eigensolver.
 
 A symmetric matrix keeps its upper triangle in one of two layouts, both
 column ordered (BLAS 'U' convention):
@@ -17,11 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.blas import dspmv, dsymv
 
-from .errors import (
-    NotPositiveSemidefiniteError,
-    NumericalFailureError,
-    RejectedInputError,
-)
+from .errors import NumericalFailureError, RejectedInputError
 
 JACOBI_MAX_SWEEPS = 100
 
@@ -204,21 +200,3 @@ def _sorted_decomp(eigenvalues, eigenvectors):
     order = np.argsort(eigenvalues)[::-1]
     return EigenDecomp(eigenvalues[order], eigenvectors[:, order])
 
-
-def cholesky(s, jitter=1e-12):
-    """Lower-triangular L with L L^T = S + jitter*I."""
-    s = np.asarray(s, dtype=np.float64)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise RejectedInputError(f"expected a square matrix, got shape {s.shape}")
-    if jitter < 0:
-        raise RejectedInputError(f"jitter must be >= 0, got {jitter}")
-    scale = max(1.0, float(np.max(np.abs(s)))) if s.size else 1.0
-    if np.max(np.abs(s - s.T)) > 1e-10 * scale:
-        raise RejectedInputError("matrix is not symmetric")
-    target = s + jitter * np.eye(s.shape[0])
-    try:
-        return np.linalg.cholesky(target)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveSemidefiniteError(
-            f"matrix is not positive semidefinite within jitter {jitter}: {exc}"
-        ) from exc

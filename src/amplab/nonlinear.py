@@ -62,6 +62,13 @@ class Denoiser:
             return True
         return len(self.weights) <= 1
 
+    def kinks(self, k):
+        """Ascending points where f_k'' jumps: +-(lambda_k -+ delta) for the soft threshold."""
+        if self.kind != "smooth_soft_threshold":
+            return ()
+        lam = self._param(k)
+        return (-lam - self.delta, -lam + self.delta, lam - self.delta, lam + self.delta)
+
     def _param(self, k):
         if len(self.schedule) < k + 1:
             raise RejectedInputError(

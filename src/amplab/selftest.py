@@ -1,16 +1,20 @@
 """Built-in oracle suite behind the `amplab selftest` subcommand.
 
 Each check recomputes a quantity through an independent route (naive loops,
-finite differences, the Jacobi eigensolver) and compares. These mirror the
-oracle tests in the test suite, sized to run in a few seconds.
+finite differences, the Jacobi eigensolver, adaptive quadrature) and
+compares. These mirror the oracle tests in the test suite, sized to run in a
+few seconds.
 """
+
+import math
 
 import numpy as np
 
 from .ensembles import EnsembleSpec, derive_streams
 from .experiments import power_bound_trial
-from .linalg import SymmetricMatrix, cholesky, jacobi_eigendecomp, sym_matvec
-from .nonlinear import Denoiser, denoiser_partial, fd_partial
+from .linalg import SymmetricMatrix, jacobi_eigendecomp, sym_matvec
+from .nonlinear import Denoiser, denoiser_partial, fd_partial, scalar_eval
+from .state_evolution import se_covariance
 
 
 def _check_matvec(rng):
@@ -37,11 +41,17 @@ def _check_jacobi(rng):
     return recon <= 1e-10 * np.linalg.norm(dense) and ortho <= 1e-10
 
 
-def _check_cholesky(rng):
-    b = rng.normal(size=(6, 6))
-    s = b @ b.T
-    factor = cholesky(s, jitter=0.0)
-    return float(np.max(np.abs(factor @ factor.T - s))) <= 1e-10 * np.max(np.abs(s))
+def _check_se_quadrature(_rng):
+    from scipy.integrate import quad
+
+    soft = Denoiser(kind="smooth_soft_threshold", schedule=(0.5, 0.8))
+    sigma = se_covariance([soft] * 2, 2)
+    for k, s in enumerate(np.sqrt(np.diag(sigma)[:2])):
+        weighted = lambda z: scalar_eval(soft, k, s * z) ** 2 * math.exp(-z * z / 2) / math.sqrt(2 * math.pi)
+        ref, _ = quad(weighted, -12.0, 12.0, points=[x / s for x in soft.kinks(k)], epsabs=1e-13, limit=200)
+        if abs(sigma[k + 1, k + 1] - ref) > 1e-9:
+            return False
+    return float(np.max(np.abs(se_covariance([Denoiser(kind="identity")] * 4, 4) - np.eye(5)))) <= 1e-12
 
 
 def _check_partials(rng):
@@ -82,7 +92,7 @@ def _check_streams(_rng):
 CHECKS = (
     ("packed and dense matvec vs naive two-loop multiply", _check_matvec),
     ("jacobi reconstruction and orthonormality", _check_jacobi),
-    ("cholesky reconstruction", _check_cholesky),
+    ("covariance recursion: identity and split-rule quadrature", _check_se_quadrature),
     ("analytic partials vs finite differences", _check_partials),
     ("power-method bound vs jacobi eigendata", _check_power_bound),
     ("stream derivation determinism", _check_streams),

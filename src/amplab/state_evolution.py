@@ -1,57 +1,49 @@
-"""Deterministic state-evolution predictions.
+"""Deterministic state-evolution predictions, all by quadrature.
 
-Two routes are provided. The spiked scalar recursion tracks (mu_k, sigma_k)
-for the rank-one model above its transition, starting from
-mu_0 = sqrt(1 - gamma^-2), sigma_0 = 1/gamma, via
+The spiked scalar recursion tracks (mu_k, sigma_k) for the rank-one model
+above its transition, starting from mu_0 = sqrt(1 - gamma^-2),
+sigma_0 = 1/gamma, via
 
     mu_{k+1}      = gamma * E[w f_k(mu_k w + sigma_k g)]
     sigma_{k+1}^2 =         E[f_k(mu_k w + sigma_k g)^2]
 
-with g standard normal independent of w. The general covariance recursion
-builds the Gaussian covariance E V_{a+1} V_{b+1} = E f_a(...) f_b(...) level by
-level. One-dimensional expectations use Gauss-Hermite / Gauss-Legendre
-quadrature; the joint covariance recursion uses seeded Monte Carlo, since
-quadrature cost is exponential in the recursion depth.
+with g standard normal independent of w. The covariance recursion builds the
+covariance of (V_0 = U0, V_1, ..., V_K) level by level, with U0 standard
+normal and independent of the Gaussian block. Every denoiser family reads the
+newest iterate alone or is linear, so no entry is more than a 2-D expectation
+(the covariance form of Javanmard and Montanari, Information and Inference
+2013).
 
-Sharply scaled tanh denoisers put poles close to the real axis, where a fixed
-Gauss rule converges slowly; the quadrature therefore starts at the configured
-node counts and doubles both families until two successive levels agree within
-1e-8, raising AccuracyError only if the cap still disagrees.
-
-The (V_1, ..., V_K) block is jointly Gaussian and independent of U0, and f_a is
-evaluated at (V_a, ..., V_1, U0); with a Gaussian prior this coincides with the
-all-Gaussian reading of the recursion.
+Every expectation starts at the configured node counts and doubles them until
+two levels agree within 1e-8, as sharply scaled tanh denoisers need, raising
+AccuracyError if the cap still disagrees. The C^1 soft threshold's normal
+expectations are split at its kinks (see _normal_rule).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import sample_prior
 from .errors import AccuracyError, DegenerateInputError, RejectedInputError
-from .linalg import cholesky
-from .nonlinear import Denoiser, denoiser_eval, scalar_eval
+from .nonlinear import Denoiser, scalar_eval
 
 _SQRT3 = math.sqrt(3.0)
 _QUAD_TOL = 1e-8
 _MAX_DOUBLINGS = 6
+# split rules truncate the standard normal here; the tails hold < 2e-23 of its mass
+_Z_MAX = 10.0
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     gauss_hermite_nodes: int = 61
     gauss_legendre_nodes: int = 64
-    mc_samples: int = 100_000
-    seed: int = 0
 
     def __post_init__(self):
         if self.gauss_hermite_nodes < 2 or self.gauss_legendre_nodes < 2:
             raise RejectedInputError("quadrature node counts must be >= 2")
-        if self.mc_samples < 10_000:
-            raise RejectedInputError(
-                f"mc_samples must be >= 10000, got {self.mc_samples}"
-            )
 
 
 @dataclass
@@ -65,17 +57,6 @@ class SEParams:
     @property
     def K(self):
         return len(self.mu) - 1
-
-
-@dataclass
-class SECovariance:
-    """Covariance of (V_1, ..., V_K) from the general recursion."""
-
-    sigma_matrix: np.ndarray
-
-    @property
-    def K(self):
-        return self.sigma_matrix.shape[0]
 
 
 def _gauss_hermite(nodes):
@@ -107,6 +88,34 @@ def _prior_nodes(prior, quad, factor=1):
     raise RejectedInputError(f"unknown prior kind {prior.kind!r}")
 
 
+def _normal_rule(quad, factor, kinks=(), center=0.0, scale=1.0):
+    """Nodes z and probabilities p with sum p h(center + scale z) = E h(center + scale Z).
+
+    Z is standard normal and kinks are the ascending points where h is not
+    smooth. Without kinks (or at scale 0) this is the Gauss-Hermite rule, the
+    same for every center. Otherwise each center gets its own row: the normal
+    is truncated at +-_Z_MAX and split at (kink - center) / scale, and every
+    piece takes a Gauss-Legendre rule weighted by the density.
+    """
+    if not kinks or scale == 0.0:
+        return _gauss_hermite(factor * quad.gauss_hermite_nodes)
+    from scipy.special import roots_legendre
+
+    t, w = roots_legendre(factor * quad.gauss_legendre_nodes)
+    cuts = np.clip((np.asarray(kinks) - np.expand_dims(center, -1)) / scale, -_Z_MAX, _Z_MAX)
+    ends = np.full(cuts.shape[:-1] + (1,), _Z_MAX)
+    edges = np.concatenate([-ends, cuts, ends], axis=-1)[..., None]
+    half = np.diff(edges, axis=-2) / 2.0
+    z = edges[..., :-1, :] + half * (t + 1.0)
+    p = half * w * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    return z.reshape(np.shape(center) + (-1,)), p.reshape(np.shape(center) + (-1,))
+
+
+def _row_means(values, probs):
+    """Weighted sums over the last axis: a rule shared by all rows, or one per row."""
+    return values @ probs if probs.ndim == 1 else np.einsum("...j,...j->...", values, probs)
+
+
 def initial_se_params(gamma):
     """(mu_0, sigma_0) of the spectral initialization; defined for gamma > 1."""
     if gamma <= 1.0:
@@ -117,11 +126,11 @@ def initial_se_params(gamma):
 
 
 def _converged(run, what):
-    """run(factor) at doubling factors until two levels agree within 1e-8."""
+    """run(factor), a tuple of arrays, at doubling factors until two levels agree within 1e-8."""
     prev = run(1)
     for level in range(1, _MAX_DOUBLINGS + 1):
         cur = run(2**level)
-        diff = max(float(np.max(np.abs(a - b))) for a, b in zip(prev, cur))
+        diff = max(float(np.max(np.abs(a - b), initial=0.0)) for a, b in zip(prev, cur))
         if diff <= _QUAD_TOL:
             return cur
         prev = cur
@@ -132,36 +141,31 @@ def _converged(run, what):
     )
 
 
-def _spiked_pass(gamma, make_scalar, K, w_vals, w_probs, g_vals, g_probs):
-    mu0, sig0 = initial_se_params(gamma)
-    mu = [mu0]
-    sig = [sig0]
-    params = []
-    pw = w_probs * w_vals  # weights for E[w . ]
-    for k in range(K):
-        fk, record = make_scalar(k, mu[k], sig[k])
-        grid = mu[k] * w_vals[:, None] + sig[k] * g_vals[None, :]
-        f_grid = fk(grid)
-        over_g = f_grid @ g_probs
-        mu_next = gamma * float(pw @ over_g)
-        sig2_next = float(w_probs @ ((f_grid * f_grid) @ g_probs))
-        if sig2_next <= 0.0:
-            raise DegenerateInputError(
-                f"denoiser output has zero variance at iteration {k}; "
-                "the recursion is degenerate"
-            )
-        mu.append(mu_next)
-        sig.append(math.sqrt(sig2_next))
-        params.append(record)
-    return np.array(mu), np.array(sig), params
-
-
 def _run_spiked(gamma, prior, make_scalar, K, quad, what):
+    """(mu, sigma, records) of the scalar recursion, converged under node doubling.
+
+    make_scalar(k, mu_k, sigma_k) gives f_k, its kinks and a number to record.
+    """
+    mu0, sig0 = initial_se_params(gamma)
+
     def run(factor):
         w_vals, w_probs = _prior_nodes(prior, quad, factor)
-        g_vals, g_probs = _gauss_hermite(factor * quad.gauss_hermite_nodes)
-        mu, sig, params = _spiked_pass(gamma, make_scalar, K, w_vals, w_probs, g_vals, g_probs)
-        return mu, sig, np.array([0.0 if p is None else p for p in params])
+        pw = w_probs * w_vals  # weights for E[w . ]
+        mu, sig, records = [mu0], [sig0], []
+        for k in range(K):
+            fk, kinks, record = make_scalar(k, mu[k], sig[k])
+            g_vals, g_probs = _normal_rule(quad, factor, kinks, mu[k] * w_vals, sig[k])
+            f_grid = fk(mu[k] * w_vals[:, None] + sig[k] * g_vals)
+            sig2_next = float(w_probs @ _row_means(f_grid * f_grid, g_probs))
+            if sig2_next <= 0.0:
+                raise DegenerateInputError(
+                    f"denoiser output has zero variance at iteration {k}; "
+                    "the recursion is degenerate"
+                )
+            mu.append(gamma * float(pw @ _row_means(f_grid, g_probs)))
+            sig.append(math.sqrt(sig2_next))
+            records.append(record)
+        return np.array(mu), np.array(sig), np.array(records)
 
     return _converged(run, what)
 
@@ -174,7 +178,7 @@ def se_spiked(gamma, prior, f, K, quad=QuadratureSpec()):
         )
 
     def make_scalar(k, _mu, _sig):
-        return (lambda y: scalar_eval(f, k, y)), None
+        return (lambda y: scalar_eval(f, k, y)), f.kinks(k), 0.0
 
     mu, sigma, _ = _run_spiked(gamma, prior, make_scalar, K, quad, "se_spiked")
     return SEParams(mu=mu, sigma=sigma, gamma=float(gamma))
@@ -189,7 +193,7 @@ def bayes_tanh_schedule(gamma, prior, K, quad=QuadratureSpec()):
 
     def make_scalar(_k, mu_k, sig_k):
         a = gamma * mu_k / (sig_k * sig_k)
-        return (lambda y, a=a: np.tanh(a * y)), a
+        return (lambda y, a=a: np.tanh(a * y)), (), a
 
     mu, sigma, params = _run_spiked(gamma, prior, make_scalar, K, quad, "bayes_tanh_schedule")
     schedule = tuple(params) + (gamma * mu[K] / (sigma[K] * sigma[K]),)
@@ -214,52 +218,58 @@ def se_predict_phi(phi, k, se, prior, quad=QuadratureSpec()):
     return float(_converged(run, "se_predict_phi")[0][0])
 
 
-def _stack_rows(v, u0, a):
-    """(V_a, ..., V_1, U0) as an (a+1, m) array; column j-1 of v holds V_j."""
-    rows = np.empty((a + 1, u0.shape[0]))
-    for d in range(a):
-        rows[d] = v[:, a - 1 - d]
-    rows[a] = u0
-    return rows
+def se_covariance(denoisers, K, quad=QuadratureSpec()):
+    """(K+1, K+1) covariance of (V_0 = U0, V_1, ..., V_K), U0 standard normal and independent.
 
-
-def se_covariance(denoisers, prior, K, quad=QuadratureSpec()):
-    """Covariance of (V_1, ..., V_K), built level by level with seeded Monte Carlo.
-
-    Each level redraws (U0, V_1, ..., V_{k-1}) from the current covariance and
-    forms the full Gram matrix of the denoised values, so the output is exactly
-    symmetric positive semidefinite.
+    E V_{a+1} V_{b+1} = E f_a(V_a, ..., V_0) f_b(V_b, ..., V_0): exact linear
+    algebra when every f_a is linear (identity or linear_combo). Otherwise each
+    f_a must read V_a alone (scalar_eval refuses it if not), and an entry is a
+    1-D normal expectation on the diagonal, a product of 1-D means where V_a and
+    V_b are uncorrelated to rounding (always so against U0), else a tensor 2-D
+    one, each doubled until it settles.
     """
-    if K < 1:
-        raise RejectedInputError(f"depth must be >= 1, got {K}")
+    if K < 0:
+        raise RejectedInputError(f"depth must be >= 0, got {K}")
     if len(denoisers) < K:
         raise RejectedInputError(f"need {K} denoisers, got {len(denoisers)}")
-    rng = np.random.default_rng(np.random.SeedSequence([int(quad.seed) & ((1 << 64) - 1), 0xC0]))
-    m = quad.mc_samples
-    u0 = sample_prior(m, prior, rng)
-    f_rows = denoiser_eval(denoisers[0], 0, u0[None, :])[None, :]
-    sigma = f_rows @ f_rows.T / m
-    for level in range(2, K + 1):
-        factor = cholesky(sigma, jitter=1e-12)
-        u0 = sample_prior(m, prior, rng)
-        xi = rng.standard_normal((m, level - 1))
-        v = xi @ factor.T
-        f_rows = np.empty((level, m))
-        for a in range(level):
-            f_rows[a] = denoiser_eval(denoisers[a], a, _stack_rows(v, u0, a))
-        sigma = f_rows @ f_rows.T / m
-    return SECovariance(sigma_matrix=sigma)
+    fs = denoisers[:K]
+    linear = all(f.kind in ("identity", "linear_combo") for f in fs)
+    coef = np.zeros((K, K + 1))  # a linear f_a is offset + coef[a] @ (V_0, ..., V_K)
+    for a, f in enumerate(fs):
+        w = ((1.0,) if f.kind == "identity" else f.weights)[: a + 1]
+        coef[a, a - np.arange(len(w))] = w
+    sigma = np.zeros((K + 1, K + 1))
+    sigma[0, 0] = 1.0  # E U0^2
+    for a in range(K):  # row a+1 reads only the levels 0..a filled so far
+        for b in range(a + 1):
+            if linear:  # E V = 0
+                entry = fs[a].offset * fs[b].offset + coef[a] @ sigma @ coef[b]
+            else:
+                run = functools.partial(_newest_entry, fs, a, b, sigma, quad)
+                (entry,) = _converged(lambda factor: (run(factor),), "se_covariance")
+            sigma[a + 1, b + 1] = sigma[b + 1, a + 1] = entry
+    return sigma
 
 
-def covariance_phi_prediction(secov, prior, phi, k, quad=QuadratureSpec()):
-    """Monte Carlo estimate of E phi(U0, V_k) under the recursion's law (V_0 = U0)."""
-    if not (0 <= k <= secov.K):
-        raise RejectedInputError(f"iteration {k} outside 0..{secov.K}")
-    rng = np.random.default_rng(np.random.SeedSequence([int(quad.seed) & ((1 << 64) - 1), 0xC1]))
-    m = quad.mc_samples
-    u0 = sample_prior(m, prior, rng)
-    vk = u0
-    if k:
-        factor = cholesky(secov.sigma_matrix[:k, :k], jitter=1e-12)
-        vk = (rng.standard_normal((m, k)) @ factor.T)[:, k - 1]
-    return float(np.mean(phi.pair_eval(u0, vk)))
+def _newest_entry(fs, a, b, sigma, quad, factor):
+    """E f_a(V_a) f_b(V_b) for b <= a on rules of the given doubling factor."""
+
+    def mean(k, power=1):
+        s = math.sqrt(sigma[k, k])
+        z, p = _normal_rule(quad, factor, fs[k].kinks(k), scale=s)
+        return float(p @ scalar_eval(fs[k], k, s * z) ** power)
+
+    if a == b:
+        return mean(a, 2)
+    # the entry moves by at most |Sigma_ab| times the two Lipschitz constants,
+    # so levels correlated below rounding count as independent
+    if abs(sigma[a, b]) <= 1e-12 * math.sqrt(sigma[a, a] * sigma[b, b]):
+        return mean(a) * mean(b)
+    # V_a = s z1 and V_b = r z1 + t z2 with z1, z2 independent standard normals
+    s = math.sqrt(sigma[a, a])
+    r = sigma[a, b] / s
+    t = math.sqrt(max(sigma[b, b] - r * r, 0.0))
+    z1, p1 = _normal_rule(quad, factor, fs[a].kinks(a), scale=s)
+    z2, p2 = _normal_rule(quad, factor, fs[b].kinks(b), center=r * z1, scale=t)
+    inner = _row_means(scalar_eval(fs[b], b, r * z1[:, None] + t * z2), p2)
+    return float(p1 @ (scalar_eval(fs[a], a, s * z1) * inner))

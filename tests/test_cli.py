@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -174,6 +175,28 @@ class TestRunCommand:
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_spectral_soft_threshold_run_completes(self, tmp_path):
+        # the C^1 soft threshold needs its split quadrature rule: with Gauss-Hermite
+        # doubling alone the scalar recursion never settled and the run exited 2.
+        # The records carry no accuracy bound: the first corrected step of the
+        # spectral orbit is known to miss the prediction at this size
+        cfg = {
+            **BASE,
+            "experiment": "state_evolution",
+            "n_grid": [200],
+            "trials": 2,
+            "K": 3,
+            "gamma": 2.0,
+            "init": "spectral",
+            "denoiser": {"kind": "smooth_soft_threshold", "schedule": [0.5] * 3},
+            "phi": {"kind": "se_pair"},
+        }
+        assert main(["run", "--config", write_config(tmp_path, cfg), "--out-dir", str(tmp_path)]) == 0
+        with open(tmp_path / "state_evolution_records.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2 * 4
+        assert all(math.isfinite(float(r["phi_prediction"])) for r in rows)
+
     def test_zero_prior_draw_is_a_bbp_status_row(self, tmp_path):
         # at n=2 the three-point prior draws u0 = 0 in some trials; the gap
         # check has no start vector there, and only those trials fail
@@ -256,17 +279,22 @@ MALFORMED = [
     ({"phi": {"clip": "x"}}, "clip"),
     ({"ensemble": {"kind": "centered_bernoulli", "param": "x"}}, "param"),
     ({"experiment": "interpolation", "t_grid": []}, "t_grid"),
+    # the Monte Carlo covariance recursion's keys are gone, not silently ignored
+    ({"mc_samples": 100000}, "unknown configuration keys: ['mc_samples']"),
+    ({"se_seed": 0}, "unknown configuration keys: ['se_seed']"),
 ]
 
 
 class TestConfigErrors:
     @pytest.mark.parametrize("overrides, key", MALFORMED, ids=[json.dumps(o) for o, _ in MALFORMED])
     def test_malformed_shape_is_config_error(self, tmp_path, capsys, overrides, key):
-        code = main(["run", "--config", write_config(tmp_path, {**BASE, **overrides})])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err.startswith("error:")
-        assert key in err
+        args = ["run", "--config", write_config(tmp_path, {**BASE, **overrides})]
+        for dry_run in ([], ["--dry-run"]):
+            code = main(args + dry_run)
+            err = capsys.readouterr().err
+            assert code == 1
+            assert err.startswith("error:")
+            assert key in err
 
     @pytest.mark.parametrize(
         "overrides, message",

@@ -21,7 +21,7 @@ from amplab.ensembles import (
 from amplab.errors import ConfigError, DegenerateInputError, DivergenceError, RejectedInputError
 from amplab.experiments import fit_decay, run_experiment
 from amplab.linalg import packed_length
-from amplab.nonlinear import Denoiser
+from amplab.nonlinear import TESTFUNCTION_KINDS, Denoiser
 from amplab.reporting import write_records_csv, write_summary_json
 
 
@@ -189,6 +189,46 @@ class TestStateEvolution:
             assert row["status"] == "ok"
             assert abs(row["second_moment_empirical"] - 1.0) <= 0.25
             assert row["second_moment_prediction"] == pytest.approx(1.0, abs=0.02)
+
+    @pytest.mark.parametrize("phi", TESTFUNCTION_KINDS)
+    def test_independent_identity_predictions_are_exact(self, phi):
+        # Sigma = I: every V_k has variance 1 and, for k >= 1, is a centered
+        # Gaussian independent of U0, so each pair observable averages to 0
+        cfg = base_config(
+            experiment="state_evolution",
+            n_grid=[50],
+            trials=1,
+            K=4,
+            gamma=0.0,
+            init="independent",
+            prior={"kind": "gaussian"},
+            denoiser={"kind": "identity"},
+            phi={"kind": phi},
+        )
+        _, rows, _ = run_experiment(cfg)
+        for row in rows:
+            assert row["second_moment_prediction"] == pytest.approx(1.0, abs=1e-12)
+            if row["k"] >= 1 or phi == "last_coord_clipped":  # E clip(U0) = 0 too
+                assert abs(row["phi_prediction"]) <= 1e-12
+            elif phi == "raw_overlap":
+                assert row["phi_prediction"] == pytest.approx(1.0, abs=1e-12)  # E U0^2
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"init": "spectral", "denoiser": {"kind": "scaled_tanh", "schedule": "bayes"}},
+            {"init": "independent", "gamma": 0.0, "prior": {"kind": "gaussian"}, "denoiser": {"kind": "identity"}},
+        ],
+        ids=["spectral_bayes", "independent"],
+    )
+    def test_depth_zero_predicts_the_initialization(self, overrides):
+        # K = 0 leaves the bayes schedule no coefficient to compare under node
+        # doubling; the check must still pass on the (mu_0, sigma_0) it has
+        cfg = base_config(experiment="state_evolution", n_grid=[60], trials=2, K=0, **overrides)
+        _, rows, _ = run_experiment(cfg)
+        assert [(r["trial"], r["k"], r["status"]) for r in rows] == [(0, 0, "ok"), (1, 0, "ok")]
+        if cfg.init == "independent":
+            assert rows[0]["second_moment_prediction"] == 1.0
 
     def test_failed_trials_recorded_and_excluded(self):
         cfg = base_config(**NEAR_TRANSITION_SE)
@@ -695,8 +735,6 @@ class TestConfigValidation:
             "diag_shift": 3.0,
             "gauss_hermite_nodes": 61,
             "gauss_legendre_nodes": 64,
-            "mc_samples": 100000,
-            "se_seed": 0,
             "records_csv": None,
             "summary_json": None,
             "threads": 1,

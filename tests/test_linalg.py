@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from amplab import linalg
-from amplab.errors import NotPositiveSemidefiniteError, NumericalFailureError, RejectedInputError
-from amplab.linalg import SymmetricMatrix, cholesky, jacobi_eigendecomp, sym_matvec
+from amplab.errors import NumericalFailureError, RejectedInputError
+from amplab.linalg import SymmetricMatrix, jacobi_eigendecomp, sym_matvec
 
 
 def random_symmetric(n, rng):
@@ -173,31 +173,3 @@ class TestJacobi:
         with pytest.raises(RejectedInputError):
             jacobi_eigendecomp(SymmetricMatrix.from_dense(np.eye(1025)))
 
-
-class TestCholesky:
-    def test_identity(self):
-        np.testing.assert_allclose(cholesky(np.eye(3), jitter=0.0), np.eye(3))
-
-    def test_2x2_hand_factorization(self):
-        factor = cholesky(np.array([[4.0, 2.0], [2.0, 2.0]]), jitter=0.0)
-        np.testing.assert_allclose(factor, [[2.0, 0.0], [1.0, 1.0]], atol=1e-14)
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(6)
-        b = rng.normal(size=(6, 6))
-        s = b @ b.T
-        factor = cholesky(s, jitter=0.0)
-        np.testing.assert_allclose(factor @ factor.T, s, atol=1e-10 * np.max(np.abs(s)))
-
-    def test_jitter_applied(self):
-        s = np.zeros((2, 2))
-        factor = cholesky(s, jitter=1e-8)
-        np.testing.assert_allclose(factor @ factor.T, 1e-8 * np.eye(2), atol=1e-20)
-
-    def test_indefinite_rejected(self):
-        with pytest.raises(NotPositiveSemidefiniteError):
-            cholesky(np.array([[1.0, 0.0], [0.0, -1.0]]), jitter=1e-12)
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(RejectedInputError):
-            cholesky(np.array([[1.0, 0.5], [0.0, 1.0]]))

@@ -10,6 +10,7 @@ from amplab.nonlinear import (
     denoiser_eval,
     denoiser_partial,
     fd_partial,
+    scalar_eval,
 )
 
 BUILTIN_DENOISERS = [
@@ -62,6 +63,25 @@ class TestDenoiserEval:
         assert abs(out[2] - 0.1 * 0.1 / 0.4 * 10) < 1e-12 or out[2] > 0  # smoothed knee
         np.testing.assert_allclose(out[3], 1.0)  # |x| - lam above lam + delta
         np.testing.assert_allclose(out[4], -1.0)
+
+    def test_kinks_are_where_the_second_derivative_jumps(self):
+        f = Denoiser(kind="smooth_soft_threshold", schedule=(2.0, 1.0), delta=0.1)
+        assert f.kinks(1) == pytest.approx((-1.1, -0.9, 0.9, 1.1), abs=1e-15)
+        h = 1e-3
+
+        def jump(x):
+            # right-sided minus left-sided second difference at x
+            vals = scalar_eval(f, 1, x + h * np.arange(-2.0, 3.0))
+            return (vals[4] - 2 * vals[3] + 2 * vals[1] - vals[0]) / h**2
+
+        # f'' is sign(x) / (2 delta) on the knees lam - delta < |x| < lam + delta, else 0
+        for x in f.kinks(1):
+            assert jump(x) == pytest.approx((5.0 if abs(x) < 1.0 else -5.0), rel=1e-6)
+        for x in (-2.0, -1.0, 0.0, 0.5, 1.0, 3.0):
+            assert abs(jump(x)) <= 1e-6
+        for g in BUILTIN_DENOISERS:
+            if g.kind != "smooth_soft_threshold":
+                assert g.kinks(1) == ()
 
     def test_smooth_soft_threshold_requires_lam_ge_delta(self):
         with pytest.raises(RejectedInputError):

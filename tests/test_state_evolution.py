@@ -2,17 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy.special import roots_hermite
 
 from amplab.ensembles import PriorSpec
 from amplab.errors import AccuracyError, DegenerateInputError, RejectedInputError
-from amplab.linalg import cholesky
-from amplab.nonlinear import Denoiser, TestFunction
+from amplab.nonlinear import Denoiser, TestFunction, scalar_eval
 from amplab.state_evolution import (
     QuadratureSpec,
     SEParams,
     bayes_tanh_schedule,
-    covariance_phi_prediction,
     initial_se_params,
     se_covariance,
     se_predict_phi,
@@ -20,7 +19,20 @@ from amplab.state_evolution import (
 )
 
 RADEMACHER = PriorSpec("rademacher")
-GAUSSIAN = PriorSpec("gaussian")
+
+
+def _normal_expectation(h, points=()):
+    """E h(Z) for standard normal Z by adaptive quadrature, split at the given points."""
+    inside = [x for x in points if -12.0 < x < 12.0]
+    value, _ = integrate.quad(
+        lambda z: h(z) * math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi),
+        -12.0,
+        12.0,
+        points=inside or None,
+        epsabs=1e-12,
+        limit=200,
+    )
+    return value
 
 
 class TestSeSpiked:
@@ -81,6 +93,23 @@ class TestSeSpiked:
         se = se_spiked(1.5, PriorSpec("uniform_sqrt3"), den, K=2)
         assert np.all(se.sigma > 0)
 
+    def test_soft_threshold_converges_with_the_split_rule(self):
+        # the C^1 soft threshold defeats Gauss-Hermite doubling; split at its
+        # kinks, each step matches adaptive quadrature over g for w = -1, 1
+        soft = Denoiser(kind="smooth_soft_threshold", schedule=(0.5,) * 3)
+        se = se_spiked(2.0, RADEMACHER, soft, K=3)
+        for k in range(3):
+            mu, sig = se.mu[k], se.sigma[k]
+
+            def over_g(h, w):
+                cuts = [(x - mu * w) / sig for x in soft.kinks(k)]
+                return _normal_expectation(lambda g: h(float(scalar_eval(soft, k, mu * w + sig * g))), cuts)
+
+            mu_ref = 2.0 * sum(0.5 * w * over_g(lambda y: y, w) for w in (-1.0, 1.0))
+            sig2_ref = sum(0.5 * over_g(lambda y: y * y, w) for w in (-1.0, 1.0))
+            assert abs(se.mu[k + 1] - mu_ref) <= 1e-8
+            assert abs(se.sigma[k + 1] ** 2 - sig2_ref) <= 1e-8
+
     def test_unconverged_quadrature_raises(self):
         # a near-step nonlinearity keeps moving under node doubling
         spiky = Denoiser(kind="scaled_tanh", schedule=(1e8,))
@@ -136,32 +165,88 @@ class TestSePredictPhi:
 
 class TestSeCovariance:
     def test_identity_fixed_point(self):
-        # unit-variance Gaussian inputs stay at variance 1 under identity
-        quad = QuadratureSpec(mc_samples=200_000, seed=3)
-        cov = se_covariance([Denoiser(kind="identity")] * 4, GAUSSIAN, 4, quad)
-        stderr = math.sqrt(2.0 / quad.mc_samples)  # var-of-variance for Gaussians
-        for k in range(4):
-            assert abs(cov.sigma_matrix[k, k] - 1.0) <= 3.0 * stderr * (k + 1)
+        # unit-variance Gaussian inputs stay at variance 1 under identity, and
+        # the levels stay uncorrelated with each other and with U0
+        cov = se_covariance([Denoiser(kind="identity")] * 5, 5)
+        np.testing.assert_allclose(cov, np.eye(6), rtol=0, atol=1e-12)
 
     def test_constant_denoiser_exact(self):
-        # every product is exactly c^2; only the mean accumulates rounding
+        # every product is exactly c^2, and U0 is uncorrelated with the block
         c = 0.7
         const = Denoiser(kind="linear_combo", weights=(), offset=c)
-        cov = se_covariance([const] * 3, GAUSSIAN, 3, QuadratureSpec(seed=1))
-        np.testing.assert_allclose(cov.sigma_matrix, c * c * np.ones((3, 3)), rtol=0, atol=1e-13)
+        cov = se_covariance([const] * 3, 3)
+        expected = np.zeros((4, 4))
+        expected[0, 0] = 1.0
+        expected[1:, 1:] = c * c
+        np.testing.assert_allclose(cov, expected, rtol=0, atol=1e-13)
+
+    def test_linear_combo_closed_form(self):
+        # E(c + sum_d w_d V_{a-d})(c + sum_e w_e V_{b-e}) = c^2 + sum_{d,e} w_d w_e Sigma[a-d, b-e],
+        # expanded term by term
+        weights, c, K = (0.6, -0.3, 0.2), 0.1, 5
+        den = Denoiser(kind="linear_combo", weights=weights, offset=c)
+        cov = se_covariance([den] * K, K)
+        ref = [[1.0 if a == b == 0 else 0.0 for b in range(K + 1)] for a in range(K + 1)]
+        for a in range(K):
+            for b in range(a + 1):
+                total = c * c
+                for d, wd in enumerate(weights[: a + 1]):
+                    for e, we in enumerate(weights[: b + 1]):
+                        total += wd * we * ref[a - d][b - e]
+                ref[a + 1][b + 1] = ref[b + 1][a + 1] = total
+        np.testing.assert_allclose(cov, np.array(ref), rtol=0, atol=1e-12)
+        assert cov[1, 1] == pytest.approx(0.37, abs=1e-15)
+        assert cov[2, 2] == pytest.approx(0.2332, abs=1e-15)
 
     def test_output_is_psd_and_symmetric(self):
         den = Denoiser(kind="scaled_tanh", schedule=(1.5, 1.0, 0.7))
-        cov = se_covariance([den] * 3, GAUSSIAN, 3, QuadratureSpec(seed=5))
-        np.testing.assert_array_equal(cov.sigma_matrix, cov.sigma_matrix.T)
-        cholesky(cov.sigma_matrix, jitter=1e-10)  # must not raise
+        cov = se_covariance([den] * 3, 3)
+        np.testing.assert_array_equal(cov, cov.T)
+        assert np.min(np.linalg.eigvalsh(cov)) >= -1e-12
+
+    def test_sharp_tanh_reaches_the_doubling_tolerance(self):
+        # a = 3 puts tanh's poles near the real axis; the Hermite rule doubles
+        # until it settles, and then agrees with adaptive quadrature
+        K = 4
+        cov = se_covariance([Denoiser(kind="scaled_tanh", schedule=(3.0,) * K)] * K, K)
+        for k in range(K):
+            s = math.sqrt(cov[k, k])
+            ref = _normal_expectation(lambda z: math.tanh(3.0 * s * z) ** 2)
+            assert abs(cov[k + 1, k + 1] - ref) <= 1e-8
+
+    def test_soft_threshold_matches_adaptive_quadrature_at_its_kinks(self):
+        # two offset linear levels correlate V_1 and V_2, so the soft threshold's
+        # entries include 2-D integrals with kinks in both coordinates
+        shift = Denoiser(kind="linear_combo", weights=(1.0,), offset=0.5)
+        soft = Denoiser(kind="smooth_soft_threshold", schedule=(0.3, 0.3, 0.5, 0.4))
+        fs = [shift, shift, soft, soft]
+        cov = se_covariance(fs, 4)
+
+        def f(k, x):
+            return float(scalar_eval(fs[k], k, x))
+
+        for a in range(4):
+            s = math.sqrt(cov[a, a])
+            diagonal = _normal_expectation(lambda z: f(a, s * z) ** 2, [x / s for x in fs[a].kinks(a)])
+            assert abs(cov[a + 1, a + 1] - diagonal) <= 1e-8
+        for a, b in ((2, 1), (3, 2)):
+            s = math.sqrt(cov[a, a])
+            r = cov[a, b] / s
+            t = math.sqrt(cov[b, b] - r * r)
+
+            def inner(z1):
+                cuts = [(x - r * z1) / t for x in fs[b].kinks(b)]
+                return _normal_expectation(lambda z2: f(b, r * z1 + t * z2), cuts)
+
+            ref = _normal_expectation(lambda z1: f(a, s * z1) * inner(z1), [x / s for x in fs[a].kinks(a)])
+            assert abs(ref) >= 0.05  # a correlated entry, not one that vanishes by symmetry
+            assert abs(cov[a + 1, b + 1] - ref) <= 1e-8
 
     def test_against_independent_straight_line_mc(self):
         # oracle: a from-scratch simulation of the recursion with its own
         # samples and no shared code path
         den = Denoiser(kind="scaled_tanh", schedule=(1.2, 0.8))
-        quad = QuadratureSpec(mc_samples=400_000, seed=7)
-        cov = se_covariance([den] * 2, GAUSSIAN, 2, quad)
+        cov = se_covariance([den] * 2, 2)[1:, 1:]
 
         rng = np.random.default_rng(999)
         m = 400_000
@@ -181,28 +266,15 @@ class TestSeCovariance:
         for i in range(2):
             for j in range(2):
                 combined_se = 3.0 * (2.0 / math.sqrt(m))
-                assert abs(cov.sigma_matrix[i, j] - ref[i, j]) <= combined_se
+                assert abs(cov[i, j] - ref[i, j]) <= combined_se
 
-    def test_depth_zero_rejected(self):
+    def test_memory_denoiser_mixed_with_a_nonlinear_one_rejected(self):
+        memory = Denoiser(kind="linear_combo", weights=(0.5, 0.5))
+        tanh = Denoiser(kind="scaled_tanh", schedule=(1.0, 1.0))
         with pytest.raises(RejectedInputError):
-            se_covariance([Denoiser(kind="identity")], GAUSSIAN, 0)
+            se_covariance([memory, tanh], 2)
 
-    def test_mc_floor_enforced(self):
+    def test_depth_zero_is_u0_alone_and_negative_depth_rejected(self):
+        np.testing.assert_array_equal(se_covariance([], 0), np.ones((1, 1)))
         with pytest.raises(RejectedInputError):
-            QuadratureSpec(mc_samples=100)
-
-
-class TestCovariancePhiPrediction:
-    def test_k0_centered(self):
-        den = Denoiser(kind="identity")
-        cov = se_covariance([den], GAUSSIAN, 1, QuadratureSpec(seed=11))
-        value = covariance_phi_prediction(cov, GAUSSIAN, TestFunction("last_coord_clipped"), 0)
-        assert abs(value) <= 0.02
-
-    def test_identity_second_moment(self):
-        den = Denoiser(kind="identity")
-        quad = QuadratureSpec(mc_samples=200_000, seed=13)
-        cov = se_covariance([den] * 3, GAUSSIAN, 3, quad)
-        value = covariance_phi_prediction(cov, GAUSSIAN, TestFunction("raw_overlap"), 2, quad)
-        # E V_2 U_0 = 0: the Gaussian block is independent of U0
-        assert abs(value) <= 0.02
+            se_covariance([Denoiser(kind="identity")], -1)
