@@ -174,8 +174,7 @@ def _draw_entries(ens, stream, seg):
     if ens.kind == "gaussian":
         stream.standard_normal(out=seg)
     elif ens.kind == "rademacher":
-        np.multiply(stream.integers(0, 2, size=seg.size, dtype=np.int32), 2.0, out=seg)
-        seg -= 1.0
+        _draw_signs(stream, seg)
     elif ens.kind == "uniform":  # as Generator.uniform: low + (high - low) * random()
         stream.random(out=seg)
         seg *= 2.0 * _SQRT3
@@ -188,6 +187,34 @@ def _draw_entries(ens, stream, seg):
         seg /= math.sqrt(p * (1.0 - p))
     else:
         raise RejectedInputError(f"unknown ensemble kind {ens.kind!r}")
+
+
+def _draw_signs(stream, seg):
+    """seg <- 2 b - 1 for the bits b of stream.integers(0, 2, dtype=np.int32), same stream state.
+
+    That call returns the top bit of each 32-bit half of the PCG64 output,
+    low half first, and keeps each word's high half in the bit generator's
+    state (uinteger, flagged unused by has_uint32). Here bits 31 and 63 of
+    the raw words are read directly: a buffered half is used first, and an
+    odd count leaves the last high half buffered.
+    """
+    bitgen = stream.bit_generator
+    state = bitgen.state
+    buffered = state["has_uint32"]
+    if buffered:
+        seg[0] = state["uinteger"] >> 31
+    rest = seg[buffered:]
+    words = bitgen.random_raw((rest.size + 1) // 2)
+    state = bitgen.state  # advanced by the raw draw
+    state["has_uint32"] = rest.size % 2
+    if words.size:  # the high half of the last word drawn, used or not
+        state["uinteger"] = int(words[-1] >> 32)
+    bitgen.state = state
+    # shifted in place and cast into seg: no temporary as large as words
+    np.right_shift(words[: rest.size // 2], 63, out=rest[1::2], casting="unsafe")
+    np.bitwise_and(np.right_shift(words, 31, out=words), 1, out=rest[0::2], casting="unsafe")
+    seg *= 2.0
+    seg -= 1.0
 
 
 def _copy_to_columns(seg, start, col, dense):

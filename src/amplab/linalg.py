@@ -113,48 +113,55 @@ def jacobi_eigendecomp(m, tol=1e-12):
     """Round-robin Jacobi rotations until max |off-diagonal| <= tol * ||M||_F.
 
     Each sweep visits every pair (p, q) once, in the round-robin (Brent-Luk
-    parallel) ordering: n - 1 steps of disjoint pairs (n steps for odd n, where
-    one index sits out each step). The rotations of one step commute, so they
-    are applied together as whole-array updates. Convergence is judged at the
-    top of each sweep; within a sweep, pairs with |a_pq| <= 0.1 * tol * ||M||_F
-    are skipped. Written from scratch, with no LAPACK eigensolver call, so it
-    stays an independent oracle. Oracle-scale solver (n <= 1024); raises after
-    100 sweeps without convergence.
+    parallel) ordering: m - 1 steps of disjoint pairs, m = n + n % 2, where a
+    zero padding index for odd n is never rotated. A and V are kept in the
+    current step's slot order, pair k at slots (2k, 2k+1), so each side of a
+    step is one complex multiply of the column pairs by c + i s, and the next
+    step is one fixed gather; a sweep brings the slots back to their first
+    order. Convergence is judged at the top of each sweep; within a sweep,
+    pairs with |a_pq| <= 0.1 * tol * ||M||_F are skipped (rotation 1). From
+    scratch, no LAPACK eigensolver, so an independent oracle (n <= 1024);
+    raises after 100 sweeps without convergence. NumPy may fuse the complex
+    multiply (FMA) by CPU, so the last bits are per machine, reruns identical.
     """
     if tol <= 0:
         raise RejectedInputError(f"tol must be positive, got {tol}")
     if m.n > 1024:
         raise RejectedInputError(f"jacobi_eigendecomp is limited to n <= 1024, got {m.n}")
-    n = m.n
-    a = m.to_dense()
-    v = np.eye(n)
-    fro = np.linalg.norm(a)
+    n, dense = m.n, m.to_dense()
+    fro = np.linalg.norm(dense)
     if fro == 0.0 or n == 1:
-        return _sorted_decomp(np.diag(a).copy(), v)
+        return _sorted_decomp(np.diag(dense).copy(), np.eye(n))
     threshold = tol * fro
-    # entries below this are skipped inside a sweep; convergence is still
-    # judged against the true maximum at the top of each sweep
     skip = 0.1 * threshold
-    steps = _round_robin_steps(n)
+    slots, turn = _circle_slots(n)
+    size = slots.size
+    a = np.zeros((size, size))
+    a[:n, :n] = dense
+    a = a[slots].T[slots]  # symmetric: rows and columns to slots
+    v = np.take(np.eye(size)[:n], slots, axis=1)  # rows: coordinates, columns: slots
+    p, q = np.arange(0, size, 2), np.arange(1, size, 2)
+    pick = np.stack([p * size + q, p * (size + 1), q * (size + 1)])  # a_pq, a_pp, a_qq
+    back = np.argsort(turn)  # the row a slot moves to
+    rotated = np.stack([back[p] * size + q, back[q] * size + p])  # a_pq, a_qp once rows moved
     off = _max_offdiag(a)
     for _ in range(JACOBI_MAX_SWEEPS):
         if off <= threshold:
-            return _sorted_decomp(np.diag(a).copy(), v)
-        for p, q in steps:
-            active = np.abs(a[p, q]) > skip
-            p, q = p[active], q[active]
-            if p.size == 0:
-                continue
-            apq = a[p, q]
-            tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-            t = np.where(tau >= 0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau))
+            return _sorted_decomp(np.diag(a)[slots < n], v[:, slots < n])
+        for _ in range(size - 1):
+            apq, app, aqq = np.take(a, pick)
+            active = np.abs(apq) > skip
+            tau = (aqq - app) / (2.0 * np.where(active, apq, 1.0))
+            t = np.where(active, np.where(tau >= 0, 1.0, -1.0), 0.0) / (np.abs(tau) + np.hypot(1.0, tau))
             c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            _rotate_columns(a, p, q, c, s)
-            _rotate_columns(a.T, p, q, c, s)  # the rows
-            a[p, q] = 0.0
-            a[q, p] = 0.0
-            _rotate_columns(v, p, q, c, s)
+            w = c + 1j * (t * c)
+            _rotate_pairs(a, w)  # the columns
+            a = a.T[turn]
+            _rotate_pairs(a, w)  # the rows, now columns
+            np.put(a, rotated[:, active], 0.0)
+            a = a.T[turn]
+            _rotate_pairs(v, w)
+            v = np.take(v, turn, axis=1)
         off = _max_offdiag(a)
     raise NumericalFailureError(
         f"Jacobi did not converge in {JACOBI_MAX_SWEEPS} sweeps "
@@ -163,31 +170,24 @@ def jacobi_eigendecomp(m, tol=1e-12):
     )
 
 
-def _round_robin_steps(n):
-    """One sweep of disjoint (p, q) pairs, p < q, by the circle method.
+def _circle_slots(n):
+    """The circle method on m = n + n % 2 indices, laid out in slots.
 
-    Index 0 stays put while the others turn one place per step; for odd n a
-    dummy index is added and whoever faces it sits the step out.
+    Position i < m/2 faces m - 1 - i, at slots (2i, 2i + 1); position 0 stays put while the
+    others turn one place per step. Returns the index in each slot at the first step (index i
+    at position i) and ``turn``, with next[s] = current[turn[s]] for arrays laid out in slots.
     """
     m = n + n % 2
-    ring = np.arange(1, m)
-    steps = []
-    for _ in range(m - 1):
-        order = np.concatenate(([0], ring))
-        top, bottom = order[: m // 2], order[::-1][: m // 2]
-        keep = (top < n) & (bottom < n)
-        p, q = np.minimum(top, bottom)[keep], np.maximum(top, bottom)[keep]
-        steps.append((p, q))
-        ring = np.roll(ring, 1)
-    return steps
+    pos = np.arange(m)
+    slot = np.where(pos < m // 2, 2 * pos, 2 * (m - 1 - pos) + 1)
+    source = np.concatenate(([0, m - 1], pos[1 : m - 1]))  # position i takes source[i]'s index
+    slots = np.argsort(slot)
+    return slots, slot[source][slots]
 
 
-def _rotate_columns(x, p, q, c, s):
-    """Columns (p_k, q_k) <- (c_k x_p - s_k x_q, s_k x_p + c_k x_q) for each k."""
-    xp = x[:, p]
-    xq = x[:, q]
-    x[:, p] = xp * c - xq * s
-    x[:, q] = xp * s + xq * c
+def _rotate_pairs(x, w):
+    """Columns (2k, 2k+1) <- (c x_2k - s x_2k+1, s x_2k + c x_2k+1), w_k = c + i s; x C-contiguous."""
+    np.multiply(x.view(np.complex128), w, out=x.view(np.complex128))
 
 
 def _max_offdiag(a):

@@ -59,13 +59,33 @@ class SEParams:
         return len(self.mu) - 1
 
 
+@functools.lru_cache(maxsize=None)
 def _gauss_hermite(nodes):
+    """Nodes and probabilities of the standard normal's Gauss-Hermite rule, read-only.
+
+    Both Gauss rules are built once per node count: the doubling revisits the
+    same counts at every level of every recursion.
+    """
     # scipy.special is imported where a Gauss rule is built, so processes that
     # never build one (bbp, power_bound) do not pay for it
     from scipy.special import roots_hermite
 
     x, w = roots_hermite(nodes)
-    return x * math.sqrt(2.0), w / math.sqrt(math.pi)
+    return _read_only(x * math.sqrt(2.0)), _read_only(w / math.sqrt(math.pi))
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(nodes):
+    """Nodes and weights of the Gauss-Legendre rule on [-1, 1], read-only."""
+    from scipy.special import roots_legendre
+
+    t, w = roots_legendre(nodes)
+    return _read_only(t), _read_only(w)
+
+
+def _read_only(x):
+    x.flags.writeable = False
+    return x
 
 
 def _prior_nodes(prior, quad, factor=1):
@@ -79,9 +99,7 @@ def _prior_nodes(prior, quad, factor=1):
     if prior.kind == "three_point":
         return np.asarray(prior.values), np.asarray(prior.probs)
     if prior.kind == "uniform_sqrt3":
-        from scipy.special import roots_legendre
-
-        t, w = roots_legendre(factor * quad.gauss_legendre_nodes)
+        t, w = _gauss_legendre(factor * quad.gauss_legendre_nodes)
         return _SQRT3 * t, w / 2.0
     if prior.kind == "gaussian":
         return _gauss_hermite(factor * quad.gauss_hermite_nodes)
@@ -99,9 +117,7 @@ def _normal_rule(quad, factor, kinks=(), center=0.0, scale=1.0):
     """
     if not kinks or scale == 0.0:
         return _gauss_hermite(factor * quad.gauss_hermite_nodes)
-    from scipy.special import roots_legendre
-
-    t, w = roots_legendre(factor * quad.gauss_legendre_nodes)
+    t, w = _gauss_legendre(factor * quad.gauss_legendre_nodes)
     cuts = np.clip((np.asarray(kinks) - np.expand_dims(center, -1)) / scale, -_Z_MAX, _Z_MAX)
     ends = np.full(cuts.shape[:-1] + (1,), _Z_MAX)
     edges = np.concatenate([-ends, cuts, ends], axis=-1)[..., None]

@@ -25,6 +25,19 @@ def zeros(n):
     return SymmetricMatrix.from_dense(np.zeros((n, n)))
 
 
+def _assert_rademacher_draw(n, spec, stream, ref_stream, layout):
+    """One draw from stream equals 2 b - 1 for the bits of ref_stream.integers, state included."""
+    out = None if layout == "packed" else np.full((n, n), np.nan, order="F")
+    mat = sample_wigner(n, spec, stream, out=out)
+    ref = ref_stream.integers(0, 2, size=packed_length(n), dtype=np.int32) * 2.0 - 1.0
+    if spec.diagonal_policy == "zero":
+        ref[packed_diagonal_indices(n)] = 0.0
+    col, row = np.tril_indices(n)  # the upper triangle in packed (column) order
+    got = mat.entries if layout == "packed" else out[row, col]
+    assert got.tobytes() == ref.tobytes()
+    assert stream.bit_generator.state == ref_stream.bit_generator.state
+
+
 class TestStreams:
     def test_determinism(self):
         a = derive_streams(7, 0)
@@ -197,6 +210,26 @@ class TestSampleWigner:
         sample_wigner(n, spec, derive_streams(5, 0).noise_a, out=buf)
         col, row = np.tril_indices(n)
         assert buf[row, col].tobytes() == ref.entries.tobytes()
+
+    @pytest.mark.parametrize("layout", ["packed", "dense"])
+    @pytest.mark.parametrize("policy", ["same_law", "zero"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 250, 401, 1000])
+    def test_rademacher_signs_are_the_bits_of_integers(self, n, policy, layout):
+        # an odd entry count leaves a half-word buffered, so the second draw starts on it
+        spec = EnsembleSpec("rademacher", diagonal_policy=policy)
+        stream, ref_stream = derive_streams(17, n).noise_a, derive_streams(17, n).noise_a
+        for _ in range(2):
+            _assert_rademacher_draw(n, spec, stream, ref_stream, layout)
+
+    @pytest.mark.parametrize("layout", ["packed", "dense"])
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 7, 11])
+    def test_rademacher_signs_for_chunks_ending_at_odd_offsets(self, monkeypatch, chunk, layout):
+        monkeypatch.setattr(ensembles, "_DRAW_CHUNK", chunk)
+        stream, ref_stream = derive_streams(19, 0).noise_a, derive_streams(19, 0).noise_a
+        stream.integers(0, 2, dtype=np.int32)  # start on a buffered half-word
+        ref_stream.integers(0, 2, dtype=np.int32)
+        for n in (12, 5):  # 78 then 15 entries
+            _assert_rademacher_draw(n, EnsembleSpec("rademacher"), stream, ref_stream, layout)
 
     @pytest.mark.parametrize("policy", ["same_law", "zero"])
     @pytest.mark.parametrize("kind, param", KINDS)

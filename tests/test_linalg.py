@@ -159,6 +159,38 @@ class TestJacobi:
             eig = jacobi_eigendecomp(SymmetricMatrix.from_dense(dense), tol=1e-12)
         np.testing.assert_allclose(eig.eigenvalues, [1e6, 3.0, 2.0, 1.0, -1e6], rtol=1e-14)
 
+    @pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 128])
+    def test_eigenvalues_match_lapack(self, n):
+        # LAPACK serves as a reference here only; the solver itself never calls it
+        dense = random_symmetric(n, np.random.default_rng(100 + n))
+        eig = jacobi_eigendecomp(SymmetricMatrix.from_dense(dense), tol=1e-12)
+        reference = np.linalg.eigh(dense).eigenvalues[::-1]
+        assert np.max(np.abs(eig.eigenvalues - reference)) <= 1e-12 * np.linalg.norm(dense)
+
+    def test_equal_diagonal_entries_with_zero_couplings_raise_no_warning(self):
+        # the skipped pairs have a_pp == a_qq and a_pq == 0: tau would be 0 / 0
+        dense = 2.0 * np.eye(6)
+        dense[0, 5] = dense[5, 0] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            eig = jacobi_eigendecomp(SymmetricMatrix.from_dense(dense), tol=1e-12)
+        np.testing.assert_allclose(eig.eigenvalues, [3.0, 2.0, 2.0, 2.0, 2.0, 1.0], rtol=0, atol=1e-14)
+
+    def test_sweeps_on_criterion_08_instances(self, monkeypatch):
+        # the off-diagonal maximum is taken once up front and once after each sweep
+        calls = []
+        real = linalg._max_offdiag
+        monkeypatch.setattr(linalg, "_max_offdiag", lambda a: calls.append(1) or real(a))
+        rng = np.random.default_rng(20240810)  # the instances of criterion 08
+        sweeps = 0
+        for n in (4, 16, 64, 128):
+            for _ in range(25):
+                dense = random_symmetric(n, rng)
+                calls.clear()
+                jacobi_eigendecomp(SymmetricMatrix.from_dense(dense), tol=1e-12)
+                sweeps += len(calls) - 1
+        assert sweeps <= 641
+
     def test_sweep_cap_raises_with_residual(self, monkeypatch):
         monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
         dense = random_symmetric(16, np.random.default_rng(8))

@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate
 from scipy.special import roots_hermite
 
+from amplab import state_evolution
 from amplab.ensembles import PriorSpec
 from amplab.errors import AccuracyError, DegenerateInputError, RejectedInputError
 from amplab.nonlinear import Denoiser, TestFunction, scalar_eval
@@ -278,3 +279,21 @@ class TestSeCovariance:
         np.testing.assert_array_equal(se_covariance([], 0), np.ones((1, 1)))
         with pytest.raises(RejectedInputError):
             se_covariance([Denoiser(kind="identity")], -1)
+
+
+class TestGaussRuleCache:
+    @pytest.mark.parametrize("rule", ["_gauss_hermite", "_gauss_legendre"])
+    def test_second_call_returns_the_same_read_only_arrays(self, rule):
+        build = getattr(state_evolution, rule)
+        first = build(61)
+        assert build(61) is first
+        for arr in first:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_hermite_rule_is_the_scaled_scipy_rule(self):
+        x, w = roots_hermite(122)
+        z, p = state_evolution._gauss_hermite(122)
+        assert z.tobytes() == (x * math.sqrt(2.0)).tobytes()
+        assert p.tobytes() == (w / math.sqrt(math.pi)).tobytes()
