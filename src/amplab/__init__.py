@@ -41,6 +41,7 @@ from .linalg import (
     EigenDecomp,
     SymmetricMatrix,
     jacobi_eigendecomp,
+    jacobi_eigendecomp_stack,
     sym_matvec,
 )
 from .nonlinear import (

@@ -9,6 +9,7 @@ CLI's --dry-run echoes the resolved configuration as canonical JSON.
 """
 
 import json
+import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 
 from .ensembles import EnsembleSpec, PriorSpec
@@ -40,6 +41,8 @@ def _as_number(value, name, minimum=None):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number, got {value!r}")
     value = float(value)
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{name} must be >= {minimum}, got {value}")
     return value

@@ -24,12 +24,19 @@ one dense Fortran-order buffer, twice the packed size, whose threaded BLAS
 apply outruns the packed one. Concentration, power_bound and independent-init
 state_evolution allocate their packed matrix per trial (power_bound then
 scales it into a new array for its Jacobi instance).
+
+power_bound runs its trials in stacks (see ``_run_grid``): a stack's
+instances are drawn first and decomposed by one stacked Jacobi call, whose
+NumPy calls each serve the whole stack, and then each trial runs its power
+method on the prepared eigendata. A stack is capped at JACOBI_STACK_BYTES of
+one matrix copy per member, so it stays in cache.
 """
 
 import itertools
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,7 +57,14 @@ from .ensembles import (
     sample_wigner,
 )
 from .errors import AmpLabError, DegenerateInputError, RejectedInputError
-from .linalg import SymmetricMatrix, jacobi_eigendecomp, packed_diagonal_indices, packed_length
+from .linalg import (
+    EigenDecomp,
+    SymmetricMatrix,
+    jacobi_eigendecomp,
+    jacobi_eigendecomp_stack,
+    packed_diagonal_indices,
+    packed_length,
+)
 from .spectral import gap_check, power_bound_rhs, power_method, resolve_power_depth, spectral_init
 from .state_evolution import (
     SEParams,
@@ -63,6 +77,10 @@ from .state_evolution import (
 # concentration fixes (u0, Z) per n-group; group streams live far away from the
 # per-trial index range so the two can never collide
 _GROUP_STREAM_OFFSET = 1 << 40
+
+# power_bound's cap on the bytes of one copy of a Jacobi stack, so that the stack stays in
+# cache: 8 matrices at n = 64, one at n = 256
+JACOBI_STACK_BYTES = 1 << 18
 
 # errors that turn a trial into status rows instead of ending the run;
 # ArithmeticError covers FloatingPointError, and scipy raises numpy's LinAlgError
@@ -113,7 +131,7 @@ def fit_decay(points):
     return float(np.dot(xc, y - y.mean()) / np.dot(xc, xc))
 
 
-def _run_grid(cfg, one_trial, leading_axes=(), failure_rows=({},)):
+def _run_grid(cfg, one_trial, leading_axes=(), failure_rows=({},), stacked=None):
     """Every record row of the experiment, sorted; the only place rows are built.
 
     The keys are product(*leading_axes, n_grid, range(trials)); a key's
@@ -125,27 +143,44 @@ def _run_grid(cfg, one_trial, leading_axes=(), failure_rows=({},)):
     instead, with the error class as status. Rows are sorted by the columns
     before "status", so the output does not depend on how threads schedule
     the trials.
+
+    With stacked = (size, prepare), the trials of each (*leading, n) run in
+    stacks of consecutive trials, at most size(n) of them and few enough that
+    every thread gets one: prepare(streams_list, n) returns one entry per
+    trial of the stack, which one_trial takes as its last argument. prepare
+    returns a trial's error as its entry rather than raising it.
     """
     columns = COLUMNS[cfg.experiment]
     key_fields = columns[: columns.index("status")]
     keys = list(itertools.product(*leading_axes, cfg.n_grid, range(cfg.trials)))
+    size, prepare = stacked or (lambda n: 1, None)
+    tasks = []  # runs of consecutive trial indices that share (*leading, n)
+    for first in range(0, len(keys), cfg.trials):
+        step = max(1, min(size(keys[first][-2]), -(-cfg.trials // cfg.threads)))
+        last = first + cfg.trials
+        tasks += [range(i, min(i + step, last)) for i in range(first, last, step)]
 
-    def run(index):
-        key = keys[index]
-        row = dict.fromkeys(columns)
-        row.update(zip(key_fields, key), status="ok")
-        try:
-            measured = one_trial(derive_streams(cfg.master_seed, index), *key)
-        except _TRIAL_ERRORS as exc:
-            row["status"] = type(exc).__name__
-            measured = failure_rows
-        return [{**row, **fields} for fields in measured]
+    def run(task):
+        streams = [derive_streams(cfg.master_seed, index) for index in task]
+        extra = [()] * len(task) if prepare is None else [(e,) for e in prepare(streams, keys[task[0]][-2])]
+        rows = []
+        for index, trial_streams, args in zip(task, streams, extra):
+            key = keys[index]
+            row = dict.fromkeys(columns)
+            row.update(zip(key_fields, key), status="ok")
+            try:
+                measured = one_trial(trial_streams, *key, *args)
+            except _TRIAL_ERRORS as exc:
+                row["status"] = type(exc).__name__
+                measured = failure_rows
+            rows += [{**row, **fields} for fields in measured]
+        return rows
 
     if cfg.threads <= 1:
-        chunks = [run(index) for index in range(len(keys))]
+        chunks = [run(task) for task in tasks]
     else:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            chunks = list(pool.map(run, range(len(keys))))
+            chunks = list(pool.map(run, tasks))
     rows = [row for chunk in chunks for row in chunk]
     rows.sort(key=lambda row: tuple(row[field] for field in key_fields))
     return rows
@@ -410,36 +445,82 @@ def run_concentration(cfg):
     return rows, {"group_by": "n", "groups": summaries, "extras": extras}
 
 
-def power_bound_trial(streams, n, ensemble, diag_shift, depth):
-    """(lhs, rhs) of the geometric power-method bound on one shifted Wigner instance.
+class PowerBoundInstance(NamedTuple):
+    """A shifted Wigner instance, a unit start vector, and the instance's exact Jacobi eigendata."""
 
-    The sampled matrix is scaled to the bulk and its diagonal shifted so the
-    spectrum is positive and the top eigenvalue dominates in magnitude; lhs is
-    the distance of the depth-step power iterate from the sign-aligned top
-    eigenvector of the exact Jacobi eigendata.
+    matrix: SymmetricMatrix
+    y0: np.ndarray
+    eigen: EigenDecomp
+
+    def sides(self, depth):
+        """(lhs, rhs) of the geometric power-method bound at this depth.
+
+        lhs is the distance of the depth-step power iterate from the
+        sign-aligned top eigenvector.
+        """
+        y = power_method(self.matrix, self.y0, depth)
+        top = self.eigen.eigenvectors[:, 0]
+        aligned = math.copysign(1.0, float(np.dot(top, self.y0))) * top
+        return float(np.linalg.norm(y - aligned)), power_bound_rhs(self.eigen, self.y0, depth)
+
+
+def power_bound_stack(streams_list, n, ensemble, diag_shift):
+    """One PowerBoundInstance per streams, or the error (one of _TRIAL_ERRORS) its trial raised.
+
+    Each sampled matrix is scaled to the bulk and its diagonal shifted so the
+    spectrum is positive and the top eigenvalue dominates in magnitude. The
+    instances are decomposed as one Jacobi stack, in which one that does not
+    converge gets its own error. Should the stacked call raise, they are
+    decomposed again one at a time, so that the error lands on its own trial.
     """
-    mat = sample_wigner(n, ensemble, streams.noise_a)
-    shifted = mat.entries / math.sqrt(n)
-    shifted[packed_diagonal_indices(n)] += diag_shift
-    instance = SymmetricMatrix(n, shifted)
-    y0 = streams.shared.standard_normal(n)
-    y0 /= np.linalg.norm(y0)
-    eig = jacobi_eigendecomp(instance, tol=1e-12)
-    y = power_method(instance, y0, depth)
-    top = eig.eigenvectors[:, 0]
-    aligned = math.copysign(1.0, float(np.dot(top, y0))) * top
-    return float(np.linalg.norm(y - aligned)), power_bound_rhs(eig, y0, depth)
+    entries = []
+    for streams in streams_list:
+        try:
+            mat = sample_wigner(n, ensemble, streams.noise_a)
+        except _TRIAL_ERRORS as exc:
+            entries.append(exc)
+            continue
+        shifted = mat.entries / math.sqrt(n)
+        shifted[packed_diagonal_indices(n)] += diag_shift
+        y0 = streams.shared.standard_normal(n)
+        entries.append((SymmetricMatrix(n, shifted), y0 / np.linalg.norm(y0)))
+    pending = [entry[0] for entry in entries if isinstance(entry, tuple)]
+    try:
+        eigen = jacobi_eigendecomp_stack(pending, tol=1e-12)
+    except _TRIAL_ERRORS:
+        eigen = []
+        for m in pending:
+            try:
+                eigen.append(jacobi_eigendecomp(m, tol=1e-12))
+            except _TRIAL_ERRORS as exc:
+                eigen.append(exc)
+    eigen = iter(eigen)
+    out = []
+    for entry in entries:
+        if isinstance(entry, tuple):
+            eig = next(eigen)
+            entry = eig if isinstance(eig, Exception) else PowerBoundInstance(*entry, eig)
+        out.append(entry)
+    return out
 
 
 def run_power_bound(cfg):
-    """Geometric power-method bound checked against exact Jacobi eigendata."""
+    """Geometric power-method bound checked against exact Jacobi eigendata, decomposed in stacks."""
     depth = 20 if cfg.power_depth == "auto" else int(cfg.power_depth)
 
-    def one_trial(streams, n, trial):
-        lhs, rhs = power_bound_trial(streams, n, cfg.ensemble, cfg.diag_shift, depth)
+    def stack_size(n):
+        return JACOBI_STACK_BYTES // (8 * (n + n % 2) ** 2)
+
+    def prepare(streams_list, n):
+        return power_bound_stack(streams_list, n, cfg.ensemble, cfg.diag_shift)
+
+    def one_trial(streams, n, trial, instance):
+        if isinstance(instance, Exception):
+            raise instance
+        lhs, rhs = instance.sides(depth)
         return [{"lhs": lhs, "rhs": rhs, "holds": int(lhs <= rhs + 1e-8)}]
 
-    rows = _run_grid(cfg, one_trial)
+    rows = _run_grid(cfg, one_trial, stacked=(stack_size, prepare))
     summaries = _summarize(rows, "n", "holds") + _summarize(rows, "n", "lhs")
     return rows, {"group_by": "n", "groups": summaries, "extras": {}}
 

@@ -110,7 +110,18 @@ def sym_matvec(m, x):
 
 
 def jacobi_eigendecomp(m, tol=1e-12):
-    """Round-robin Jacobi rotations until max |off-diagonal| <= tol * ||M||_F.
+    """Eigendata of one symmetric matrix: ``jacobi_eigendecomp_stack`` on a stack of one.
+
+    Raises NumericalFailureError after 100 sweeps without convergence.
+    """
+    (result,) = jacobi_eigendecomp_stack([m], tol)
+    if isinstance(result, NumericalFailureError):
+        raise result
+    return result
+
+
+def jacobi_eigendecomp_stack(matrices, tol=1e-12):
+    """Round-robin Jacobi rotations on same-size matrices until max |off-diagonal| <= tol * ||M||_F.
 
     Each sweep visits every pair (p, q) once, in the round-robin (Brent-Luk
     parallel) ordering: m - 1 steps of disjoint pairs, m = n + n % 2, where a
@@ -118,56 +129,99 @@ def jacobi_eigendecomp(m, tol=1e-12):
     current step's slot order, pair k at slots (2k, 2k+1), so each side of a
     step is one complex multiply of the column pairs by c + i s, and the next
     step is one fixed gather; a sweep brings the slots back to their first
-    order. Convergence is judged at the top of each sweep; within a sweep,
-    pairs with |a_pq| <= 0.1 * tol * ||M||_F are skipped (rotation 1). From
-    scratch, no LAPACK eigensolver, so an independent oracle (n <= 1024);
-    raises after 100 sweeps without convergence. NumPy may fuse the complex
-    multiply (FMA) by CPU, so the last bits are per machine, reruns identical.
+    order. The matrices run as one stack through each step's NumPy calls.
+    Each keeps its own ||M||_F and threshold, is judged at the top of each
+    sweep, and leaves the stack once it converges, so its eigendata are bit
+    for bit those of a stack of one. Within a sweep, pairs with
+    |a_pq| <= 0.1 * tol * ||M||_F are skipped (rotation 1). From scratch, no
+    LAPACK eigensolver, so an independent oracle (n <= 1024). Returns, in
+    order, each matrix's EigenDecomp, or the NumericalFailureError of one that
+    did not converge in 100 sweeps. NumPy may fuse the complex multiply (FMA)
+    by CPU, so the last bits are per machine, reruns identical.
     """
     if tol <= 0:
         raise RejectedInputError(f"tol must be positive, got {tol}")
-    if m.n > 1024:
-        raise RejectedInputError(f"jacobi_eigendecomp is limited to n <= 1024, got {m.n}")
-    n, dense = m.n, m.to_dense()
-    fro = np.linalg.norm(dense)
-    if fro == 0.0 or n == 1:
-        return _sorted_decomp(np.diag(dense).copy(), np.eye(n))
-    threshold = tol * fro
-    skip = 0.1 * threshold
+    if not matrices:
+        return []
+    n = matrices[0].n
+    if any(m.n != n for m in matrices):
+        raise RejectedInputError("a Jacobi stack needs matrices of one size")
+    if n > 1024:
+        raise RejectedInputError(f"jacobi_eigendecomp is limited to n <= 1024, got {n}")
+    out = [None] * len(matrices)
     slots, turn = _circle_slots(n)
     size = slots.size
-    a = np.zeros((size, size))
-    a[:n, :n] = dense
-    a = a[slots].T[slots]  # symmetric: rows and columns to slots
-    v = np.take(np.eye(size)[:n], slots, axis=1)  # rows: coordinates, columns: slots
+    scratch = np.zeros((len(matrices), size, size))
+    fro = np.empty(len(matrices))
+    for j, m in enumerate(matrices):
+        dense = m.to_dense()
+        fro[j] = np.linalg.norm(dense)
+        if fro[j] == 0.0 or n == 1:
+            out[j] = _sorted_decomp(np.diag(dense).copy(), np.eye(n))
+        scratch[j, :n, :n] = dense
+    keep = np.array([result is None for result in out])
+    live, count = np.flatnonzero(keep), int(keep.sum())
+    if count == 0:
+        return out
+    if count < len(matrices):
+        scratch = _compacted(scratch, keep)
+    threshold = tol * fro[live]
+    skip = 0.1 * threshold
+    a = np.empty_like(scratch)
+    np.take(scratch, slots, axis=1, out=a, mode="clip")
+    np.take(a, slots, axis=2, out=scratch, mode="clip")  # symmetric: rows and columns to slots
+    a, scratch = scratch, a
+    v = np.empty_like(a)  # rows: coordinates, the padding one last; columns: slots
+    v[:] = np.take(np.eye(size), slots, axis=1)
     p, q = np.arange(0, size, 2), np.arange(1, size, 2)
-    pick = np.stack([p * size + q, p * (size + 1), q * (size + 1)])  # a_pq, a_pp, a_qq
+    base = np.arange(count)[:, None] * (size * size)  # where each matrix starts in the flat stack
+    pick = np.stack([p * size + q, p * (size + 1), q * (size + 1)])[:, None] + base  # a_pq, a_pp, a_qq
     back = np.argsort(turn)  # the row a slot moves to
-    rotated = np.stack([back[p] * size + q, back[q] * size + p])  # a_pq, a_qp once rows moved
-    off = _max_offdiag(a)
+    rotated = np.stack([back[p] * size + q, back[q] * size + p])[:, None] + base  # a_pq, a_qp once rows moved
+    moved = (turn[:, None] + size * np.arange(size)).ravel()  # flat source of each cell of a.T[turn]
     for _ in range(JACOBI_MAX_SWEEPS):
-        if off <= threshold:
-            return _sorted_decomp(np.diag(a)[slots < n], v[:, slots < n])
+        off = _max_offdiag(a, scratch)
+        done = off <= threshold
+        if done.any():
+            for j in np.flatnonzero(done):
+                out[live[j]] = _sorted_decomp(np.diag(a[j])[slots < n], v[j][:n, slots < n])
+            keep = ~done
+            count = int(keep.sum())
+            if count == 0:
+                return out
+            a, v, scratch = _compacted(a, keep), _compacted(v, keep), scratch[:count]
+            live, threshold, skip = live[keep], threshold[keep], skip[keep]
+            pick, rotated = pick[:, :count], rotated[:, :count]
         for _ in range(size - 1):
             apq, app, aqq = np.take(a, pick)
-            active = np.abs(apq) > skip
+            active = np.abs(apq) > skip[:, None]
             tau = (aqq - app) / (2.0 * np.where(active, apq, 1.0))
             t = np.where(active, np.where(tau >= 0, 1.0, -1.0), 0.0) / (np.abs(tau) + np.hypot(1.0, tau))
             c = 1.0 / np.sqrt(1.0 + t * t)
-            w = c + 1j * (t * c)
+            w = (c + 1j * (t * c))[:, None]
             _rotate_pairs(a, w)  # the columns
-            a = a.T[turn]
-            _rotate_pairs(a, w)  # the rows, now columns
-            np.put(a, rotated[:, active], 0.0)
-            a = a.T[turn]
+            np.take(a.reshape(count, -1), moved, axis=1, out=scratch.reshape(count, -1), mode="clip")
+            _rotate_pairs(scratch, w)  # the rows, now columns
+            np.put(scratch, rotated[:, active], 0.0)
+            np.take(scratch.reshape(count, -1), moved, axis=1, out=a.reshape(count, -1), mode="clip")
             _rotate_pairs(v, w)
-            v = np.take(v, turn, axis=1)
-        off = _max_offdiag(a)
-    raise NumericalFailureError(
-        f"Jacobi did not converge in {JACOBI_MAX_SWEEPS} sweeps "
-        f"(residual {off:.3e} > {threshold:.3e})",
-        residual=float(off),
-    )
+            np.take(v, turn, axis=2, out=scratch, mode="clip")
+            v, scratch = scratch, v
+    off = _max_offdiag(a, scratch)
+    for j, index in enumerate(live):
+        out[index] = NumericalFailureError(
+            f"Jacobi did not converge in {JACOBI_MAX_SWEEPS} sweeps "
+            f"(residual {off[j]:.3e} > {threshold[j]:.3e})",
+            residual=float(off[j]),
+        )
+    return out
+
+
+def _compacted(x, keep):
+    """The stack x with the matrices of keep moved to its front, in place; returns that part."""
+    count = int(keep.sum())
+    x[:count] = x[keep]
+    return x[:count]
 
 
 def _circle_slots(n):
@@ -186,14 +240,17 @@ def _circle_slots(n):
 
 
 def _rotate_pairs(x, w):
-    """Columns (2k, 2k+1) <- (c x_2k - s x_2k+1, s x_2k + c x_2k+1), w_k = c + i s; x C-contiguous."""
+    """Columns (2k, 2k+1) <- (c x_2k - s x_2k+1, s x_2k + c x_2k+1), w_k = c + i s; x C-contiguous.
+
+    x is a stack of matrices and w holds one row of w_k per matrix."""
     np.multiply(x.view(np.complex128), w, out=x.view(np.complex128))
 
 
-def _max_offdiag(a):
-    b = np.abs(a)
-    np.fill_diagonal(b, 0.0)
-    return float(b.max())
+def _max_offdiag(a, work):
+    """max |off-diagonal| of each matrix of the stack a; work, of a's shape, is overwritten."""
+    np.abs(a, out=work)
+    work.reshape(len(work), -1)[:, :: work.shape[-1] + 1] = 0.0
+    return work.max(axis=(1, 2))
 
 
 def _sorted_decomp(eigenvalues, eigenvectors):

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .ensembles import EnsembleSpec, derive_streams
-from .experiments import power_bound_trial
+from .experiments import power_bound_stack
 from .linalg import SymmetricMatrix, jacobi_eigendecomp, sym_matvec
 from .nonlinear import Denoiser, denoiser_partial, fd_partial, scalar_eval
 from .state_evolution import se_covariance
@@ -73,9 +73,11 @@ def _check_partials(rng):
 
 
 def _check_power_bound(_rng):
-    gaussian = EnsembleSpec("gaussian")
-    bounds = [power_bound_trial(derive_streams(1234, t), 32, gaussian, 3.0, 15) for t in range(10)]
-    return all(lhs <= rhs + 1e-8 for lhs, rhs in bounds)
+    streams = [derive_streams(1234, t) for t in range(10)]
+    instances = power_bound_stack(streams, 32, EnsembleSpec("gaussian"), 3.0)
+    if any(isinstance(instance, Exception) for instance in instances):
+        return False
+    return all(lhs <= rhs + 1e-8 for lhs, rhs in (instance.sides(15) for instance in instances))
 
 
 def _check_streams(_rng):

@@ -93,17 +93,18 @@ def power_method(op, y0, d):
         raise RejectedInputError("start vector must have unit norm")
     y = y0
     for _ in range(d):
-        y = _normalized(op.apply(y))
+        z = op.apply(y)
+        y = z / _checked_norm(z)
     return y
 
 
-def _normalized(z):
+def _checked_norm(z):
     nz = np.linalg.norm(z)
     if nz < _UNDERFLOW:
         raise DegenerateInputError(
             "power iterate vanished; start vector has no overlap with the spectrum"
         )
-    return z / nz
+    return nz
 
 
 def spectral_init(op, u0, d, gap):
@@ -132,9 +133,9 @@ def spectral_init(op, u0, d, gap):
         t = alpha * c
         t[1:] += beta * c[:-1]
         t[:-1] += beta * c[1:]
-        nxt = _normalized(t)
-        err = (norm_a * err + float(np.dot(dropped, np.abs(c)))) / float(np.linalg.norm(t))
-        c = nxt
+        norm_t = _checked_norm(t)
+        err = (norm_a * err + float(np.dot(dropped, np.abs(c)))) / float(norm_t)
+        c = t / norm_t
         if i + 1 == j:
             head = c
         if err > _CERTIFIED and i + 1 >= j:
@@ -189,6 +190,8 @@ def gap_check(op, *, y0):
             w -= beta[-1] * basis[k - 1]
         w -= done.T @ (done @ w)  # one classical Gram-Schmidt pass against the whole basis
         b = float(np.linalg.norm(w))
+        if not (math.isfinite(alpha[-1]) and math.isfinite(b)):
+            raise NumericalFailureError(f"Lanczos coefficient not finite at step {k}: alpha {alpha[-1]}, b {b}")
         scale = max(scale, abs(alpha[-1]), b)
         breakdown = b <= _BREAKDOWN * scale
         if k + 1 == n or (not breakdown and ((k + 1) % _LANCZOS_CHECK_EVERY == 0 or k + 1 == dim)):

@@ -299,6 +299,24 @@ class TestConfigErrors:
     @pytest.mark.parametrize(
         "overrides, message",
         [
+            ({"experiment": "bbp", "gamma_grid": [math.nan]}, "gamma_grid entry must be finite, got nan"),
+            ({"experiment": "power_bound", "diag_shift": math.nan}, "diag_shift must be finite, got nan"),
+            ({"gamma": math.inf}, "gamma must be finite, got inf"),
+        ],
+        ids=["nan_gamma_grid", "nan_diag_shift", "infinite_gamma"],
+    )
+    @pytest.mark.parametrize("dry_run", [True, False], ids=["dry_run", "run"])
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys, overrides, message, dry_run):
+        cfg = write_config(tmp_path, {**BASE, "denoiser": {"kind": "identity"}, **overrides})
+        assert "NaN" in open(cfg).read() or "Infinity" in open(cfg).read()
+        args = ["run", "--config", cfg, "--out-dir", str(tmp_path / "out")]
+        assert main(args + ["--dry-run"] * dry_run) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
             (
                 {"experiment": "bbp", "gamma_grid": [2.0], "denoiser": {"kind": "bogus"}},
                 "unknown denoiser kind 'bogus'",

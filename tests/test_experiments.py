@@ -341,6 +341,21 @@ class TestBbp:
             assert row == {**ref, "overlap": 0.0, "overlap_flag": 1}
         assert summary["failures"] == {"0.5": 0, "2.0": 0}
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    def test_overflowing_spike_becomes_status_rows(self):
+        # gamma = 1e308 overflows the operator apply; the Lanczos coefficients turn non-finite
+        cfg = base_config(
+            experiment="bbp", n_grid=[50], trials=2, gamma_grid=[1e308, 2.0], denoiser={"kind": "identity"}
+        )
+        _, rows, summary = run_experiment(cfg)
+        assert [(r["gamma"], r["status"]) for r in rows] == [
+            (2.0, "ok"),
+            (2.0, "ok"),
+            (1e308, "NumericalFailureError"),
+            (1e308, "NumericalFailureError"),
+        ]
+        assert summary["failures"] == {"2.0": 0, "1e+308": 2}
+
 
 class TestInterpolation:
     def test_endpoints_match_pure_runs_exactly(self):
@@ -546,16 +561,24 @@ class TestPowerBound:
         assert holds[0]["mean"] == 1.0
 
     def test_floating_point_error_becomes_one_status_row(self, monkeypatch):
-        real_jacobi = experiments.jacobi_eigendecomp
-        calls = []
+        # the stacked call raises, and the stack's instances are decomposed again one at a time
+        real_stack = experiments.jacobi_eigendecomp_stack
+        bad, singles = [], []
 
-        def fail_second_trial(m, **kwargs):
-            calls.append(m.n)
-            if len(calls) == 2:
+        def fail_second_trial(matrices, **kwargs):
+            if not bad:
+                bad.append(matrices[1])  # the first call holds the whole stack in trial order
+            if any(m is bad[0] for m in matrices):
                 raise FloatingPointError("overflow in rotation")
-            return real_jacobi(m, **kwargs)
+            return real_stack(matrices, **kwargs)
 
-        monkeypatch.setattr(experiments, "jacobi_eigendecomp", fail_second_trial)
+        def one_at_a_time(m, **kwargs):
+            singles.append(m)
+            (eig,) = fail_second_trial([m], **kwargs)
+            return eig
+
+        monkeypatch.setattr(experiments, "jacobi_eigendecomp_stack", fail_second_trial)
+        monkeypatch.setattr(experiments, "jacobi_eigendecomp", one_at_a_time)
         cfg = base_config(
             experiment="power_bound",
             ensemble={"kind": "gaussian"},
@@ -565,19 +588,69 @@ class TestPowerBound:
             power_depth=15,
         )
         _, rows, summary = run_experiment(cfg)
+        assert len(singles) == 4
         assert [r["status"] for r in rows] == ["ok", "FloatingPointError", "ok", "ok"]
         assert rows[1]["lhs"] is None and rows[1]["rhs"] is None and rows[1]["holds"] is None
         assert summary["failures"] == {"32": 1}
         assert [e["count"] for e in summary["groups"]] == [3, 3]
 
     def test_programming_errors_still_end_the_run(self, monkeypatch):
-        def broken(m, **kwargs):
+        def broken(matrices, **kwargs):
             raise KeyError("bug")
 
-        monkeypatch.setattr(experiments, "jacobi_eigendecomp", broken)
+        monkeypatch.setattr(experiments, "jacobi_eigendecomp_stack", broken)
         cfg = base_config(experiment="power_bound", n_grid=[8], trials=2, power_depth=5)
         with pytest.raises(KeyError):
             run_experiment(cfg)
+
+    def test_instance_that_does_not_converge_is_one_status_row(self, monkeypatch):
+        cfg = base_config(
+            experiment="power_bound",
+            ensemble={"kind": "gaussian"},
+            n_grid=[32],
+            trials=4,
+            denoiser={"kind": "identity"},
+            power_depth=15,
+        )
+        _, clean, _ = run_experiment(cfg)
+        real_sample = experiments.sample_wigner
+        draws = []
+
+        def nan_in_third_draw(*args, **kwargs):
+            mat = real_sample(*args, **kwargs)
+            draws.append(mat)
+            if len(draws) == 3:
+                mat.entries[0] = np.nan  # no sweep brings its off-diagonal under the threshold
+            return mat
+
+        monkeypatch.setattr(experiments, "sample_wigner", nan_in_third_draw)
+        _, rows, summary = run_experiment(cfg)
+        assert [r["status"] for r in rows] == ["ok", "ok", "NumericalFailureError", "ok"]
+        assert [r for i, r in enumerate(rows) if i != 2] == [r for i, r in enumerate(clean) if i != 2]
+        assert summary["failures"] == {"32": 1}
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_stacks_cover_every_trial_once(self, monkeypatch, threads):
+        stacks = []
+        real_stack = experiments.power_bound_stack
+        monkeypatch.setattr(
+            experiments,
+            "power_bound_stack",
+            lambda streams_list, *args: stacks.append(len(streams_list)) or real_stack(streams_list, *args),
+        )
+        cfg = base_config(
+            experiment="power_bound",
+            ensemble={"kind": "gaussian"},
+            n_grid=[8, 128],
+            trials=5,
+            denoiser={"kind": "identity"},
+            power_depth=15,
+            threads=threads,
+        )
+        _, rows, _ = run_experiment(cfg)
+        assert len(rows) == 10 and all(r["status"] == "ok" for r in rows)
+        # the byte cap stacks two trials at n = 128; two threads get a stack each at n = 8
+        assert sorted(stacks) == {1: [1, 2, 2, 5], 2: [1, 2, 2, 2, 3]}[threads]
 
 
 # small configs for every experiment; the bbp and t grids do not ascend, so the

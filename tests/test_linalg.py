@@ -5,7 +5,7 @@ import pytest
 
 from amplab import linalg
 from amplab.errors import NumericalFailureError, RejectedInputError
-from amplab.linalg import SymmetricMatrix, jacobi_eigendecomp, sym_matvec
+from amplab.linalg import SymmetricMatrix, jacobi_eigendecomp, jacobi_eigendecomp_stack, sym_matvec
 
 
 def random_symmetric(n, rng):
@@ -180,7 +180,7 @@ class TestJacobi:
         # the off-diagonal maximum is taken once up front and once after each sweep
         calls = []
         real = linalg._max_offdiag
-        monkeypatch.setattr(linalg, "_max_offdiag", lambda a: calls.append(1) or real(a))
+        monkeypatch.setattr(linalg, "_max_offdiag", lambda *args: calls.append(1) or real(*args))
         rng = np.random.default_rng(20240810)  # the instances of criterion 08
         sweeps = 0
         for n in (4, 16, 64, 128):
@@ -205,3 +205,64 @@ class TestJacobi:
         with pytest.raises(RejectedInputError):
             jacobi_eigendecomp(SymmetricMatrix.from_dense(np.eye(1025)))
 
+
+
+def sweep_counts(monkeypatch, matrices):
+    """The sweeps each matrix takes alone, counted by its convergence tests."""
+    calls = []
+    real = linalg._max_offdiag
+    monkeypatch.setattr(linalg, "_max_offdiag", lambda *args: calls.append(1) or real(*args))
+    counts = []
+    for m in matrices:
+        calls.clear()
+        jacobi_eigendecomp(m, tol=1e-12)
+        counts.append(len(calls) - 1)
+    monkeypatch.setattr(linalg, "_max_offdiag", real)
+    return counts
+
+
+class TestJacobiStack:
+    @pytest.mark.parametrize("n", [2, 3, 4, 31, 32, 65])
+    def test_stack_is_bit_identical_to_stacks_of_one(self, monkeypatch, n):
+        rng = np.random.default_rng(300 + n)
+        dense = [random_symmetric(n, rng) for _ in range(3)]
+        dense.append(np.diag(np.arange(1.0, n + 1)) + 1e-6 * random_symmetric(n, rng))  # nearly diagonal
+        dense.append(np.zeros((n, n)))  # no sweep at all
+        matrices = [SymmetricMatrix.from_dense(d) for d in dense]
+        stacked = jacobi_eigendecomp_stack(matrices, tol=1e-12)
+        for m, eig in zip(matrices, stacked):
+            alone = jacobi_eigendecomp(m, tol=1e-12)
+            assert eig.eigenvalues.tobytes() == alone.eigenvalues.tobytes()
+            assert eig.eigenvectors.tobytes() == alone.eigenvectors.tobytes()
+        if n > 2:
+            # the members leave the stack after different numbers of sweeps
+            assert len(set(sweep_counts(monkeypatch, matrices))) >= 3
+
+    def test_matrix_that_does_not_converge_gets_its_own_error(self):
+        rng = np.random.default_rng(9)
+        matrices = [SymmetricMatrix.from_dense(random_symmetric(8, rng)) for _ in range(3)]
+        poisoned = matrices[1].entries.copy()
+        poisoned[0] = np.nan  # the off-diagonal maximum is NaN, never under the threshold
+        matrices[1] = SymmetricMatrix(8, poisoned)
+        stacked = jacobi_eigendecomp_stack(matrices, tol=1e-12)
+        assert isinstance(stacked[1], NumericalFailureError)
+        assert "did not converge in 100 sweeps" in str(stacked[1])
+        for i in (0, 2):
+            alone = jacobi_eigendecomp(matrices[i], tol=1e-12)
+            assert stacked[i].eigenvectors.tobytes() == alone.eigenvectors.tobytes()
+        with pytest.raises(NumericalFailureError):
+            jacobi_eigendecomp(matrices[1], tol=1e-12)
+
+    def test_sweep_cap_fails_each_member_with_its_residual(self, monkeypatch):
+        monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
+        rng = np.random.default_rng(10)
+        matrices = [SymmetricMatrix.from_dense(s * random_symmetric(16, rng)) for s in (1.0, 100.0)]
+        small, large = jacobi_eigendecomp_stack(matrices, tol=1e-12)
+        assert 0 < small.residual < large.residual
+        assert small.residual > 1e-12 * np.linalg.norm(matrices[0].to_dense())
+
+    def test_empty_and_mixed_stacks(self):
+        assert jacobi_eigendecomp_stack([]) == []
+        mixed = [SymmetricMatrix.from_dense(np.eye(n)) for n in (2, 3)]
+        with pytest.raises(RejectedInputError, match="one size"):
+            jacobi_eigendecomp_stack(mixed)
