@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 1 on configuration errors, 2 on numerical failures
-and on running out of memory; a run that fails writes no records.
+Exit codes: 0 on success, 1 on configuration errors and on output paths that
+cannot be written (checked before the run), 2 on numerical failures and on
+running out of memory; a run that fails writes no records.
 """
 
 import argparse
@@ -11,7 +12,7 @@ import sys
 from .config import load_config
 from .errors import AmpLabError, ConfigError
 from .experiments import run_experiment
-from .reporting import write_records_csv, write_summary_json
+from .reporting import ensure_parent, write_records_csv, write_summary_json
 from .selftest import run_selftest
 
 _THREADS_ENV = "AMPLAB_THREADS"
@@ -66,6 +67,12 @@ def _cmd_run(args):
 
     records_path, summary_path = _output_paths(cfg, args.out_dir)
     try:
+        for path in (records_path, summary_path):
+            ensure_parent(path)  # an unwritable path fails before the run, not after it
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 1
+    try:
         columns, rows, summary = run_experiment(cfg)
     except AmpLabError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
@@ -75,8 +82,12 @@ def _cmd_run(args):
         return 2
 
     summary["master_seed"] = cfg.master_seed
-    write_records_csv(records_path, columns, rows)
-    write_summary_json(summary_path, summary)
+    try:
+        write_records_csv(records_path, columns, rows)
+        write_summary_json(summary_path, summary)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 1
     ok_rows = sum(1 for r in rows if r["status"] == "ok")
     print(f"{cfg.experiment}: {ok_rows}/{len(rows)} rows ok")
     for entry in summary["groups"]:

@@ -108,17 +108,21 @@ def _n_grid(value, f):
     return grid
 
 
-def _gamma_grid(value, f):
-    grid = _as_list(value, f.name, minimum=f.metadata["minimum"])
+def _distinct(grid, name):
+    """A nonempty grid whose entries differ; a repeated entry would repeat its rows' keys."""
     if not grid:
-        raise ConfigError("gamma_grid must be nonempty")
+        raise ConfigError(f"{name} must be nonempty")
+    if len(set(grid)) < len(grid):
+        raise ConfigError(f"{name} entries must be distinct, got {list(grid)}")
     return grid
 
 
+def _gamma_grid(value, f):
+    return _distinct(_as_list(value, f.name, minimum=f.metadata["minimum"]), f.name)
+
+
 def _t_grid(value, f):
-    grid = _as_list(value, f.name)
-    if not grid:
-        raise ConfigError("t_grid must be nonempty")
+    grid = _distinct(_as_list(value, f.name), f.name)
     if any(not (0.0 <= t <= 1.0) for t in grid):
         raise ConfigError("t_grid values must lie in [0, 1]")
     return grid

@@ -29,14 +29,15 @@ power_bound runs its trials in stacks (see ``_run_grid``): a stack's
 instances are drawn first and decomposed by one stacked Jacobi call, whose
 NumPy calls each serve the whole stack, and then each trial runs its power
 method on the prepared eigendata. A stack is capped at JACOBI_STACK_BYTES of
-one matrix copy per member, so it stays in cache.
+one matrix copy per member, so it stays in cache. A member that does not
+converge gets its own NumericalFailureError; an error raised while the stack
+is drawn or decomposed becomes the status of every trial of that stack.
 """
 
 import itertools
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import NamedTuple
 
 import numpy as np
 
@@ -58,9 +59,8 @@ from .ensembles import (
 )
 from .errors import AmpLabError, DegenerateInputError, RejectedInputError
 from .linalg import (
-    EigenDecomp,
     SymmetricMatrix,
-    jacobi_eigendecomp,
+    jacobi_eigendecomp,  # not called here; bench/spans.py traces it under this module's name
     jacobi_eigendecomp_stack,
     packed_diagonal_indices,
     packed_length,
@@ -148,7 +148,8 @@ def _run_grid(cfg, one_trial, leading_axes=(), failure_rows=({},), stacked=None)
     stacks of consecutive trials, at most size(n) of them and few enough that
     every thread gets one: prepare(streams_list, n) returns one entry per
     trial of the stack, which one_trial takes as its last argument. prepare
-    returns a trial's error as its entry rather than raising it.
+    returns a trial's own error as its entry; should prepare raise one of
+    _TRIAL_ERRORS, that error is the entry of every trial of the stack.
     """
     columns = COLUMNS[cfg.experiment]
     key_fields = columns[: columns.index("status")]
@@ -162,7 +163,10 @@ def _run_grid(cfg, one_trial, leading_axes=(), failure_rows=({},), stacked=None)
 
     def run(task):
         streams = [derive_streams(cfg.master_seed, index) for index in task]
-        extra = [()] * len(task) if prepare is None else [(e,) for e in prepare(streams, keys[task[0]][-2])]
+        try:
+            extra = [()] * len(task) if prepare is None else [(e,) for e in prepare(streams, keys[task[0]][-2])]
+        except _TRIAL_ERRORS as exc:
+            extra = [(exc,)] * len(task)
         rows = []
         for index, trial_streams, args in zip(task, streams, extra):
             key = keys[index]
@@ -445,79 +449,37 @@ def run_concentration(cfg):
     return rows, {"group_by": "n", "groups": summaries, "extras": extras}
 
 
-class PowerBoundInstance(NamedTuple):
-    """A shifted Wigner instance, a unit start vector, and the instance's exact Jacobi eigendata."""
-
-    matrix: SymmetricMatrix
-    y0: np.ndarray
-    eigen: EigenDecomp
-
-    def sides(self, depth):
-        """(lhs, rhs) of the geometric power-method bound at this depth.
-
-        lhs is the distance of the depth-step power iterate from the
-        sign-aligned top eigenvector.
-        """
-        y = power_method(self.matrix, self.y0, depth)
-        top = self.eigen.eigenvectors[:, 0]
-        aligned = math.copysign(1.0, float(np.dot(top, self.y0))) * top
-        return float(np.linalg.norm(y - aligned)), power_bound_rhs(self.eigen, self.y0, depth)
-
-
-def power_bound_stack(streams_list, n, ensemble, diag_shift):
-    """One PowerBoundInstance per streams, or the error (one of _TRIAL_ERRORS) its trial raised.
+def run_power_bound(cfg):
+    """Geometric power-method bound checked against exact Jacobi eigendata, decomposed in stacks.
 
     Each sampled matrix is scaled to the bulk and its diagonal shifted so the
-    spectrum is positive and the top eigenvalue dominates in magnitude. The
-    instances are decomposed as one Jacobi stack, in which one that does not
-    converge gets its own error. Should the stacked call raise, they are
-    decomposed again one at a time, so that the error lands on its own trial.
+    spectrum is positive and the top eigenvalue dominates in magnitude; lhs is
+    the distance of the depth-step power iterate from the sign-aligned top
+    eigenvector.
     """
-    entries = []
-    for streams in streams_list:
-        try:
-            mat = sample_wigner(n, ensemble, streams.noise_a)
-        except _TRIAL_ERRORS as exc:
-            entries.append(exc)
-            continue
-        shifted = mat.entries / math.sqrt(n)
-        shifted[packed_diagonal_indices(n)] += diag_shift
-        y0 = streams.shared.standard_normal(n)
-        entries.append((SymmetricMatrix(n, shifted), y0 / np.linalg.norm(y0)))
-    pending = [entry[0] for entry in entries if isinstance(entry, tuple)]
-    try:
-        eigen = jacobi_eigendecomp_stack(pending, tol=1e-12)
-    except _TRIAL_ERRORS:
-        eigen = []
-        for m in pending:
-            try:
-                eigen.append(jacobi_eigendecomp(m, tol=1e-12))
-            except _TRIAL_ERRORS as exc:
-                eigen.append(exc)
-    eigen = iter(eigen)
-    out = []
-    for entry in entries:
-        if isinstance(entry, tuple):
-            eig = next(eigen)
-            entry = eig if isinstance(eig, Exception) else PowerBoundInstance(*entry, eig)
-        out.append(entry)
-    return out
-
-
-def run_power_bound(cfg):
-    """Geometric power-method bound checked against exact Jacobi eigendata, decomposed in stacks."""
     depth = 20 if cfg.power_depth == "auto" else int(cfg.power_depth)
 
     def stack_size(n):
         return JACOBI_STACK_BYTES // (8 * (n + n % 2) ** 2)
 
     def prepare(streams_list, n):
-        return power_bound_stack(streams_list, n, cfg.ensemble, cfg.diag_shift)
+        instances = []
+        for streams in streams_list:
+            shifted = sample_wigner(n, cfg.ensemble, streams.noise_a).entries / math.sqrt(n)
+            shifted[packed_diagonal_indices(n)] += cfg.diag_shift
+            y0 = streams.shared.standard_normal(n)
+            instances.append((SymmetricMatrix(n, shifted), y0 / np.linalg.norm(y0)))
+        eigen = jacobi_eigendecomp_stack([matrix for matrix, _ in instances], tol=1e-12)
+        return [e if isinstance(e, Exception) else (*instance, e) for instance, e in zip(instances, eigen)]
 
     def one_trial(streams, n, trial, instance):
         if isinstance(instance, Exception):
             raise instance
-        lhs, rhs = instance.sides(depth)
+        matrix, y0, eigen = instance
+        y = power_method(matrix, y0, depth)
+        top = eigen.eigenvectors[:, 0]
+        lhs = float(np.linalg.norm(y - math.copysign(1.0, float(np.dot(top, y0))) * top))
+        rhs = power_bound_rhs(eigen, y0, depth)
         return [{"lhs": lhs, "rhs": rhs, "holds": int(lhs <= rhs + 1e-8)}]
 
     rows = _run_grid(cfg, one_trial, stacked=(stack_size, prepare))

@@ -23,7 +23,7 @@ def format_value(value):
 
 
 def write_records_csv(path, columns, rows):
-    _ensure_parent(path)
+    ensure_parent(path)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
@@ -32,12 +32,13 @@ def write_records_csv(path, columns, rows):
 
 
 def write_summary_json(path, payload):
-    _ensure_parent(path)
+    ensure_parent(path)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
-def _ensure_parent(path):
+def ensure_parent(path):
+    """Create the directory that will hold path; raises OSError where it cannot."""
     parent = os.path.dirname(os.path.abspath(path))
     os.makedirs(parent, exist_ok=True)

@@ -10,8 +10,9 @@ import math
 
 import numpy as np
 
-from .ensembles import EnsembleSpec, derive_streams
-from .experiments import power_bound_stack
+from .config import parse_config
+from .ensembles import derive_streams
+from .experiments import run_experiment
 from .linalg import SymmetricMatrix, jacobi_eigendecomp, sym_matvec
 from .nonlinear import Denoiser, denoiser_partial, fd_partial, scalar_eval
 from .state_evolution import se_covariance
@@ -73,11 +74,9 @@ def _check_partials(rng):
 
 
 def _check_power_bound(_rng):
-    streams = [derive_streams(1234, t) for t in range(10)]
-    instances = power_bound_stack(streams, 32, EnsembleSpec("gaussian"), 3.0)
-    if any(isinstance(instance, Exception) for instance in instances):
-        return False
-    return all(lhs <= rhs + 1e-8 for lhs, rhs in (instance.sides(15) for instance in instances))
+    cfg = {"experiment": "power_bound", "n_grid": [32], "trials": 10, "master_seed": 1234, "power_depth": 15}
+    _, rows, _ = run_experiment(parse_config({**cfg, "ensemble": {"kind": "gaussian"}}))
+    return all(row["status"] == "ok" and row["holds"] == 1 for row in rows)
 
 
 def _check_streams(_rng):

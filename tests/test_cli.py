@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import amplab
-from amplab import experiments
+from amplab import cli, experiments
 from amplab.cli import main
 
 
@@ -229,7 +229,7 @@ class TestRunCommand:
         code = main(["run", "--config", write_config(tmp_path, BASE), "--out-dir", str(out_dir)])
         assert code == 2
         assert capsys.readouterr().err == "error: out of memory: Unable to allocate 10.0 GiB\n"
-        assert not out_dir.exists()
+        assert list(out_dir.iterdir()) == []  # created before the run, so a bad path fails first
 
     @pytest.mark.parametrize("value", ["0", "-4"])
     def test_threads_flag_checked_like_the_config_key(self, tmp_path, capsys, value):
@@ -268,6 +268,23 @@ class TestRunCommand:
         assert (tmp_path / "custom" / "rec.csv").exists()
         assert (tmp_path / "custom" / "sum.json").exists()
 
+    def test_unwritable_out_dir_fails_before_the_run(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "afile").write_text("")
+        runs = []
+        monkeypatch.setattr(cli, "run_experiment", lambda cfg: runs.append(cfg))
+        args = ["run", "--config", write_config(tmp_path, BASE), "--out-dir", str(tmp_path / "afile" / "sub")]
+        assert main(args) == 1
+        assert runs == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output:") and "afile" in err and "Traceback" not in err
+
+    def test_unwritable_records_path_exits_1(self, tmp_path, capsys):
+        # the parent exists, but the records path is a directory
+        cfg = {**BASE, "records_csv": str(tmp_path), "summary_json": str(tmp_path / "sum.json")}
+        assert main(["run", "--config", write_config(tmp_path, cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot write output:")
+        assert not (tmp_path / "sum.json").exists()
+
 
 # malformed shapes, each paired with the key its error message must name
 MALFORMED = [
@@ -279,6 +296,9 @@ MALFORMED = [
     ({"phi": {"clip": "x"}}, "clip"),
     ({"ensemble": {"kind": "centered_bernoulli", "param": "x"}}, "param"),
     ({"experiment": "interpolation", "t_grid": []}, "t_grid"),
+    # a repeated entry would write each of its rows twice under one key
+    ({"experiment": "bbp", "gamma_grid": [2.0, 2.0]}, "gamma_grid entries must be distinct, got [2.0, 2.0]"),
+    ({"experiment": "interpolation", "t_grid": [0.5, 0.5]}, "t_grid entries must be distinct, got [0.5, 0.5]"),
     # the Monte Carlo covariance recursion's keys are gone, not silently ignored
     ({"mc_samples": 100000}, "unknown configuration keys: ['mc_samples']"),
     ({"se_seed": 0}, "unknown configuration keys: ['se_seed']"),
