@@ -84,7 +84,11 @@ def _cmd_run(args):
     summary["master_seed"] = cfg.master_seed
     try:
         write_records_csv(records_path, columns, rows)
-        write_summary_json(summary_path, summary)
+        try:
+            write_summary_json(summary_path, summary)
+        except OSError:
+            os.remove(records_path)  # a run that fails writes no records
+            raise
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1

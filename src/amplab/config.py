@@ -71,8 +71,6 @@ def _parse(value, f):
         value = _as_int(value, name, minimum)
     elif f.type in (float, float | None):
         value = _as_number(value, name, minimum)
-    elif f.type is bool and not isinstance(value, bool):
-        raise ConfigError(f"{name} must be a boolean")
     elif f.type == str | None and not isinstance(value, str):
         raise ConfigError(f"{name} must be a string path")
     elif f.type is tuple or isinstance(value, list):

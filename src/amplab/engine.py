@@ -63,11 +63,7 @@ def run_generalized(op, step_functions, u0, K):
     n = op.n
     iterates = [_checked(u0, 0, n).copy()]
     for k in range(K):
-        top = op.apply(iterates[k])
-        rows = np.empty((k + 1, n))
-        rows[0] = top
-        for d in range(k):
-            rows[1 + d] = iterates[k - 1 - d]
+        rows = np.stack([op.apply(iterates[k]), *reversed(iterates[:k])])
         nxt = _apply_step(step_functions[k], k, rows)
         iterates.append(_checked(nxt, k + 1, n))
     return AmpOrbit(n=n, K=K, iterates=iterates, onsager_log=[])

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RejectedInputError
-from .linalg import SymmetricMatrix, packed_diagonal_indices, packed_length, sym_matvec
+from .linalg import SymmetricMatrix, packed_diagonal_indices, packed_length, spread_packed_columns, sym_matvec
 
 ENSEMBLE_KINDS = ("gaussian", "rademacher", "uniform", "centered_bernoulli")
 DIAGONAL_POLICIES = ("same_law", "zero")
@@ -136,11 +136,11 @@ def sample_wigner(n, ens, stream, out=None):
     into ``out`` if given, else into a new packed array; the matrix then shares
     that array. ``out`` is either a writeable contiguous float64 array of
     length n(n+1)/2 (packed storage) or a writeable Fortran-order float64
-    (n, n) array (dense storage): each chunk is then drawn into a scratch
-    array and copied into the tops of the columns it covers, and the lower
-    triangle is left as it was. Every law consumes the stream in order, so
-    both layouts hold the same bytes as a single draw of all entries, without
-    full-size integer or boolean temporaries.
+    (n, n) array (dense storage): the packed triangle is then drawn into its
+    first n(n+1)/2 elements and spread in place to the tops of the columns,
+    and the lower triangle keeps whatever is left there. Every law consumes
+    the stream in order, so both layouts hold the same bytes as a single draw
+    of all entries, without full-size integer or boolean temporaries.
     """
     if n < 1:
         raise RejectedInputError(f"dimension must be >= 1, got {n}")
@@ -154,18 +154,13 @@ def sample_wigner(n, ens, stream, out=None):
             f"out must be a writeable contiguous float64[{size}] "
             f"or a writeable Fortran-order float64 ({n}, {n}) array"
         )
-    chunk = np.empty(min(size, _DRAW_CHUNK)) if dense else None
-    col = 0  # dense only: the column holding the next packed entry
+    flat = entries.reshape(-1, order="F")  # a view in both layouts
     for start in range(0, size, _DRAW_CHUNK):
-        seg = entries[start : start + _DRAW_CHUNK] if packed else chunk[: size - start]
-        _draw_entries(ens, stream, seg)
-        if dense:
-            col = _copy_to_columns(seg, start, col, entries)
+        _draw_entries(ens, stream, flat[start : min(start + _DRAW_CHUNK, size)])
     if ens.diagonal_policy == "zero":
-        if packed:
-            entries[packed_diagonal_indices(n)] = 0.0
-        else:
-            np.fill_diagonal(entries, 0.0)
+        flat[packed_diagonal_indices(n)] = 0.0
+    if dense:
+        spread_packed_columns(flat, n)
     return SymmetricMatrix(n, entries)
 
 
@@ -215,23 +210,6 @@ def _draw_signs(stream, seg):
     np.bitwise_and(np.right_shift(words, 31, out=words), 1, out=rest[0::2], casting="unsafe")
     seg *= 2.0
     seg -= 1.0
-
-
-def _copy_to_columns(seg, start, col, dense):
-    """Copy seg, the packed entries from index start on, into dense's upper triangle.
-
-    Packed column j holds rows 0..j from offset j(j+1)/2 on. ``col`` is the
-    column of entry start; the column of the entry after seg is returned.
-    """
-    pos, end = start, start + seg.size
-    while pos < end:
-        row = pos - col * (col + 1) // 2
-        take = min(col + 1 - row, end - pos)
-        dense[row : row + take, col] = seg[pos - start : pos - start + take]
-        pos += take
-        if row + take == col + 1:
-            col += 1
-    return col
 
 
 def sample_prior(n, prior, stream):

@@ -21,9 +21,10 @@ the same buffer (the noise streams are independent, so the order changes no
 value); interpolation holds A and G. bbp and spectral-init state_evolution
 apply their matrix 100+ times in the gap check's Lanczos solve, so they keep
 one dense Fortran-order buffer, twice the packed size, whose threaded BLAS
-apply outruns the packed one. Concentration, power_bound and independent-init
-state_evolution allocate their packed matrix per trial (power_bound then
-scales it into a new array for its Jacobi instance).
+apply outruns the packed one; the packed draw fills its first half and is
+spread in place to the tops of its columns. Concentration, power_bound and
+independent-init state_evolution allocate their packed matrix per trial
+(power_bound then scales it into a new array for its Jacobi instance).
 
 power_bound runs its trials in stacks (see ``_run_grid``): a stack's
 instances are drawn first and decomposed by one stacked Jacobi call, whose

@@ -9,7 +9,8 @@ column ordered (BLAS 'U' convention):
 - dense, a Fortran-order (n, n) array of which only the upper triangle is
   read; the lower one may hold anything. Twice the memory, applied by BLAS
   ``dsymv``, which OpenBLAS threads. Worth it for an operator applied 100+
-  times, as in the gap check's Lanczos solve.
+  times, as in the gap check's Lanczos solve. A packed triangle drawn into
+  its first n(n+1)/2 elements is moved in place by ``spread_packed_columns``.
 """
 
 from dataclasses import dataclass
@@ -29,6 +30,16 @@ def packed_length(n):
 def packed_diagonal_indices(n):
     i = np.arange(n)
     return i * (i + 3) // 2
+
+
+def spread_packed_columns(flat, n):
+    """Spread the packed triangle in flat[:n(n+1)/2] to the column tops of flat, an F-order (n, n).
+
+    Last column first: column j lands at offset j*n >= j(j+1)/2, past every
+    column still to move; NumPy buffers the one overlapping move (n = 2).
+    """
+    for j in range(n - 1, 0, -1):
+        flat[j * n : j * n + j + 1] = flat[j * (j + 1) // 2 : (j + 1) * (j + 2) // 2]
 
 
 @dataclass(frozen=True, eq=False)

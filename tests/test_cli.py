@@ -285,6 +285,25 @@ class TestRunCommand:
         assert capsys.readouterr().err.startswith("error: cannot write output:")
         assert not (tmp_path / "sum.json").exists()
 
+    def test_unwritable_summary_path_leaves_no_records(self, tmp_path, capsys):
+        # the records are written, then the summary path turns out to be a directory
+        (tmp_path / "o1" / "sumdir").mkdir(parents=True)
+        paths = {"records_csv": str(tmp_path / "o1" / "rec.csv"), "summary_json": str(tmp_path / "o1" / "sumdir")}
+        cfg = {**BASE, **paths}
+        assert main(["run", "--config", write_config(tmp_path, cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot write output:")
+        assert sorted(p.name for p in (tmp_path / "o1").iterdir()) == ["sumdir"]
+
+    def test_out_dir_replaces_both_config_paths(self, tmp_path):
+        paths = {"records_csv": str(tmp_path / "o1" / "rec.csv"), "summary_json": str(tmp_path / "o1" / "sum.json")}
+        cfg = write_config(tmp_path, {**BASE, **paths})
+        assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / "o2")]) == 0
+        assert not (tmp_path / "o1").exists()
+        assert sorted(p.name for p in (tmp_path / "o2").iterdir()) == [
+            "universality_records.csv",
+            "universality_summary.json",
+        ]
+
 
 # malformed shapes, each paired with the key its error message must name
 MALFORMED = [

@@ -188,8 +188,9 @@ class TestSampleWigner:
 
     @pytest.mark.parametrize("policy", ["same_law", "zero"])
     @pytest.mark.parametrize("kind, param", KINDS)
-    def test_dense_buffer_holds_the_packed_bytes_in_its_upper_triangle(self, kind, param, policy):
-        n = 401  # 80601 entries: the draw crosses a chunk boundary inside a column
+    # n = 2 spreads its last column onto itself; n = 401 draws 80601 entries, past one chunk
+    @pytest.mark.parametrize("n", [1, 2, 3, 401])
+    def test_dense_buffer_holds_the_packed_bytes_in_its_upper_triangle(self, n, kind, param, policy):
         spec = EnsembleSpec(kind, param, policy)
         packed_stream, dense_stream = derive_streams(13, 0).noise_a, derive_streams(13, 0).noise_a
         ref = sample_wigner(n, spec, packed_stream)
@@ -236,7 +237,7 @@ class TestSampleWigner:
     def test_dense_apply_ignores_a_stale_lower_triangle(self, kind, param, policy):
         n = 401
         spec = EnsembleSpec(kind, param, policy)
-        buf = np.full((n, n), np.nan, order="F")  # the lower triangle is never written
+        buf = np.full((n, n), np.nan, order="F")  # the lower triangle keeps stale values, never read
         mat = sample_wigner(n, spec, derive_streams(13, 0).noise_a, out=buf)
         ref = sample_wigner(n, spec, derive_streams(13, 0).noise_a)
         x = np.random.default_rng(15).normal(size=n)
