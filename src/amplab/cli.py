@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 on configuration errors and on output paths that
-cannot be written (checked before the run), 2 on numerical failures and on
-running out of memory; a run that fails writes no records.
+cannot be written or name one file twice (checked before the run), 2 on
+numerical failures and on running out of memory; a run that fails writes no
+records.
 """
 
 import argparse
@@ -66,6 +67,9 @@ def _cmd_run(args):
         return 0
 
     records_path, summary_path = _output_paths(cfg, args.out_dir)
+    if os.path.abspath(records_path) == os.path.abspath(summary_path):
+        print(f"error: records and summary are both {records_path}", file=sys.stderr)
+        return 1
     try:
         for path in (records_path, summary_path):
             ensure_parent(path)  # an unwritable path fails before the run, not after it

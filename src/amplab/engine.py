@@ -22,7 +22,6 @@ DIVERGENCE_LIMIT = 1e12
 class AmpOrbit:
     """One run's iterate history v^[0..K] plus the logged correction coefficients."""
 
-    n: int
     K: int
     iterates: list  # K+1 vectors of length n
     onsager_log: list = field(default_factory=list)  # entry k holds (b_{k,1}..b_{k,k}); entry 0 is empty
@@ -66,7 +65,7 @@ def run_generalized(op, step_functions, u0, K):
         rows = np.stack([op.apply(iterates[k]), *reversed(iterates[:k])])
         nxt = _apply_step(step_functions[k], k, rows)
         iterates.append(_checked(nxt, k + 1, n))
-    return AmpOrbit(n=n, K=K, iterates=iterates, onsager_log=[])
+    return AmpOrbit(K=K, iterates=iterates, onsager_log=[])
 
 
 def onsager_coeffs(fk, rows):
@@ -95,7 +94,7 @@ def run_onsager(op, denoisers, v0, K):
             "the corrected recursion needs Denoiser instances (analytic partials)"
         )
     n = op.n
-    orbit = AmpOrbit(n=n, K=K, iterates=[_checked(v0, 0, n).copy()])
+    orbit = AmpOrbit(K=K, iterates=[_checked(v0, 0, n).copy()])
     denoised = []  # denoised[j] = f_j(v^[j], ..., v^[0]), reused by later corrections
     for k in range(K):
         rows = orbit.rows(k)
@@ -130,7 +129,7 @@ def run_spectral_amp(op, denoisers, u0, power_depth, K):
             f"lambda2_abs={gap.lambda2_abs:.6g}, margin={spectral.GAP_MARGIN}"
         )
     try:
-        psi = spectral.spectral_init(op, u0, d, gap)
+        psi = spectral.spectral_init(op, gap, d)
     except DegenerateInputError as exc:
         raise PreconditionError(f"spectral initialization refused: {exc}") from exc
     del gap  # frees the Lanczos basis before the orbit allocates

@@ -310,7 +310,7 @@ def run_state_evolution(cfg):
     if cfg.init == "independent":
         sd = np.sqrt(np.diag(se_covariance(denoisers, cfg.K, quad)))
         sd[0] = 0.0
-        se = SEParams(mu=np.eye(1, cfg.K + 1)[0], sigma=sd, gamma=cfg.gamma)
+        se = SEParams(mu=np.eye(1, cfg.K + 1)[0], sigma=sd)
     elif se is None:
         se = se_spiked(cfg.gamma, cfg.prior, denoisers[0], cfg.K, quad)
     phi_pred = [se_predict_phi(cfg.phi, k, se, cfg.prior, quad) for k in range(cfg.K + 1)]
@@ -368,7 +368,7 @@ def run_bbp(cfg):
         gc = gap_check(op, y0=u0 / norm)
         depth = resolve_power_depth(op, cfg.power_depth, gc)
         try:
-            psi = spectral_init(op, u0, depth, gc)
+            psi = spectral_init(op, gc, depth)
             overlap = abs(float(np.dot(psi, u0))) / n
             flag = 0
         except _TRIAL_ERRORS:

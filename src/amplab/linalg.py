@@ -142,13 +142,14 @@ def jacobi_eigendecomp_stack(matrices, tol=1e-12):
     step is one fixed gather; a sweep brings the slots back to their first
     order. The matrices run as one stack through each step's NumPy calls.
     Each keeps its own ||M||_F and threshold, is judged at the top of each
-    sweep, and leaves the stack once it converges, so its eigendata are bit
-    for bit those of a stack of one. Within a sweep, pairs with
-    |a_pq| <= 0.1 * tol * ||M||_F are skipped (rotation 1). From scratch, no
-    LAPACK eigensolver, so an independent oracle (n <= 1024). Returns, in
-    order, each matrix's EigenDecomp, or the NumericalFailureError of one that
-    did not converge in 100 sweeps. NumPy may fuse the complex multiply (FMA)
-    by CPU, so the last bits are per machine, reruns identical.
+    sweep, and leaves the stack once it converges (a diagonal, zero or 1 x 1
+    matrix at the first test), so its eigendata are bit for bit those of a
+    stack of one. Within a sweep, pairs with |a_pq| <= 0.1 * tol * ||M||_F
+    are skipped (rotation 1). From scratch, no LAPACK eigensolver, so an
+    independent oracle (n <= 1024). Returns, in order, each matrix's
+    EigenDecomp, or the NumericalFailureError of one that did not converge in
+    100 sweeps. NumPy may fuse the complex multiply (FMA) by CPU, so the last
+    bits are per machine, reruns identical.
     """
     if tol <= 0:
         raise RejectedInputError(f"tol must be positive, got {tol}")
@@ -159,24 +160,16 @@ def jacobi_eigendecomp_stack(matrices, tol=1e-12):
         raise RejectedInputError("a Jacobi stack needs matrices of one size")
     if n > 1024:
         raise RejectedInputError(f"jacobi_eigendecomp is limited to n <= 1024, got {n}")
-    out = [None] * len(matrices)
+    count = len(matrices)
+    out, live = [None] * count, np.arange(count)
     slots, turn = _circle_slots(n)
     size = slots.size
-    scratch = np.zeros((len(matrices), size, size))
-    fro = np.empty(len(matrices))
+    scratch = np.zeros((count, size, size))
+    threshold = np.empty(count)
     for j, m in enumerate(matrices):
         dense = m.to_dense()
-        fro[j] = np.linalg.norm(dense)
-        if fro[j] == 0.0 or n == 1:
-            out[j] = _sorted_decomp(np.diag(dense).copy(), np.eye(n))
+        threshold[j] = tol * np.linalg.norm(dense)
         scratch[j, :n, :n] = dense
-    keep = np.array([result is None for result in out])
-    live, count = np.flatnonzero(keep), int(keep.sum())
-    if count == 0:
-        return out
-    if count < len(matrices):
-        scratch = _compacted(scratch, keep)
-    threshold = tol * fro[live]
     skip = 0.1 * threshold
     a = np.empty_like(scratch)
     np.take(scratch, slots, axis=1, out=a, mode="clip")

@@ -6,10 +6,10 @@ which leaves the direction identical to normalizing Y^d y once at the end.
 The gap check reads lambda1, lambda2 and lambda_min from one Lanczos solve
 with full reorthogonalization; every product goes through ``op.apply``.
 
-The spectral init is the d-step power iterate. It takes the gap check of a
-Lanczos run started along +-u0 and runs the normalized recurrence
-c <- T c / |T c| of that run's tridiagonal T for all d steps, the iterate
-being c @ Q for its basis Q (k+1 rows). By the Lanczos relation
+The spectral init is the d-step power iterate from the gap check's start
+q0. It runs the normalized recurrence c <- T c / |T c| of that Lanczos run's
+tridiagonal T for all d steps, the iterate being c @ Q for its basis Q
+(k+1 rows). By the Lanczos relation
 A Q^T = Q^T T + R, where R holds the couplings T drops (beta to the unbuilt
 q_{k+1}, and the residual each breakdown restart dropped), the applied iterate
 scaled by the same |T c_i| lies within e_d of it, with e_0 = 0 and
@@ -58,8 +58,7 @@ class GapCheckResult(NamedTuple):
     lambda1: float
     lambda2_abs: float
     passed: bool
-    # None for a result built by hand, which spectral_init refuses
-    krylov: Krylov | None = None
+    krylov: Krylov
 
 
 def power_bound_rhs(eigen, y0, d):
@@ -107,21 +106,14 @@ def _checked_norm(z):
     return nz
 
 
-def spectral_init(op, u0, d, gap):
-    """sqrt(n)-normalized d-step power iterate from u0, sign-aligned with u0.
+def spectral_init(op, gap, d):
+    """sqrt(n)-normalized d-step power iterate from the gap check's start, sign-aligned with it.
 
-    ``gap`` (the GapCheckResult of ``gap_check(op, y0=+-u0/|u0|)``) supplies
-    T and the certificate; op is applied only when the certificate fails.
+    ``gap`` (the GapCheckResult of ``gap_check(op, y0=q0)``) supplies q0, T and
+    the certificate; op is applied only when the certificate fails.
     """
     if d < 1:
         raise RejectedInputError(f"iteration count must be >= 1, got {d}")
-    u0 = np.ascontiguousarray(u0, dtype=np.float64)
-    norm = np.linalg.norm(u0)
-    if norm == 0.0:
-        raise DegenerateInputError("prior vector is zero")
-    start = 0.0 if gap.krylov is None else float(np.dot(gap.krylov.basis[0], u0 / norm))
-    if abs(abs(start) - 1.0) > 1e-10:
-        raise RejectedInputError("gap check result has no Lanczos basis started along +-u0")
     basis, alpha, beta, dropped, residual = gap.krylov
     norm_a = max(abs(gap.lambda1), gap.lambda2_abs) + residual
     j = min(d, len(basis) - 1)  # steps the fallback reads from T
@@ -141,15 +133,14 @@ def spectral_init(op, u0, d, gap):
         if err > _CERTIFIED and i + 1 >= j:
             break  # |T| <= norm_a, so the bound never falls again
     if err <= _CERTIFIED:
-        # <c @ Q, u0/|u0|> = c[0] <q0, u0/|u0|>: the other rows are orthogonal to q0
-        overlap = float(c[0]) * start
+        overlap = float(c[0])  # <c @ Q, q0>: the other rows are orthogonal to q0
         y = c @ basis
     else:
         y = power_method(op, head @ basis, d - j) if d > j else head @ basis
-        overlap = float(np.dot(y, u0)) / norm
+        overlap = float(np.dot(y, basis[0]))
     if abs(overlap) <= _CERTIFIED:  # T's rounding alone moves c[0] by ~d * eps
         raise DegenerateInputError(
-            "top-eigenvector estimate is orthogonal to u0; sign undefined"
+            "top-eigenvector estimate is orthogonal to the gap check's start; sign undefined"
         )
     return math.copysign(1.0, overlap) * math.sqrt(op.n) * y
 

@@ -48,11 +48,10 @@ class QuadratureSpec:
 
 @dataclass
 class SEParams:
-    """Scalar state-evolution track (mu_0..mu_K, sigma_0..sigma_K) at SNR gamma."""
+    """Scalar state-evolution track (mu_0..mu_K, sigma_0..sigma_K)."""
 
     mu: np.ndarray
     sigma: np.ndarray
-    gamma: float
 
     @property
     def K(self):
@@ -197,7 +196,7 @@ def se_spiked(gamma, prior, f, K, quad=QuadratureSpec()):
         return (lambda y: scalar_eval(f, k, y)), f.kinks(k), 0.0
 
     mu, sigma, _ = _run_spiked(gamma, prior, make_scalar, K, quad, "se_spiked")
-    return SEParams(mu=mu, sigma=sigma, gamma=float(gamma))
+    return SEParams(mu=mu, sigma=sigma)
 
 
 def bayes_tanh_schedule(gamma, prior, K, quad=QuadratureSpec()):
@@ -214,7 +213,7 @@ def bayes_tanh_schedule(gamma, prior, K, quad=QuadratureSpec()):
     mu, sigma, params = _run_spiked(gamma, prior, make_scalar, K, quad, "bayes_tanh_schedule")
     schedule = tuple(params) + (gamma * mu[K] / (sigma[K] * sigma[K]),)
     denoiser = Denoiser(kind="scaled_tanh", schedule=schedule)
-    return denoiser, SEParams(mu=mu, sigma=sigma, gamma=float(gamma))
+    return denoiser, SEParams(mu=mu, sigma=sigma)
 
 
 def se_predict_phi(phi, k, se, prior, quad=QuadratureSpec()):

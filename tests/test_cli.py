@@ -278,6 +278,17 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write output:") and "afile" in err and "Traceback" not in err
 
+    def test_one_file_for_records_and_summary_fails_before_the_run(self, tmp_path, capsys, monkeypatch):
+        # a relative and an absolute spelling of one file
+        monkeypatch.chdir(tmp_path)
+        runs = []
+        monkeypatch.setattr(cli, "run_experiment", lambda cfg: runs.append(cfg))
+        cfg = {**BASE, "records_csv": "same/out.txt", "summary_json": str(tmp_path / "same" / "out.txt")}
+        assert main(["run", "--config", write_config(tmp_path, cfg)]) == 1
+        assert runs == []
+        assert capsys.readouterr().err.startswith("error: records and summary are both same/out.txt")
+        assert not (tmp_path / "same").exists()
+
     def test_unwritable_records_path_exits_1(self, tmp_path, capsys):
         # the parent exists, but the records path is a directory
         cfg = {**BASE, "records_csv": str(tmp_path), "summary_json": str(tmp_path / "sum.json")}

@@ -261,6 +261,13 @@ class TestJacobiStack:
         assert 0 < small.residual < large.residual
         assert small.residual > 1e-12 * np.linalg.norm(matrices[0].to_dense())
 
+    def test_one_by_one_members(self):
+        values = (-2.5, 0.0)
+        stacked = jacobi_eigendecomp_stack([SymmetricMatrix(1, np.array([v])) for v in values])
+        for v, eig in zip(values, stacked):
+            assert eig.eigenvalues.tolist() == [v]
+            assert eig.eigenvectors.tolist() == [[1.0]]
+
     def test_empty_and_mixed_stacks(self):
         assert jacobi_eigendecomp_stack([]) == []
         mixed = [SymmetricMatrix.from_dense(np.eye(n)) for n in (2, 3)]

@@ -65,7 +65,7 @@ def plain_power_init(op, u0, d):
 
 def gapped_init(op, u0, d):
     """The runners' spectral init: gap check from u0/|u0|, then its basis."""
-    return spectral_init(op, u0, d, gap_check(op, y0=start_along(u0)))
+    return spectral_init(op, gap_check(op, y0=start_along(u0)), d)
 
 
 class CountingOperator:
@@ -152,13 +152,19 @@ class TestSpectralInit:
         assert float(np.linalg.norm(psi)) == pytest.approx(math.sqrt(n), rel=1e-9)
 
     def test_sign_equivariance(self):
+        # gap checks started at +-u0/|u0| give inits that are exact negatives,
+        # both when the init is read from T and when it falls back to applies
         instance, streams = shifted_bulk_instance(24, 3)
-        u0 = streams.shared.standard_normal(24)
-        gc = gap_check(instance, y0=start_along(u0))
-        for init in (plain_power_init, lambda op, u, d: spectral_init(op, u, d, gc)):
-            psi_plus = init(instance, u0, 60)
-            psi_minus = init(instance, -u0, 60)
-            np.testing.assert_allclose(psi_minus, -psi_plus, atol=1e-12)
+        certified = (instance, streams.shared.standard_normal(24), False)
+        for op, u0, applies in (certified, (*spiked_instance(300, 0.5, 71), True)):
+            psi = []
+            for start in (start_along(u0), -start_along(u0)):
+                counting = CountingOperator(op)
+                gc = gap_check(counting, y0=start)
+                g = counting.applies
+                psi.append(spectral_init(counting, gc, resolve_power_depth(op, "auto", gc)))
+                assert (counting.applies > g) == applies
+            assert np.array_equal(psi[1], -psi[0])
 
     def test_zero_overlap_degenerate(self):
         # diag(1, -1) flips the sign of the second coordinate each step, so an
@@ -177,7 +183,7 @@ class TestSpectralInit:
         k = len(gc.krylov[0]) - 1
         for d in (5, k, k + 1, 300):
             plain = plain_power_init(op, u0, d)
-            read = spectral_init(op, u0, d, gc)
+            read = spectral_init(op, gc, d)
             assert float(np.max(np.abs(read - plain))) / math.sqrt(n) <= 1e-12, d
 
     def test_applies_with_gap_result_at_n_1000(self):
@@ -186,7 +192,7 @@ class TestSpectralInit:
         gc = gap_check(counting, y0=u0 / np.linalg.norm(u0))
         g = counting.applies
         d = resolve_power_depth(counting, "auto", gc)
-        spectral_init(counting, u0, d, gc)
+        spectral_init(counting, gc, d)
         assert counting.applies == g
 
     @pytest.mark.parametrize("n, seed", [(300, 71), (500, 81)])
@@ -198,7 +204,7 @@ class TestSpectralInit:
         gc = gap_check(counting, y0=start_along(u0))
         g, k = counting.applies, len(gc.krylov.basis) - 1
         d = resolve_power_depth(op, "auto", gc)
-        psi = spectral_init(counting, u0, d, gc)
+        psi = spectral_init(counting, gc, d)
         assert counting.applies - g == d - k > 0
         plain = plain_power_init(op, u0, d)
         assert float(np.max(np.abs(psi - plain))) / math.sqrt(n) <= 1e-12
@@ -212,23 +218,20 @@ class TestSpectralInit:
         gc = gap_check(m, y0=u0 / np.linalg.norm(u0))
         for d in (5, 12, 40):
             np.testing.assert_allclose(
-                spectral_init(m, u0, d, gc), plain_power_init(m, u0, d), rtol=0, atol=1e-12
+                spectral_init(m, gc, d), plain_power_init(m, u0, d), rtol=0, atol=1e-12
             )
 
-    def test_refuses_gap_result_from_another_start(self):
+    def test_refuses_zero_depth(self):
         op, u0 = spiked_instance(100, 2.0, 71)
-        for gap in (gap_check(op, y0=other_start(100)), GapCheckResult(2.5, 2.0, True)):
-            with pytest.raises(RejectedInputError):
-                spectral_init(op, u0, 10, gap)
         with pytest.raises(RejectedInputError):
-            spectral_init(op, u0, 0, gap_check(op, y0=u0 / np.linalg.norm(u0)))
+            spectral_init(op, gap_check(op, y0=start_along(u0)), 0)
 
     def test_vanishing_iterate_with_gap_result(self):
         # u0 lies in the kernel: the first power step is zero
         m = SymmetricMatrix.from_dense(np.diag([2.0, 0.0, 0.0]))
         u0 = np.array([0.0, 1.0, 1.0])
         gc = gap_check(m, y0=u0 / np.linalg.norm(u0))
-        for init in (plain_power_init, lambda op, u, d: spectral_init(op, u, d, gc)):
+        for init in (plain_power_init, lambda op, u, d: spectral_init(op, gc, d)):
             with pytest.raises(DegenerateInputError):
                 init(m, u0, 4)
 
@@ -240,7 +243,7 @@ class TestSpectralInit:
         mat = sample_wigner(n, EnsembleSpec("gaussian"), streams.noise_g)
         op = build_spiked(mat, SpikeSpec.rank_one(gamma), u0)
         gc = gap_check(op, y0=start_along(u0))
-        psi = spectral_init(op, u0, resolve_power_depth(op, "auto", gc), gc)
+        psi = spectral_init(op, gc, resolve_power_depth(op, "auto", gc))
         overlap = float(np.dot(psi, u0)) / n
         assert 0.816 <= overlap <= 0.916
 
@@ -375,6 +378,6 @@ class TestDefaultPowerDepth:
     def test_reads_ratio_from_gap_result_without_applies(self):
         op, _ = spiked_instance(500, 2.0, 41)
         counting = CountingOperator(op)
-        depth = resolve_power_depth(counting, "auto", GapCheckResult(2.5, 2.0, True))
+        depth = resolve_power_depth(counting, "auto", GapCheckResult(2.5, 2.0, True, None))
         assert depth == math.ceil(math.log(500 / 1e-12) / math.log(1.25))
         assert counting.applies == 0

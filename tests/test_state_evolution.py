@@ -155,7 +155,7 @@ class TestSePredictPhi:
             assert value == pytest.approx(self.se.mu[k] ** 2 + self.se.sigma[k] ** 2, abs=1e-8)
 
     def test_odd_observable_at_zero_mu(self):
-        se = SEParams(mu=np.array([0.0]), sigma=np.array([1.0]), gamma=2.0)
+        se = SEParams(mu=np.array([0.0]), sigma=np.array([1.0]))
         value = se_predict_phi(TestFunction("se_pair"), 0, se, RADEMACHER)
         assert abs(value) <= 1e-12
 
