@@ -72,7 +72,7 @@ def _cmd_run(args):
         return 1
     try:
         for path in (records_path, summary_path):
-            ensure_parent(path)  # an unwritable path fails before the run, not after it
+            ensure_parent(path)  # the writers make no directory; an unwritable path fails before the run
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1

@@ -165,6 +165,8 @@ class DenoiserSpec:
         if not isinstance(self.schedule, tuple) and self.schedule not in ("bayes", None):
             raise ConfigError(f"schedule must be a list or 'bayes', got {self.schedule!r}")
         self.build()  # a bad family fails when the config is parsed
+        if self.schedule == "bayes" and self.kind != "scaled_tanh":
+            raise ConfigError(f"the bayes schedule is scaled_tanh's; {self.kind} takes a list or null")
 
     def build(self):
         """The Denoiser, or the marker "bayes"."""
@@ -240,6 +242,7 @@ def parse_config(data):
 
 
 def _validate_experiment(cfg):
+    denoiser = cfg.denoiser.build()
     if cfg.experiment == "bbp":
         if cfg.gamma_grid is None:
             raise ConfigError("bbp requires gamma_grid")
@@ -265,13 +268,14 @@ def _validate_experiment(cfg):
                 "independent-init state evolution follows the covariance recursion, "
                 "which has no spike term; gamma must be 0"
             )
-        denoiser = cfg.denoiser.build()
+        if cfg.engine == "generalized":
+            raise ConfigError("state evolution predicts the memory-corrected orbit; engine must be onsager")
         if cfg.init == "spectral" and denoiser != "bayes" and not denoiser.newest_only():
             raise ConfigError(
                 "spectral-init state evolution follows the scalar recursion; "
                 "the denoiser must act on the newest iterate only"
             )
-    if cfg.denoiser.schedule == "bayes" and cfg.denoiser.kind == "scaled_tanh":
+    if denoiser == "bayes":
         needs_se = cfg.experiment in ("universality", "state_evolution", "interpolation", "concentration")
         if needs_se and cfg.gamma <= 1.0:
             raise ConfigError("the bayes tanh schedule requires gamma > 1")

@@ -113,22 +113,18 @@ def run_onsager(op, denoisers, v0, K):
 def run_spectral_amp(op, denoisers, u0, power_depth, K):
     """Memory-corrected orbit started from the sign-corrected top eigenvector.
 
-    Refuses to run (PreconditionError) when the eigenvalue gap check fails or
-    the eigenvector has zero overlap with u0, mirroring the hypotheses under
-    which the initialization is defined.
+    Refuses to run (PreconditionError) when u0 is zero, the eigenvalue gap
+    check fails or the eigenvector has zero overlap with u0, mirroring the
+    hypotheses under which the initialization is defined.
     """
-    u0 = np.ascontiguousarray(u0, dtype=np.float64)
-    norm = np.linalg.norm(u0)
-    if norm == 0.0:
-        raise PreconditionError("prior vector is zero; spectral initialization undefined")
-    gap = spectral.gap_check(op, y0=u0 / norm)
-    d = spectral.resolve_power_depth(op, power_depth, gap)
-    if not gap.passed:
-        raise PreconditionError(
-            f"eigenvalue gap check failed: lambda1={gap.lambda1:.6g}, "
-            f"lambda2_abs={gap.lambda2_abs:.6g}, margin={spectral.GAP_MARGIN}"
-        )
     try:
+        gap = spectral.gap_check(op, y0=u0)
+        d = spectral.resolve_power_depth(op, power_depth, gap)
+        if not gap.passed:
+            raise PreconditionError(
+                f"eigenvalue gap check failed: lambda1={gap.lambda1:.6g}, "
+                f"lambda2_abs={gap.lambda2_abs:.6g}, margin={spectral.GAP_MARGIN}"
+            )
         psi = spectral.spectral_init(op, gap, d)
     except DegenerateInputError as exc:
         raise PreconditionError(f"spectral initialization refused: {exc}") from exc

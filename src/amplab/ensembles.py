@@ -33,7 +33,7 @@ class EnsembleSpec:
     """Entry law for the symmetric noise matrix; unit variance in law for every kind."""
 
     kind: str
-    param: float | None = None  # bernoulli success probability, unused otherwise
+    param: float | None = None  # bernoulli success probability; the other kinds take none
     diagonal_policy: str = "same_law"
 
     def __post_init__(self):
@@ -46,6 +46,8 @@ class EnsembleSpec:
                 raise RejectedInputError(
                     f"centered_bernoulli requires p in (0, 1), got {self.param}"
                 )
+        elif self.param is not None:
+            raise RejectedInputError(f"{self.kind} ensemble takes no param")
 
 
 @dataclass(frozen=True)
@@ -252,8 +254,8 @@ class SpikedOperator:
     """Lazy operator x -> X x / sqrt(n) + (gamma / n) <z, x> z.
 
     X is any noise operator with ``.n`` and ``.apply`` (a SymmetricMatrix or an
-    InterpolatedNoise); z=None means no spike term. The rank-one part is never
-    materialized; one application costs the noise apply plus O(n).
+    InterpolatedNoise; both check x in ``sym_matvec``); z=None means no spike term.
+    The rank-one part is never materialized; one application costs the noise apply plus O(n).
     """
 
     def __init__(self, noise, gamma=0.0, z=None):
@@ -263,9 +265,6 @@ class SpikedOperator:
         self._inv_sqrt_n = 1.0 / math.sqrt(self.n)
 
     def apply(self, x):
-        x = np.ascontiguousarray(x, dtype=np.float64)
-        if x.shape != (self.n,):
-            raise RejectedInputError(f"vector length {x.shape} does not match n={self.n}")
         y = self.noise.apply(x) * self._inv_sqrt_n
         if self.z is not None:
             y += (self.gamma / self.n) * np.dot(self.z, x) * self.z

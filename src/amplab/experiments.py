@@ -5,12 +5,12 @@ trial) grid and builds every record row: a body returns only the fields it
 measures, and the grid adds the key fields, the status and None in every
 column left unset. Each trial derives its own random streams from
 (master_seed, trial index), so trials are independent tasks; with threads > 1
-they run on a pool and the rows are sorted by their key columns before
-emission, making the output independent of scheduling. A trial that raises a
-library error (``AmpLabError``), a ``LinAlgError`` or an ``ArithmeticError``
-such as ``FloatingPointError`` -- while sampling or later -- is recorded with
-its error class in the status column and excluded from summaries, which count
-it separately; any other exception is a bug and ends the run.
+they run on a pool whose map keeps the task order, so the output does not
+depend on scheduling. A trial that raises a library error (``AmpLabError``), a
+``LinAlgError`` or an ``ArithmeticError`` such as ``FloatingPointError`` --
+while sampling or later -- is recorded with its error class in the status
+column and excluded from summaries, which count it separately; any other
+exception is a bug and ends the run.
 
 Universality, interpolation, bbp and spectral-init state_evolution draw their
 noise into a scratch the runner creates, so its buffers die with the run: each
@@ -58,7 +58,7 @@ from .ensembles import (
     sample_prior,
     sample_wigner,
 )
-from .errors import AmpLabError, DegenerateInputError, RejectedInputError
+from .errors import AmpLabError, RejectedInputError
 from .linalg import (
     SymmetricMatrix,
     jacobi_eigendecomp,  # not called here; bench/spans.py traces it under this module's name
@@ -142,8 +142,8 @@ def _run_grid(cfg, one_trial, leading_axes=(), failure_rows=({},), stacked=None)
     key fields and status "ok", then the dict's fields. A trial that raises
     one of _TRIAL_ERRORS, sampling included, takes the entries of failure_rows
     instead, with the error class as status. Rows are sorted by the columns
-    before "status", so the output does not depend on how threads schedule
-    the trials.
+    before "status"; pool.map already keeps the task order, so what the sort
+    does is put a gamma_grid or t_grid given out of order in ascending order.
 
     With stacked = (size, prepare), the trials of each (*leading, n) run in
     stacks of consecutive trials, at most size(n) of them and few enough that
@@ -260,16 +260,14 @@ def _gaussian_twin(ensemble):
     return EnsembleSpec("gaussian", diagonal_policy=ensemble.diagonal_policy)
 
 
-def _run_independent(cfg, op, denoisers, u0):
-    if cfg.engine == "generalized":
-        return run_generalized(op, denoisers, u0, cfg.K)
-    return run_onsager(op, denoisers, u0, cfg.K)
+def _run_independent(cfg, noise, denoisers, u0):
+    run = run_generalized if cfg.engine == "generalized" else run_onsager
+    return run(build_spiked(noise, SpikeSpec.rank_one(cfg.gamma), u0), denoisers, u0, cfg.K)
 
 
 def run_universality(cfg):
     """Trial-wise comparison of the configured ensemble against the Gaussian twin."""
     denoisers, _ = _resolve_denoisers(cfg)
-    spike = SpikeSpec.rank_one(cfg.gamma)
     gauss = _gaussian_twin(cfg.ensemble)
     scratch = _NoiseScratch()
 
@@ -278,7 +276,7 @@ def run_universality(cfg):
 
         def phi_on(ensemble, stream):
             mat = sample_wigner(n, ensemble, stream, out=scratch.packed(0, n))
-            orbit = _run_independent(cfg, build_spiked(mat, spike, u0), denoisers, u0)
+            orbit = _run_independent(cfg, mat, denoisers, u0)
             return phi_average(orbit, cfg.phi, cfg.K)
 
         phi_g = phi_on(gauss, streams.noise_g)
@@ -304,7 +302,6 @@ def run_state_evolution(cfg):
     """
     quad = cfg.quadrature()
     denoisers, se = _resolve_denoisers(cfg)
-    spike = SpikeSpec.rank_one(cfg.gamma)
     scratch = _NoiseScratch()
 
     if cfg.init == "independent":
@@ -325,11 +322,11 @@ def run_state_evolution(cfg):
         u0 = sample_prior(n, cfg.prior, streams.shared)
         if cfg.init == "spectral":
             mat = sample_wigner(n, cfg.ensemble, streams.noise_a, out=scratch.dense(0, n))
-            op = build_spiked(mat, spike, u0)
+            op = build_spiked(mat, SpikeSpec.rank_one(cfg.gamma), u0)
             orbit = run_spectral_amp(op, denoisers, u0, cfg.power_depth, cfg.K)
         else:
             mat = sample_wigner(n, cfg.ensemble, streams.noise_a)
-            orbit = _run_independent(cfg, build_spiked(mat, spike, u0), denoisers, u0)
+            orbit = _run_independent(cfg, mat, denoisers, u0)
         rows = []
         for pred, vk in zip(predictions, orbit.iterates):
             emp = phi_pair_average(cfg.phi, u0, vk)  # an independent orbit starts at u0 itself
@@ -362,10 +359,7 @@ def run_bbp(cfg):
         u0 = sample_prior(n, cfg.prior, streams.shared)
         mat = sample_wigner(n, cfg.ensemble, streams.noise_a, out=scratch.dense(0, n))
         op = build_spiked(mat, SpikeSpec.rank_one(gamma), u0)
-        norm = np.linalg.norm(u0)
-        if norm == 0.0:
-            raise DegenerateInputError("prior vector is zero; the gap check has no start vector")
-        gc = gap_check(op, y0=u0 / norm)
+        gc = gap_check(op, y0=u0)
         depth = resolve_power_depth(op, cfg.power_depth, gc)
         try:
             psi = spectral_init(op, gc, depth)
@@ -394,7 +388,6 @@ def run_bbp(cfg):
 def run_interpolation(cfg):
     """Orbit observable along the path sqrt(t) A + sqrt(1-t) G, applied as two matvecs."""
     denoisers, _ = _resolve_denoisers(cfg)
-    spike = SpikeSpec.rank_one(cfg.gamma)
     gauss = _gaussian_twin(cfg.ensemble)
     scratch = _NoiseScratch()
 
@@ -414,7 +407,7 @@ def run_interpolation(cfg):
             else:
                 noise = InterpolatedNoise(mat_a, mat_g, t)
             try:
-                orbit = _run_independent(cfg, build_spiked(noise, spike, u0), denoisers, u0)
+                orbit = _run_independent(cfg, noise, denoisers, u0)
                 row["phi"] = phi_average(orbit, cfg.phi, cfg.K)
             except _TRIAL_ERRORS as exc:
                 row["status"] = type(exc).__name__
@@ -429,7 +422,6 @@ def run_interpolation(cfg):
 def run_concentration(cfg):
     """Spread of the Gaussian-orbit observable with (u0, Z) frozen per n-group."""
     denoisers, _ = _resolve_denoisers(cfg)
-    spike = SpikeSpec.rank_one(cfg.gamma)
 
     group_u0 = {}
     for n_idx, n in enumerate(cfg.n_grid):
@@ -439,7 +431,7 @@ def run_concentration(cfg):
     def one_trial(streams, n, trial):
         u0 = group_u0[n]
         mat = sample_wigner(n, cfg.ensemble, streams.noise_g)
-        orbit = _run_independent(cfg, build_spiked(mat, spike, u0), denoisers, u0)
+        orbit = _run_independent(cfg, mat, denoisers, u0)
         return [{"phi": phi_average(orbit, cfg.phi, cfg.K)}]
 
     rows = _run_grid(cfg, one_trial)

@@ -2,7 +2,8 @@
 
 Floats are serialized with 17 significant digits, which round-trips doubles
 exactly, so two runs with the same configuration and master seed produce
-byte-identical files.
+byte-identical files. The writers make no directory: the CLI makes the
+directories of both files with ``ensure_parent`` before the run.
 """
 
 import csv
@@ -13,17 +14,12 @@ import os
 def format_value(value):
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         return format(value, ".17g")
     return str(value)
 
 
 def write_records_csv(path, columns, rows):
-    ensure_parent(path)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
@@ -32,7 +28,6 @@ def write_records_csv(path, columns, rows):
 
 
 def write_summary_json(path, payload):
-    ensure_parent(path)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")

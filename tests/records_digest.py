@@ -7,8 +7,9 @@ summary (with ``master_seed``, as ``amplab run`` writes them) through
     <config> threads=<t> records=<sha256> summary=<sha256>
 
 The configs are the byte-identity configs of test_experiments.py, the four
-benchmark workloads at the acceptance seed, a bbp config whose small-n inits
-below the transition fall back to operator applies, a spectral-init
+benchmark workloads at the acceptance seed, universality on the uncorrected
+(generalized) orbit, a bbp config whose small-n inits below the transition
+fall back to operator applies, a spectral-init and an independent-init
 state_evolution config, and power_bound from n = 1. Diffing the output of two
 trees shows whether a change moved any record. Not collected by pytest:
 
@@ -38,6 +39,7 @@ def configs():
         yield f"byte_identity.{experiment}", base_config(**{"experiment": experiment, **overrides})
     for name, workload in WORKLOADS.items():
         yield f"workload.{name}", parse_config(workload.experiment_config(ACCEPTANCE_SEED))
+    yield "universality_generalized", base_config(experiment="universality", engine="generalized", trials=3)
     yield "bbp_fallback", parse_config(
         {
             "experiment": "bbp",
@@ -64,6 +66,14 @@ def configs():
             "phi": {"kind": "se_pair"},
             "master_seed": 20240810,
         }
+    )
+    yield "state_evolution_independent", base_config(
+        experiment="state_evolution",
+        n_grid=[200],
+        trials=3,
+        gamma=0.0,
+        prior={"kind": "gaussian"},
+        denoiser={"kind": "scaled_tanh", "schedule": [1.5, 1.5, 1.5]},
     )
     power_bound = WORKLOADS["power_bound_oracle"].experiment_config(ACCEPTANCE_SEED)
     yield "power_bound_from_n1", parse_config(dict(power_bound, n_grid=[1, 3, 16, 33, 64, 128]))

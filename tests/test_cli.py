@@ -332,6 +332,9 @@ MALFORMED = [
     # the Monte Carlo covariance recursion's keys are gone, not silently ignored
     ({"mc_samples": 100000}, "unknown configuration keys: ['mc_samples']"),
     ({"se_seed": 0}, "unknown configuration keys: ['se_seed']"),
+    # a value its kind would ignore is refused, not echoed
+    ({"ensemble": {"kind": "gaussian", "param": 0.3}}, "gaussian ensemble takes no param"),
+    ({"denoiser": {"kind": "identity", "schedule": "bayes"}}, "identity takes a list or null"),
 ]
 
 
@@ -403,8 +406,27 @@ class TestConfigErrors:
                 },
                 "the denoiser must act on the newest iterate only",
             ),
+            # the uncorrected orbit is not the one either recursion predicts
+            (
+                {
+                    "gamma": 0.0,
+                    "engine": "generalized",
+                    "prior": {"kind": "gaussian"},
+                    "denoiser": {"kind": "identity"},
+                },
+                "engine must be onsager",
+            ),
+            (
+                {"gamma": 2.0, "init": "spectral", "engine": "generalized", "denoiser": {"kind": "identity"}},
+                "engine must be onsager",
+            ),
         ],
-        ids=["spiked_independent_init", "spectral_init_with_memory_denoiser"],
+        ids=[
+            "spiked_independent_init",
+            "spectral_init_with_memory_denoiser",
+            "generalized_independent_init",
+            "generalized_spectral_init",
+        ],
     )
     @pytest.mark.parametrize("dry_run", [True, False], ids=["dry_run", "run"])
     def test_state_evolution_outside_its_recursion(self, tmp_path, capsys, overrides, message, dry_run):

@@ -309,6 +309,11 @@ class TestRunSpectralAmp:
         # limit sqrt(1 - 1/gamma^2) = 0.8660
         assert abs(overlap - 0.8660) <= 0.05
 
+    def test_zero_prior_vector_refused(self):
+        mat = sample_wigner(50, EnsembleSpec("gaussian"), derive_streams(3, 0).noise_g)
+        with pytest.raises(PreconditionError, match="vector is zero"):
+            run_spectral_amp(mat, [Denoiser(kind="identity")], np.zeros(50), 60, 1)
+
     def test_below_threshold_refused(self):
         n, gamma = 500, 0.5
         streams = derive_streams(11, 0)

@@ -337,6 +337,14 @@ class TestSpikedOperator:
         with pytest.raises(RejectedInputError):
             build_spiked(zeros(3), SpikeSpec.rank_one(1.0), np.ones(4))
 
+    @pytest.mark.parametrize("interpolated", [False, True], ids=["matrix", "interpolated"])
+    def test_wrong_length_vector_refused_by_the_noise_matvec(self, interpolated):
+        mat = sample_wigner(20, EnsembleSpec("gaussian"), derive_streams(4, 0).noise_a)
+        noise = InterpolatedNoise(mat, mat, 0.5) if interpolated else mat
+        op = build_spiked(noise, SpikeSpec.rank_one(2.0), np.ones(20))
+        with pytest.raises(RejectedInputError, match=r"vector length \(21,\) does not match n=20"):
+            op.apply(np.ones(21))
+
     def test_negative_gamma_rejected(self):
         with pytest.raises(RejectedInputError, match="spike SNR must be >= 0"):
             SpikeSpec.rank_one(-0.5)

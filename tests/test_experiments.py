@@ -247,6 +247,14 @@ class TestStateEvolution:
                 assert entry["count"] == ok_count
         assert sum(summary["failures"].values()) == len(failed)
 
+    def test_zero_prior_vector_refuses_the_spectral_init(self, monkeypatch):
+        monkeypatch.setattr(experiments, "sample_prior", lambda n, prior, stream: np.zeros(n))
+        cfg = base_config(**{**NEAR_TRANSITION_SE, "gamma": 2.0, "trials": 2})
+        _, rows, summary = run_experiment(cfg)
+        assert [(r["k"], r["status"]) for r in rows] == [(0, "PreconditionError"), (1, "PreconditionError")] * 2
+        assert all(r["phi_empirical"] is None and r["phi_prediction"] is not None for r in rows)
+        assert summary["failures"] == {"0": 2, "1": 2}
+
     def test_sampling_failure_becomes_status_rows_with_predictions(self, monkeypatch):
         real_sample_wigner = experiments.sample_wigner
         calls = []
@@ -344,6 +352,15 @@ class TestBbp:
             # the gap check's lambda1, lambda2_abs and gap_pass are kept as recorded
             assert row == {**ref, "overlap": 0.0, "overlap_flag": 1}
         assert summary["failures"] == {"0.5": 0, "2.0": 0}
+
+    def test_zero_prior_vector_is_a_degenerate_input_row(self, monkeypatch):
+        # the gap check has no start vector
+        monkeypatch.setattr(experiments, "sample_prior", lambda n, prior, stream: np.zeros(n))
+        cfg = base_config(experiment="bbp", n_grid=[60], trials=2, gamma_grid=[2.0], denoiser={"kind": "identity"})
+        _, rows, summary = run_experiment(cfg)
+        assert [r["status"] for r in rows] == ["DegenerateInputError"] * 2
+        assert all(r["lambda1"] is None and r["overlap_flag"] is None for r in rows)
+        assert summary["failures"] == {"2.0": 2}
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
     def test_overflowing_spike_becomes_status_rows(self):
