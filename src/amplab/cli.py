@@ -86,14 +86,17 @@ def _cmd_run(args):
         return 2
 
     summary["master_seed"] = cfg.master_seed
+    outputs = ((records_path, write_records_csv, (columns, rows)), (summary_path, write_summary_json, (summary,)))
+    opened = []  # a run that fails writes no records: what it opened is removed
     try:
-        write_records_csv(records_path, columns, rows)
-        try:
-            write_summary_json(summary_path, summary)
-        except OSError:
-            os.remove(records_path)  # a run that fails writes no records
-            raise
+        for path, write, payload in outputs:
+            opened.append(path)
+            write(path, *payload)
     except OSError as exc:
+        if exc.filename == opened[-1]:  # open() names its file: the run could not open it
+            opened.pop()
+        for path in opened:
+            os.remove(path)
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1
     ok_rows = sum(1 for r in rows if r["status"] == "ok")

@@ -7,6 +7,7 @@ so any trial is reproducible in isolation and trials may run concurrently.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,10 +192,13 @@ def _draw_signs(stream, seg):
 
     That call returns the top bit of each 32-bit half of the PCG64 output,
     low half first, and keeps each word's high half in the bit generator's
-    state (uinteger, flagged unused by has_uint32). Here bits 31 and 63 of
-    the raw words are read directly: a buffered half is used first, and an
+    state (uinteger, flagged unused by has_uint32). Here bit 31 of each half
+    is read directly from the words' uint32 view, which lists a word's low
+    half first on a little-endian host: a buffered half is used first, and an
     odd count leaves the last high half buffered.
     """
+    if sys.byteorder != "little":
+        raise NotImplementedError("rademacher draws read the raw words as little-endian halves")
     bitgen = stream.bit_generator
     state = bitgen.state
     buffered = state["has_uint32"]
@@ -207,9 +211,7 @@ def _draw_signs(stream, seg):
     if words.size:  # the high half of the last word drawn, used or not
         state["uinteger"] = int(words[-1] >> 32)
     bitgen.state = state
-    # shifted in place and cast into seg: no temporary as large as words
-    np.right_shift(words[: rest.size // 2], 63, out=rest[1::2], casting="unsafe")
-    np.bitwise_and(np.right_shift(words, 31, out=words), 1, out=rest[0::2], casting="unsafe")
+    np.right_shift(words.view(np.uint32)[: rest.size], 31, out=rest, casting="unsafe")  # one pass, cast into seg
     seg *= 2.0
     seg -= 1.0
 

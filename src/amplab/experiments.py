@@ -84,7 +84,8 @@ _GROUP_STREAM_OFFSET = 1 << 40
 JACOBI_STACK_BYTES = 1 << 18
 
 # errors that turn a trial into status rows instead of ending the run;
-# ArithmeticError covers FloatingPointError, and scipy raises numpy's LinAlgError
+# ArithmeticError covers FloatingPointError, and LinAlgError is numpy.linalg's failure
+# (a LAPACK failure in amplab's own calls is a NumericalFailureError)
 _TRIAL_ERRORS = (AmpLabError, np.linalg.LinAlgError, ArithmeticError)
 
 COLUMNS = {

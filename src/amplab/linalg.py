@@ -11,14 +11,16 @@ column ordered (BLAS 'U' convention):
   ``dsymv``, which OpenBLAS threads. Worth it for an operator applied 100+
   times, as in the gap check's Lanczos solve. A packed triangle drawn into
   its first n(n+1)/2 elements is moved in place by ``spread_packed_columns``.
+
+Both BLAS routines are SciPy's bundled OpenBLAS, called through ``openblas``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dspmv, dsymv
 
 from .errors import NumericalFailureError, RejectedInputError
+from .openblas import symv
 
 JACOBI_MAX_SWEEPS = 100
 
@@ -115,9 +117,7 @@ def sym_matvec(m, x):
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.shape != (m.n,):
         raise RejectedInputError(f"vector length {x.shape} does not match n={m.n}")
-    if m.entries.ndim == 2:
-        return dsymv(1.0, m.entries, x, lower=0)
-    return dspmv(m.n, 1.0, m.entries, x)
+    return symv(m.entries, x)
 
 
 def jacobi_eigendecomp(m, tol=1e-12):

@@ -23,9 +23,9 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import DegenerateInputError, NumericalFailureError, RejectedInputError
+from .openblas import tridiagonal_eigenpairs
 
 _UNDERFLOW = 1e-290
 
@@ -145,21 +145,13 @@ def spectral_init(op, gap, d):
     return math.copysign(1.0, overlap) * math.sqrt(op.n) * y
 
 
-def _ritz(alpha, beta, lo, hi):
-    """Eigenpairs lo..hi (ascending) of the tridiagonal with diagonal alpha, off-diagonal beta."""
-    try:
-        return eigh_tridiagonal(alpha, beta, select="i", select_range=(lo, hi))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"tridiagonal eigensolver failed: {exc}") from exc
-
-
 def gap_check(op, *, y0):
     """(lambda1, max(|lambda2|, |lambda_min|)) of op and the separation condition.
 
     Passes when lambda1 > max(lambda2_abs, 1) + GAP_MARGIN. Lanczos from ``y0``
     stops once the top two and bottom Ritz residuals are below _LANCZOS_TOL times
-    the largest coefficient seen; on breakdown it goes on from a fresh
-    deterministic vector orthogonal to the basis.
+    the largest coefficient seen (Ritz pairs by LAPACK dstebz and dstein); on
+    breakdown it goes on from a fresh deterministic vector orthogonal to the basis.
     """
     n = op.n
     if n < 2:
@@ -187,8 +179,8 @@ def gap_check(op, *, y0):
         breakdown = b <= _BREAKDOWN * scale
         if k + 1 == n or (not breakdown and ((k + 1) % _LANCZOS_CHECK_EVERY == 0 or k + 1 == dim)):
             a, e = np.array(alpha), np.array(beta)
-            theta_min, s_min = _ritz(a, e, 0, 0)
-            theta_top, s_top = _ritz(a, e, k - 1, k)
+            theta_min, s_min = tridiagonal_eigenpairs(a, e, 0, 0)
+            theta_top, s_top = tridiagonal_eigenpairs(a, e, k - 1, k)
             residual = b * max(abs(float(s_min[-1, 0])), float(np.max(np.abs(s_top[-1]))))
             if residual <= _LANCZOS_TOL * scale:
                 lambda1, lambda2 = float(theta_top[-1]), float(theta_top[0])

@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import AccuracyError, DegenerateInputError, RejectedInputError
 from .nonlinear import Denoiser, scalar_eval
+from .openblas import dsterf
 
 _SQRT3 = math.sqrt(3.0)
 _QUAD_TOL = 1e-8
@@ -65,21 +66,51 @@ def _gauss_hermite(nodes):
     Both Gauss rules are built once per node count: the doubling revisits the
     same counts at every level of every recursion.
     """
-    # scipy.special is imported where a Gauss rule is built, so processes that
-    # never build one (bbp, power_bound) do not pay for it
-    from scipy.special import roots_hermite
-
-    x, w = roots_hermite(nodes)
-    return _read_only(x * math.sqrt(2.0)), _read_only(w / math.sqrt(math.pi))
+    return _symmetric_gauss_rule(np.sqrt(np.arange(1.0, nodes + 1)), lambda k, x, p, q: math.sqrt(k) * q)
 
 
 @functools.lru_cache(maxsize=None)
 def _gauss_legendre(nodes):
     """Nodes and weights of the Gauss-Legendre rule on [-1, 1], read-only."""
-    from scipy.special import roots_legendre
+    j = np.arange(1.0, nodes + 1)
+    b = j / np.sqrt(4.0 * j * j - 1.0)
+    t, p = _symmetric_gauss_rule(b, lambda k, x, p, q: ((2 * k + 1) * b[k - 1] * q - k * x * p) / ((1 - x) * (1 + x)))
+    return t, _read_only(2.0 * p)
 
-    t, w = roots_legendre(nodes)
-    return _read_only(t), _read_only(w)
+
+def _symmetric_gauss_rule(b, derivative):
+    """Nodes and probabilities of the n-node Gauss rule of a symmetric law, n = len(b), read-only.
+
+    Golub and Welsch (Math. Comp. 23, 1969): the law's orthonormal polynomials
+    satisfy x p_k = b[k] p_{k+1} + b[k-1] p_{k-1}, and the nodes are the
+    eigenvalues of the Jacobi matrix J with off-diagonal b[:-1]. They come in
+    pairs +-x, and the x^2 are the eigenvalues of J^2 on J's odd coordinates, a
+    tridiagonal of half the size (LAPACK dsterf). One Newton step on p_n
+    polishes them. The probability of x is 1 / sum_{k<n} p_k(x)^2, that is
+    1 / (b[n-1] (p_n' p_{n-1} - p_{n-1}' p_n)) by Christoffel-Darboux, with
+    derivative(k, x, p_k, p_{k-1}) = p_k'. Every 32 steps the recurrence is
+    divided by |p_k| + |p_{k-1}|, whose log s it keeps, so that no Hermite
+    value at a far node overflows.
+    """
+    n = len(b)
+    c = np.concatenate(([0.0], b[:-1], [0.0, 0.0]))  # c[j] couples coordinates j - 1 and j of J
+    odd = np.arange(1, n, 2)
+    x = np.sqrt(dsterf(c[odd] ** 2 + c[odd + 1] ** 2, (c[odd + 1] * c[odd + 2])[:-1]))
+    x = np.concatenate((np.zeros(n % 2), x))  # an odd rule's middle node is 0
+    for newton in (True, False):
+        p2 = p1 = s = np.zeros_like(x)
+        p, back = np.ones_like(x), 0.0
+        for k, bk in enumerate(b.tolist()):
+            p2, p1, p, back = p1, p, (x * p - back * p1) / bk, bk
+            if k % 32 == 31:
+                size = np.abs(p) + np.abs(p1)
+                p2, p1, p, s = p2 / size, p1 / size, p / size, s + np.log(size)
+        dp = derivative(n, x, p, p1)
+        if newton:
+            x = x - p / dp
+    w = np.exp(-np.log(b[-1] * (dp * p1 - derivative(n - 1, x, p1, p2) * p)) - 2.0 * s)
+    half = n // 2
+    return _read_only(np.concatenate((-x[::-1][:half], x))), _read_only(np.concatenate((w[::-1][:half], w)))
 
 
 def _read_only(x):

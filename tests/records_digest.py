@@ -1,4 +1,4 @@
-"""sha256 of the records CSV and summary JSON of a fixed set of configs.
+"""sha256 of the records CSV and summary JSON of a fixed set of configs, and a value-by-value diff.
 
 Runs each config at 1 and 2 worker threads, writes the records and the
 summary (with ``master_seed``, as ``amplab run`` writes them) through
@@ -9,17 +9,30 @@ summary (with ``master_seed``, as ``amplab run`` writes them) through
 The configs are the byte-identity configs of test_experiments.py, the four
 benchmark workloads at the acceptance seed, universality on the uncorrected
 (generalized) orbit, a bbp config whose small-n inits below the transition
-fall back to operator applies, a spectral-init and an independent-init
-state_evolution config, and power_bound from n = 1. Diffing the output of two
-trees shows whether a change moved any record. Not collected by pytest:
+fall back to operator applies, spectral-init state_evolution configs with a
+rademacher and a uniform_sqrt3 prior (Gauss-Legendre), independent-init
+state_evolution with scaled tanh and with the smooth soft threshold (whose
+kinks split its normal rules into Gauss-Legendre pieces), and power_bound from
+n = 1. Diffing the output of two trees shows whether a change moved any
+record. ``--keep DIR`` also keeps the files as DIR/<config>.t<threads>.csv and
+.json; ``--compare A B`` reads two such directories and prints, per file that
+differs, the rows that moved, the largest |difference| of each float column
+and of the summary's numbers, and every flip of status, gap_pass,
+overlap_flag or holds. Not collected by pytest:
 
-    PYTHONPATH=src python tests/records_digest.py
+    PYTHONPATH=src python tests/records_digest.py [--keep DIR]
+    PYTHONPATH=src python tests/records_digest.py --compare DIR_A DIR_B
 """
 
+import argparse
+import csv
 import dataclasses
 import hashlib
+import json
+import math
 import os
 import pathlib
+import shutil
 import sys
 import tempfile
 
@@ -67,33 +80,122 @@ def configs():
             "master_seed": 20240810,
         }
     )
-    yield "state_evolution_independent", base_config(
-        experiment="state_evolution",
-        n_grid=[200],
-        trials=3,
-        gamma=0.0,
-        prior={"kind": "gaussian"},
-        denoiser={"kind": "scaled_tanh", "schedule": [1.5, 1.5, 1.5]},
+    # the spectral state_evolution run of test_cli.py's TestImports
+    yield "state_evolution_spectral_uniform", parse_config(
+        {
+            "experiment": "state_evolution",
+            "n_grid": [200],
+            "trials": 3,
+            "master_seed": 5,
+            "K": 2,
+            "gamma": 2.0,
+            "init": "spectral",
+            "ensemble": {"kind": "rademacher"},
+            "prior": {"kind": "uniform_sqrt3"},
+            "denoiser": {"kind": "scaled_tanh", "schedule": [2.0, 2.0]},
+            "phi": {"kind": "se_pair"},
+        }
     )
+    for name, denoiser in (
+        ("state_evolution_independent", {"kind": "scaled_tanh", "schedule": [1.5, 1.5, 1.5]}),
+        ("state_evolution_soft_threshold", {"kind": "smooth_soft_threshold", "schedule": [0.6, 0.9, 0.5]}),
+    ):
+        yield name, base_config(
+            experiment="state_evolution",
+            n_grid=[200],
+            trials=3,
+            gamma=0.0,
+            prior={"kind": "gaussian"},
+            denoiser=denoiser,
+        )
     power_bound = WORKLOADS["power_bound_oracle"].experiment_config(ACCEPTANCE_SEED)
     yield "power_bound_from_n1", parse_config(dict(power_bound, n_grid=[1, 3, 16, 33, 64, 128]))
 
 
-def digest(cfg, threads, out_dir):
+def digest(cfg, threads, out_dir, keep=None, name=None):
     cfg = dataclasses.replace(cfg, threads=threads)
     columns, rows, summary = run_experiment(cfg)
     summary["master_seed"] = cfg.master_seed
     records, summary_path = os.path.join(out_dir, "records.csv"), os.path.join(out_dir, "summary.json")
     write_records_csv(records, columns, rows)
     write_summary_json(summary_path, summary)
+    if keep is not None:
+        shutil.copyfile(records, os.path.join(keep, f"{name}.t{threads}.csv"))
+        shutil.copyfile(summary_path, os.path.join(keep, f"{name}.t{threads}.json"))
     return [hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest() for path in (records, summary_path)]
 
 
-def main():
+_FLAGS = ("status", "gap_pass", "overlap_flag", "holds")
+
+
+def _float(text):
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def _numbers(node, path=""):
+    """{path: value} of every number in a JSON document."""
+    if isinstance(node, dict):
+        return {k: v for key, child in node.items() for k, v in _numbers(child, f"{path}/{key}").items()}
+    if isinstance(node, list):
+        return {k: v for i, child in enumerate(node) for k, v in _numbers(child, f"{path}/{i}").items()}
+    return {path: float(node)} if isinstance(node, (int, float)) and not isinstance(node, bool) else {}
+
+
+def compare(dir_a, dir_b):
+    """Print how the kept files of dir_b differ from those of dir_a, value by value."""
+    names = sorted(set(os.listdir(dir_a)) | set(os.listdir(dir_b)))
+    for name in names:
+        a, b = os.path.join(dir_a, name), os.path.join(dir_b, name)
+        if not (os.path.exists(a) and os.path.exists(b)):
+            print(f"{name}: only in {dir_a if os.path.exists(a) else dir_b}")
+            continue
+        if pathlib.Path(a).read_bytes() == pathlib.Path(b).read_bytes():
+            continue
+        if name.endswith(".json"):
+            x, y = (_numbers(json.loads(pathlib.Path(p).read_text())) for p in (a, b))
+            delta = max((abs(x[k] - y[k]) for k in x.keys() & y.keys()), default=0.0)
+            print(f"{name}: max |delta| {delta:.3g}" + ("" if x.keys() == y.keys() else "; other keys"))
+            continue
+        with open(a, newline="") as fa, open(b, newline="") as fb:
+            rows_a, rows_b = list(csv.DictReader(fa)), list(csv.DictReader(fb))
+        if len(rows_a) != len(rows_b):
+            print(f"{name}: {len(rows_a)} rows against {len(rows_b)}")
+            continue
+        moved, deltas, flips = 0, {}, []
+        for i, (ra, rb) in enumerate(zip(rows_a, rows_b)):
+            moved += ra != rb
+            for col in ra.keys() & rb.keys():
+                if col in _FLAGS:
+                    if ra[col] != rb[col]:
+                        flips.append(f"row {i} {col} {ra[col]} -> {rb[col]}")
+                    continue
+                va, vb = _float(ra[col]), _float(rb[col])
+                if va is not None and vb is not None and va != vb:
+                    d = abs(va - vb) if math.isfinite(va) and math.isfinite(vb) else math.inf
+                    deltas[col] = max(deltas.get(col, 0.0), d)
+        parts = [f"{col} {d:.3g}" for col, d in sorted(deltas.items())]
+        print(f"{name}: {moved} of {len(rows_a)} rows moved; max |delta| " + (", ".join(parts) or "none"))
+        for flip in flips:
+            print(f"  flip: {flip}")
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--keep", metavar="DIR", help="also keep each records CSV and summary JSON in DIR")
+    parser.add_argument("--compare", nargs=2, metavar=("DIR_A", "DIR_B"), help="diff two --keep directories")
+    args = parser.parse_args(argv)
+    if args.compare:
+        compare(*args.compare)
+        return 0
+    if args.keep:
+        os.makedirs(args.keep, exist_ok=True)
     with tempfile.TemporaryDirectory() as out_dir:
         for name, cfg in configs():
             for threads in (1, 2):
-                records, summary = digest(cfg, threads, out_dir)
+                records, summary = digest(cfg, threads, out_dir, args.keep, name)
                 print(f"{name} threads={threads} records={records} summary={summary}", flush=True)
     return 0
 

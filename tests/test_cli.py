@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import math
 import os
@@ -305,6 +306,32 @@ class TestRunCommand:
         assert capsys.readouterr().err.startswith("error: cannot write output:")
         assert sorted(p.name for p in (tmp_path / "o1").iterdir()) == ["sumdir"]
 
+    @pytest.mark.parametrize("failing", ["write_records_csv", "write_summary_json"])
+    def test_write_failure_after_open_leaves_no_output(self, tmp_path, capsys, monkeypatch, failing):
+        def write_one_line(path, *payload):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("n,trial\n")
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli, failing, write_one_line)
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, BASE), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot write output: [Errno 28]")
+        assert list(out.iterdir()) == []
+
+    def test_file_the_run_could_not_open_is_kept(self, tmp_path, capsys, monkeypatch):
+        def refuse_open(path, *payload):
+            raise PermissionError(errno.EACCES, "Permission denied", path)
+
+        monkeypatch.setattr(cli, "write_summary_json", refuse_open)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "universality_summary.json").write_text("kept")
+        assert main(["run", "--config", write_config(tmp_path, BASE), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot write output: [Errno 13]")
+        assert [p.name for p in out.iterdir()] == ["universality_summary.json"]
+        assert (out / "universality_summary.json").read_text() == "kept"
+
     def test_out_dir_replaces_both_config_paths(self, tmp_path):
         paths = {"records_csv": str(tmp_path / "o1" / "rec.csv"), "summary_json": str(tmp_path / "o1" / "sum.json")}
         cfg = write_config(tmp_path, {**BASE, **paths})
@@ -437,44 +464,55 @@ class TestConfigErrors:
         assert not (tmp_path / "out").exists()
 
 
-def scipy_special_loaded(cfg_path, out_dir, preload=""):
-    """Whether scipy.special is loaded after `import amplab.cli` and after a run of the config.
-
-    Both are read in a fresh interpreter that imports amplab from this
-    checkout, after running the statement preload.
-    """
-    src = os.path.dirname(os.path.dirname(os.path.abspath(amplab.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    loaded = "print('scipy.special loaded:', 'scipy.special' in sys.modules)"
-    run = f"main(['run', '--config', {cfg_path!r}, '--out-dir', {str(out_dir)!r}])"
-    code = "\n".join(["import sys", preload, "from amplab.cli import main", loaded, run, loaded])
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return [line.split()[-1] for line in proc.stdout.splitlines() if line.startswith("scipy.special loaded:")]
+# a small run of each experiment; together they build both Gauss rules, run the gap check and
+# apply packed and dense matrices
+SMALL_RUNS = {
+    "universality": {"n_grid": [40], "denoiser": {"kind": "scaled_tanh", "schedule": "bayes"}},
+    "state_evolution": {
+        "n_grid": [200],
+        "init": "spectral",
+        "prior": {"kind": "uniform_sqrt3"},  # Gauss-Legendre for the prior, Hermite for the noise
+        "phi": {"kind": "se_pair"},
+    },
+    "bbp": {"n_grid": [60], "gamma_grid": [2.0], "denoiser": {"kind": "identity"}},
+    "interpolation": {"n_grid": [40], "t_grid": [0.0, 0.5, 1.0]},
+    "concentration": {"n_grid": [40], "ensemble": {"kind": "gaussian"}},
+    "power_bound": {
+        "n_grid": [16],
+        "ensemble": {"kind": "gaussian"},
+        "denoiser": {"kind": "identity"},
+        "power_depth": 5,
+    },
+}
 
 
 class TestImports:
-    def test_bbp_never_loads_scipy_special(self, tmp_path):
-        cfg = write_config(tmp_path, {**BASE, "experiment": "bbp", "gamma_grid": [2.0], "n_grid": [60]})
-        assert scipy_special_loaded(cfg, tmp_path / "out") == ["False", "False"]
-        assert (tmp_path / "out" / "bbp_records.csv").exists()
-
-    def test_state_evolution_loads_it_and_writes_the_same_records(self, tmp_path):
-        cfg = {
-            **BASE,
-            "experiment": "state_evolution",
-            "n_grid": [200],
-            "init": "spectral",
-            "prior": {"kind": "uniform_sqrt3"},  # Gauss-Legendre for the prior, Hermite for the noise
-            "phi": {"kind": "se_pair"},
-        }
-        cfg_path = write_config(tmp_path, cfg)
-        assert scipy_special_loaded(cfg_path, tmp_path / "lazy") == ["False", "True"]
-        # as when state_evolution imported scipy.special at module load
-        preload = "import scipy.special"
-        assert scipy_special_loaded(cfg_path, tmp_path / "eager", preload) == ["True", "True"]
-        records = [(tmp_path / name / "state_evolution_records.csv").read_bytes() for name in ("lazy", "eager")]
-        assert records[0] == records[1]
+    def test_no_run_loads_scipy_linalg_or_special(self, tmp_path):
+        """In a fresh interpreter importing amplab from this checkout: after `import amplab.cli`
+        and after each run, neither scipy.linalg nor scipy.special is loaded."""
+        runs = []
+        for experiment, overrides in SMALL_RUNS.items():
+            cfg = write_config(tmp_path, {**BASE, "experiment": experiment, **overrides}, f"{experiment}.json")
+            runs.append((experiment, cfg, str(tmp_path / experiment)))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(amplab.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = "\n".join(
+            [
+                "import sys",
+                "from amplab.cli import main",
+                "loaded = lambda: [m for m in ('scipy.linalg', 'scipy.special') if m in sys.modules]",
+                "print('import', 0, loaded())",
+                f"for name, cfg, out in {runs!r}:",
+                "    print(name, main(['run', '--config', cfg, '--out-dir', out]), loaded())",
+            ]
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        lines = [line.split(" ", 2) for line in proc.stdout.splitlines()]
+        report = [line for line in lines if line[0] in {"import", *SMALL_RUNS}]
+        assert report == [["import", "0", "[]"]] + [[name, "0", "[]"] for name in SMALL_RUNS]
+        for experiment in SMALL_RUNS:
+            assert (tmp_path / experiment / f"{experiment}_records.csv").exists()
 
 
 class TestSelftest:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -231,6 +232,12 @@ class TestSampleWigner:
         ref_stream.integers(0, 2, dtype=np.int32)
         for n in (12, 5):  # 78 then 15 entries
             _assert_rademacher_draw(n, EnsembleSpec("rademacher"), stream, ref_stream, layout)
+
+    def test_rademacher_draw_refuses_a_big_endian_host(self, monkeypatch):
+        # the raw words' uint32 view lists each word's low half first only on a little-endian host
+        monkeypatch.setattr(sys, "byteorder", "big")
+        with pytest.raises(NotImplementedError, match="little-endian"):
+            sample_wigner(4, EnsembleSpec("rademacher"), derive_streams(1, 0).noise_a)
 
     @pytest.mark.parametrize("policy", ["same_law", "zero"])
     @pytest.mark.parametrize("kind, param", KINDS)

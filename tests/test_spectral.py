@@ -4,7 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from amplab import spectral
+from amplab import openblas, spectral
 
 from amplab.ensembles import (
     EnsembleSpec,
@@ -345,11 +345,11 @@ class TestGapCheck:
         assert info.value.residual is not None and info.value.residual > 0
 
     def test_tridiagonal_failure_becomes_numerical_failure(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise np.linalg.LinAlgError("no convergence")
+        def fail(*args):
+            args[-1]._obj.value = 1  # info: one eigenvector did not converge
 
-        monkeypatch.setattr(spectral, "eigh_tridiagonal", fail)
-        with pytest.raises(NumericalFailureError):
+        monkeypatch.setattr(openblas, "_dstein", fail)
+        with pytest.raises(NumericalFailureError, match="dstein"):
             gap_check(spiked_instance(50, 2.0, 71)[0], y0=other_start(50))
 
     def test_rejects_one_by_one(self):
