@@ -12,7 +12,8 @@ column ordered (BLAS 'U' convention):
   times, as in the gap check's Lanczos solve. A packed triangle drawn into
   its first n(n+1)/2 elements is moved in place by ``spread_packed_columns``.
 
-Both BLAS routines are SciPy's bundled OpenBLAS, called through ``openblas``.
+Both BLAS routines are numpy's bundled OpenBLAS, the library ``import numpy`` has already
+loaded, called through ``openblas``.
 """
 
 from dataclasses import dataclass

@@ -1,47 +1,46 @@
-"""ctypes binding to the BLAS and LAPACK routines amplab calls, in SciPy's bundled OpenBLAS.
+"""ctypes binding to the BLAS and LAPACK routines amplab calls, in numpy's bundled OpenBLAS.
 
-SciPy's wheels ship OpenBLAS as ``scipy.libs/libscipy_openblas-<hash>.so``, every symbol prefixed
-``scipy_``. It is found by ``importlib.util.find_spec``, which imports nothing, so no process pays
-for importing ``scipy.linalg``; a missing library or symbol raises ImportError naming it. Each
-routine is called as ``scipy.linalg`` calls it, so it returns the same bytes, and ctypes releases
-the GIL for each call but dsymv's, so that worker threads overlap their packed applies. Arguments
-are checked before any pointer is passed; a LAPACK info != 0 raises NumericalFailureError.
+numpy's wheels ship OpenBLAS as ``numpy.libs/libscipy_openblas64_-<hash>.so``, built with 64-bit
+Fortran INTEGERs (ILP64), every symbol named ``scipy_<routine>64_``. ``import numpy`` has already
+mapped it, so opening it beside the numpy package loads no second OpenBLAS and no second thread
+pool, and no run imports or maps SciPy; a missing library or symbol raises ImportError naming it.
+Each routine is called as ``scipy.linalg`` calls its own copy, so it returns the same bytes, and
+ctypes releases the GIL for each call but dsymv's, so that worker threads overlap their packed
+applies. Arguments are checked before any pointer is passed; a LAPACK info != 0 raises
+NumericalFailureError.
 """
 
 import ctypes
 import glob
-import importlib.util
 import os
 
 import numpy as np
 
 from .errors import NumericalFailureError, RejectedInputError
 
-_LIBRARY = "libscipy_openblas-*.so"
-_PREFIX = "scipy_"
+_LIBRARY = "libscipy_openblas64_-*.so"
+_PREFIX, _SUFFIX = "scipy_", "64_"
 
 # Fortran takes every argument by reference: scalars by byref, arrays by address, and a
-# CHARACTER*1 as a pointer followed, after all the others, by its hidden length
-_ptr, _char, _len = ctypes.c_void_p, ctypes.c_char_p, ctypes.c_size_t
-_ONE, _ZERO, _INC = (ctypes.byref(v) for v in (ctypes.c_double(1.0), ctypes.c_double(0.0), ctypes.c_int(1)))
+# CHARACTER*1 as a pointer followed, after all the others, by its hidden length. Every INTEGER,
+# scalar or array element, is 64 bits wide in this library.
+_ptr, _char, _len, _int = ctypes.c_void_p, ctypes.c_char_p, ctypes.c_size_t, ctypes.c_int64
+_ONE, _ZERO, _INC = (ctypes.byref(v) for v in (ctypes.c_double(1.0), ctypes.c_double(0.0), _int(1)))
 
 
-def _open_library():
-    spec = importlib.util.find_spec("scipy")
-    if spec is None or not spec.submodule_search_locations:
-        raise ImportError(f"amplab needs SciPy's bundled OpenBLAS ({_LIBRARY}), and scipy is not installed")
-    libs = os.path.join(os.path.dirname(spec.submodule_search_locations[0]), "scipy.libs")
+def _open_library(numpy_dir=os.path.dirname(np.__file__)):
+    libs = os.path.join(os.path.dirname(numpy_dir), "numpy.libs")
     paths = sorted(glob.glob(os.path.join(libs, _LIBRARY)))
     if not paths:
-        raise ImportError(f"SciPy's bundled OpenBLAS {_LIBRARY} not found in {libs}")
+        raise ImportError(f"numpy's bundled OpenBLAS {_LIBRARY} not found in {libs}")
     return ctypes.CDLL(paths[0])
 
 
 def _symbol(lib, name, *argtypes):
     try:
-        fn = getattr(lib, _PREFIX + name)
+        fn = getattr(lib, _PREFIX + name + _SUFFIX)
     except AttributeError:
-        raise ImportError(f"{lib._name} exports no {_PREFIX + name}") from None
+        raise ImportError(f"{lib._name} exports no {_PREFIX + name + _SUFFIX}") from None
     fn.argtypes, fn.restype = argtypes, None
     return fn
 
@@ -93,7 +92,7 @@ def symv(a, x):
     """A x for a symmetric A held by its upper triangle a (see ``linalg``): BLAS dspmv on the packed
     triangle, dsymv on a Fortran-order (n, n) array."""
     n = _length("x", x)
-    y, size = np.zeros(n), ctypes.byref(ctypes.c_int(n))
+    y, size = np.zeros(n), ctypes.byref(_int(n))
     if isinstance(a, np.ndarray) and a.ndim == 2:
         _check("a", a, (n, n), fortran=True)
         _dsymv(b"U", size, _ONE, _address(a), size, _address(x), _INC, _ZERO, _address(y), _INC, 1)
@@ -107,8 +106,8 @@ def dsterf(d, e):
     """Ascending eigenvalues of the symmetric tridiagonal with diagonal d and off-diagonal e."""
     n = _length("d", d)
     _check("e", e, (max(n - 1, 0),))
-    w, scratch, info = d.copy(), e.copy(), ctypes.c_int()  # dsterf overwrites both
-    _dsterf(ctypes.byref(ctypes.c_int(n)), _address(w), _address(scratch), ctypes.byref(info))
+    w, scratch, info = d.copy(), e.copy(), _int()  # dsterf overwrites both
+    _dsterf(ctypes.byref(_int(n)), _address(w), _address(scratch), ctypes.byref(info))
     _raise_on("dsterf", info)
     return w
 
@@ -124,19 +123,20 @@ def tridiagonal_eigenpairs(d, e, lo, hi):
     _check("e", e, (n - 1,))
     if not 0 <= lo <= hi < n:
         raise RejectedInputError(f"eigenpair indices {lo}..{hi} outside 0..{n - 1}")
-    ref, size, found, nsplit, info = ctypes.byref, ctypes.c_int(n), ctypes.c_int(), ctypes.c_int(), ctypes.c_int()
+    ref, size, found, nsplit, info = ctypes.byref, _int(n), _int(), _int(), _int()
     # one buffer per type, so that five addresses are read instead of fourteen: w | work (5n),
-    # and iblock | isplit | iwork (3n), which dstein reuses as iwork (n) | ifail (m)
-    real, ints = np.empty(6 * n), np.empty(5 * n, np.intc)
+    # and iblock | isplit | iwork (3n), which dstein reuses as iwork (n) | ifail (m); both of
+    # 8-byte elements
+    real, ints = np.empty(6 * n), np.empty(5 * n, np.int64)
     d_at, e_at, w, iblock = _address(d), _address(e), _address(real), _address(ints)
-    work, isplit, iwork = w + 8 * n, iblock + 4 * n, iblock + 8 * n
-    il, iu = ref(ctypes.c_int(lo + 1)), ref(ctypes.c_int(hi + 1))
+    work, isplit, iwork = w + 8 * n, iblock + 8 * n, iblock + 16 * n
+    il, iu = ref(_int(lo + 1)), ref(_int(hi + 1))
     _dstebz(b"I", b"B", ref(size), _ZERO, _ONE, il, iu, _ZERO, d_at, e_at, ref(found), ref(nsplit), w, iblock,
             isplit, work, iwork, ref(info), 1, 1)
     _raise_on("dstebz", info)
     z = np.zeros((n, found.value), order="F")
     _dstein(ref(size), d_at, e_at, ref(found), w, iblock, isplit, _address(z), ref(size), work, iwork,
-            iwork + 4 * n, ref(info))
+            iwork + 8 * n, ref(info))
     _raise_on("dstein", info)
     order = np.argsort(real[: found.value])
     return real[order], z[:, order]

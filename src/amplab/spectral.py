@@ -150,8 +150,10 @@ def gap_check(op, *, y0):
 
     Passes when lambda1 > max(lambda2_abs, 1) + GAP_MARGIN. Lanczos from ``y0``
     stops once the top two and bottom Ritz residuals are below _LANCZOS_TOL times
-    the largest coefficient seen (Ritz pairs by LAPACK dstebz and dstein); on
-    breakdown it goes on from a fresh deterministic vector orthogonal to the basis.
+    the largest coefficient seen (Ritz pairs by LAPACK dstebz and dstein; the
+    bottom pair only once the top two pass, or for the residual a run that does
+    not converge reports); on breakdown it goes on from a fresh deterministic
+    vector orthogonal to the basis.
     """
     n = op.n
     if n < 2:
@@ -162,7 +164,8 @@ def gap_check(op, *, y0):
     q = q / np.linalg.norm(q)
     dim = min(n, LANCZOS_MAX_DIM)
     basis = np.empty((dim, n))  # rows the solve never reaches are never written, so never committed
-    alpha, beta, dropped, scale, residual = [], [], [], 0.0, math.inf
+    alpha, beta, dropped, scale = [], [], [], 0.0
+    tested = None  # (T's diagonal, off-diagonal, b, top) at the last residual test
     for k in range(dim):
         w = op.apply(q)
         basis[k] = q
@@ -179,15 +182,16 @@ def gap_check(op, *, y0):
         breakdown = b <= _BREAKDOWN * scale
         if k + 1 == n or (not breakdown and ((k + 1) % _LANCZOS_CHECK_EVERY == 0 or k + 1 == dim)):
             a, e = np.array(alpha), np.array(beta)
-            theta_min, s_min = tridiagonal_eigenpairs(a, e, 0, 0)
             theta_top, s_top = tridiagonal_eigenpairs(a, e, k - 1, k)
-            residual = b * max(abs(float(s_min[-1, 0])), float(np.max(np.abs(s_top[-1]))))
-            if residual <= _LANCZOS_TOL * scale:
-                lambda1, lambda2 = float(theta_top[-1]), float(theta_top[0])
-                lambda2_abs = max(abs(lambda2), abs(float(theta_min[0])))
-                passed = lambda1 > max(lambda2_abs, 1.0) + GAP_MARGIN
-                krylov = Krylov(done, a, e, np.array(dropped + [b]), residual)
-                return GapCheckResult(lambda1, lambda2_abs, bool(passed), krylov)
+            tested = a, e, b, float(np.max(np.abs(s_top[-1])))
+            if b * tested[-1] <= _LANCZOS_TOL * scale:  # else the full residual fails too
+                lambda_min, residual = _with_bottom_pair(*tested)
+                if residual <= _LANCZOS_TOL * scale:
+                    lambda1, lambda2 = float(theta_top[-1]), float(theta_top[0])
+                    lambda2_abs = max(abs(lambda2), abs(lambda_min))
+                    passed = lambda1 > max(lambda2_abs, 1.0) + GAP_MARGIN
+                    krylov = Krylov(done, a, e, np.array(dropped + [b]), residual)
+                    return GapCheckResult(lambda1, lambda2_abs, bool(passed), krylov)
         if breakdown:
             w = np.random.default_rng([_RESTART_SEED, k]).standard_normal(n)
             for _ in range(2):  # a fresh vector is far from orthogonal: Gram-Schmidt twice
@@ -195,9 +199,17 @@ def gap_check(op, *, y0):
         beta.append(0.0 if breakdown else b)
         dropped.append(b if breakdown else 0.0)
         q = w / np.linalg.norm(w)
+    residual = _with_bottom_pair(*tested)[1] if tested else math.inf
     raise NumericalFailureError(
         f"Lanczos did not converge in {dim} steps (residual {residual:.3g})", residual=residual
     )
+
+
+def _with_bottom_pair(a, e, b, top):
+    """(lambda_min, the largest residual of the top two and bottom Ritz pairs) of the Lanczos T
+    (diagonal a, off-diagonal e), given b = |w| and the top two Ritz vectors' largest last entry."""
+    theta_min, s_min = tridiagonal_eigenpairs(a, e, 0, 0)
+    return float(theta_min[0]), b * max(abs(float(s_min[-1, 0])), top)
 
 
 def resolve_power_depth(op, power_depth, gap):

@@ -487,9 +487,10 @@ SMALL_RUNS = {
 
 
 class TestImports:
-    def test_no_run_loads_scipy_linalg_or_special(self, tmp_path):
+    def test_one_openblas_and_no_scipy_per_run(self, tmp_path):
         """In a fresh interpreter importing amplab from this checkout: after `import amplab.cli`
-        and after each run, neither scipy.linalg nor scipy.special is loaded."""
+        and after each run, no scipy module is loaded, nothing under scipy.libs is mapped, and
+        exactly one OpenBLAS file (numpy's) is."""
         runs = []
         for experiment, overrides in SMALL_RUNS.items():
             cfg = write_config(tmp_path, {**BASE, "experiment": experiment, **overrides}, f"{experiment}.json")
@@ -498,19 +499,28 @@ class TestImports:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         code = "\n".join(
             [
-                "import sys",
+                "import json, os, sys",
                 "from amplab.cli import main",
-                "loaded = lambda: [m for m in ('scipy.linalg', 'scipy.special') if m in sys.modules]",
-                "print('import', 0, loaded())",
+                "def report(name, code):",
+                "    with open('/proc/self/maps') as maps:",
+                "        files = {line.split(maxsplit=5)[5].strip() for line in maps if len(line.split()) > 5}",
+                "    print(json.dumps([name, code, {",
+                "        'scipy': sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),",
+                "        'scipy.libs': sorted(f for f in files if 'scipy.libs' in f.split(os.sep)),",
+                "        'openblas': sorted(os.path.basename(f) for f in files",
+                "                           if os.path.basename(f).startswith('libscipy_openblas')),",
+                "    }]))",
+                "report('import', 0)",
                 f"for name, cfg, out in {runs!r}:",
-                "    print(name, main(['run', '--config', cfg, '--out-dir', out]), loaded())",
+                "    report(name, main(['run', '--config', cfg, '--out-dir', out]))",
             ]
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        lines = [line.split(" ", 2) for line in proc.stdout.splitlines()]
-        report = [line for line in lines if line[0] in {"import", *SMALL_RUNS}]
-        assert report == [["import", "0", "[]"]] + [[name, "0", "[]"] for name in SMALL_RUNS]
+        report = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("[")]
+        assert [line[:2] for line in report] == [["import", 0]] + [[name, 0] for name in SMALL_RUNS]
+        for name, _, state in report:
+            assert state["scipy"] == state["scipy.libs"] == [] and len(state["openblas"]) == 1, (name, state)
         for experiment in SMALL_RUNS:
             assert (tmp_path / experiment / f"{experiment}_records.csv").exists()
 

@@ -344,6 +344,28 @@ class TestGapCheck:
             gap_check(op, y0=other_start(50))
         assert info.value.residual is not None and info.value.residual > 0
 
+    @pytest.mark.parametrize("cap", [None, 16])
+    def test_bottom_ritz_pair_only_once_the_top_two_pass(self, monkeypatch, cap):
+        # the top two pairs are solved at every residual test (every 8 steps here), the bottom
+        # pair once: at the test that converges, or for the residual of a run that does not
+        calls = []
+
+        def counted(d, e, lo, hi):
+            calls.append((len(d), lo, hi))
+            return openblas.tridiagonal_eigenpairs(d, e, lo, hi)
+
+        monkeypatch.setattr(spectral, "tridiagonal_eigenpairs", counted)
+        op, u0 = spiked_instance(300, 2.0, 51)
+        if cap is None:
+            k = len(gap_check(op, y0=start_along(u0)).krylov.basis)
+        else:
+            monkeypatch.setattr(spectral, "LANCZOS_MAX_DIM", cap)
+            with pytest.raises(NumericalFailureError):
+                gap_check(op, y0=start_along(u0))
+            k = cap
+        assert k % 8 == 0 and k >= 16
+        assert calls == [(m, m - 2, m - 1) for m in range(8, k + 1, 8)] + [(k, 0, 0)]
+
     def test_tridiagonal_failure_becomes_numerical_failure(self, monkeypatch):
         def fail(*args):
             args[-1]._obj.value = 1  # info: one eigenvector did not converge
