@@ -72,6 +72,8 @@ class PriorSpec:
             probs = tuple(float(p) for p in self.probs)
             if len(values) != 3 or len(probs) != 3:
                 raise RejectedInputError("three_point prior needs 3 values and 3 probabilities")
+            if not all(map(math.isfinite, values + probs)):
+                raise RejectedInputError(f"three_point values and probabilities must be finite, got {values} {probs}")
             if any(p < 0 for p in probs) or abs(sum(probs) - 1.0) > 1e-12:
                 raise RejectedInputError(f"probabilities must sum to 1, got {probs}")
             mean = sum(v * p for v, p in zip(values, probs))
@@ -94,8 +96,8 @@ class SpikeSpec:
     gamma: float = 0.0
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise RejectedInputError(f"spike SNR must be >= 0, got {self.gamma}")
+        if not 0 <= self.gamma < math.inf:
+            raise RejectedInputError(f"spike SNR must be >= 0 and finite, got {self.gamma}")
 
     @staticmethod
     def rank_one(gamma):

@@ -7,6 +7,7 @@ iterate number (``j = k`` is the newest argument), matching the memory-term
 convention of the iteration.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,8 @@ class Denoiser:
             raise RejectedInputError(f"unknown denoiser kind {self.kind!r}")
         object.__setattr__(self, "schedule", tuple(float(a) for a in self.schedule))
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        if not all(map(math.isfinite, (*self.schedule, *self.weights, self.offset, self.delta))):
+            raise RejectedInputError(f"{self.kind} parameters must be finite, got {self}")
         if self.kind in _SCHEDULED_KINDS and not self.schedule:
             raise RejectedInputError(f"{self.kind} requires a per-iteration schedule")
         if self.kind == "smooth_soft_threshold":
@@ -193,7 +196,7 @@ class TestFunction:
     def __post_init__(self):
         if self.kind not in TESTFUNCTION_KINDS:
             raise RejectedInputError(f"unknown test function kind {self.kind!r}")
-        if self.clip <= 0:
+        if not self.clip > 0:  # inf clips nothing, and stays allowed
             raise RejectedInputError(f"clip bound must be positive, got {self.clip}")
 
     def pair_eval(self, w, y):

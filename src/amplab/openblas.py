@@ -4,10 +4,10 @@ numpy's wheels ship OpenBLAS as ``numpy.libs/libscipy_openblas64_-<hash>.so``, b
 Fortran INTEGERs (ILP64), every symbol named ``scipy_<routine>64_``. ``import numpy`` has already
 mapped it, so opening it beside the numpy package loads no second OpenBLAS and no second thread
 pool, and no run imports or maps SciPy; a missing library or symbol raises ImportError naming it.
-Each routine is called as ``scipy.linalg`` calls its own copy, so it returns the same bytes, and
-ctypes releases the GIL for each call but dsymv's, so that worker threads overlap their packed
-applies. Arguments are checked before any pointer is passed; a LAPACK info != 0 raises
-NumericalFailureError.
+It binds dspmv, dsymv and dstevx, which itself makes the dstebz, dstein and dsterf calls that
+``scipy.linalg`` makes, so each returns the bytes SciPy's own copy does; ctypes releases the GIL
+for each call but dsymv's, so that worker threads overlap their packed applies. Arguments are
+checked before any pointer is passed; a LAPACK info != 0 raises NumericalFailureError.
 """
 
 import ctypes
@@ -50,10 +50,8 @@ _dspmv = _symbol(_lib, "dspmv_", _char, *[_ptr] * 8, _len)  # uplo n alpha ap x 
 # OpenBLAS already spreads dsymv over every core, so it keeps the GIL (PyDLL): two workers' dense
 # applies overlapped measured slower than serialized
 _dsymv = _symbol(ctypes.PyDLL(_lib._name), "dsymv_", _char, *[_ptr] * 9, _len)  # uplo n alpha a lda x incx beta y incy
-_dsterf = _symbol(_lib, "dsterf_", *[_ptr] * 4)  # n d e info
-# range order n vl vu il iu abstol d e m nsplit w iblock isplit work iwork info
-_dstebz = _symbol(_lib, "dstebz_", _char, _char, *[_ptr] * 16, _len, _len)
-_dstein = _symbol(_lib, "dstein_", *[_ptr] * 13)  # n d e m w iblock isplit z ldz work iwork ifail info
+# jobz range n d e vl vu il iu abstol m w z ldz work iwork ifail info
+_dstevx = _symbol(_lib, "dstevx_", _char, _char, *[_ptr] * 16, _len, _len)
 
 
 # A matvec streams its matrix through the caches and leaves the Python code around the call cold,
@@ -102,41 +100,27 @@ def symv(a, x):
     return y
 
 
-def dsterf(d, e):
-    """Ascending eigenvalues of the symmetric tridiagonal with diagonal d and off-diagonal e."""
-    n = _length("d", d)
-    _check("e", e, (max(n - 1, 0),))
-    w, scratch, info = d.copy(), e.copy(), _int()  # dsterf overwrites both
-    _dsterf(ctypes.byref(_int(n)), _address(w), _address(scratch), ctypes.byref(info))
-    _raise_on("dsterf", info)
-    return w
+def tridiagonal_eigen(d, e, select=None):
+    """Ascending eigenvalues of the symmetric tridiagonal with diagonal d and off-diagonal e, or,
+    for select = (lo, hi), 0-based, the pairs lo..hi as (w, z), z's columns the eigenvectors.
 
-
-def tridiagonal_eigenpairs(d, e, lo, hi):
-    """Eigenpairs lo..hi (0-based, ascending) of the tridiagonal with diagonal d, off-diagonal e.
-
-    dstebz (range 'I', order 'B', abstol 0), dstein, and the eigenvalues sorted
-    with their vectors, as ``scipy.linalg.eigh_tridiagonal(d, e, select="i",
-    select_range=(lo, hi))`` does. Returns (w, z), z's columns the eigenvectors.
+    One LAPACK dstevx call with abstol 0. Every eigenvalue comes from its dsterf path, as
+    ``scipy.linalg.lapack.dsterf(d, e)``; a selection from dstebz (order 'B'), dstein and a sort,
+    as ``scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(lo, hi))``, or, when it
+    selects every pair, from dsteqr, as ``eigh_tridiagonal(d, e, lapack_driver="stev")``.
     """
     n = _length("d", d)
-    _check("e", e, (n - 1,))
-    if not 0 <= lo <= hi < n:
+    _check("e", e, (max(n - 1, 0),))
+    lo, hi = (0, n - 1) if select is None else select
+    if select is not None and not 0 <= lo <= hi < n:
         raise RejectedInputError(f"eigenpair indices {lo}..{hi} outside 0..{n - 1}")
-    ref, size, found, nsplit, info = ctypes.byref, _int(n), _int(), _int(), _int()
-    # one buffer per type, so that five addresses are read instead of fourteen: w | work (5n),
-    # and iblock | isplit | iwork (3n), which dstein reuses as iwork (n) | ifail (m); both of
-    # 8-byte elements
-    real, ints = np.empty(6 * n), np.empty(5 * n, np.int64)
-    d_at, e_at, w, iblock = _address(d), _address(e), _address(real), _address(ints)
-    work, isplit, iwork = w + 8 * n, iblock + 8 * n, iblock + 16 * n
-    il, iu = ref(_int(lo + 1)), ref(_int(hi + 1))
-    _dstebz(b"I", b"B", ref(size), _ZERO, _ONE, il, iu, _ZERO, d_at, e_at, ref(found), ref(nsplit), w, iblock,
-            isplit, work, iwork, ref(info), 1, 1)
-    _raise_on("dstebz", info)
-    z = np.zeros((n, found.value), order="F")
-    _dstein(ref(size), d_at, e_at, ref(found), w, iblock, isplit, _address(z), ref(size), work, iwork,
-            iwork + 8 * n, ref(info))
-    _raise_on("dstein", info)
-    order = np.argsort(real[: found.value])
-    return real[order], z[:, order]
+    jobz, which = (b"N", b"A") if select is None else (b"V", b"I")  # dstevx's JOBZ and RANGE
+    ref, found, info = ctypes.byref, _int(), _int()
+    d, e = d.copy(), e.copy()  # dstevx scales both in place when T's norm is extreme
+    w, z = np.empty(n), np.empty((1, 1) if select is None else (n, hi - lo + 1), order="F")
+    work, iwork, ifail = np.empty(5 * n), np.empty(5 * n, np.int64), np.empty(n, np.int64)
+    _dstevx(jobz, which, ref(_int(n)), _address(d), _address(e), _ZERO, _ZERO, ref(_int(lo + 1)),
+            ref(_int(hi + 1)), _ZERO, ref(found), _address(w), _address(z), ref(_int(z.shape[0])),
+            _address(work), _address(iwork), _address(ifail), ref(info), 1, 1)
+    _raise_on("dstevx", info)
+    return w if select is None else (w[: found.value], z[:, : found.value])

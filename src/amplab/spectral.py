@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateInputError, NumericalFailureError, RejectedInputError
-from .openblas import tridiagonal_eigenpairs
+from .openblas import tridiagonal_eigen
 
 _UNDERFLOW = 1e-290
 
@@ -150,10 +150,10 @@ def gap_check(op, *, y0):
 
     Passes when lambda1 > max(lambda2_abs, 1) + GAP_MARGIN. Lanczos from ``y0``
     stops once the top two and bottom Ritz residuals are below _LANCZOS_TOL times
-    the largest coefficient seen (Ritz pairs by LAPACK dstebz and dstein; the
-    bottom pair only once the top two pass, or for the residual a run that does
-    not converge reports); on breakdown it goes on from a fresh deterministic
-    vector orthogonal to the basis.
+    the largest coefficient seen (Ritz pairs by LAPACK dstevx; the bottom pair
+    only once the top two pass, or for the residual a run that does not
+    converge reports); on breakdown it goes on from a fresh deterministic vector
+    orthogonal to the basis.
     """
     n = op.n
     if n < 2:
@@ -182,7 +182,7 @@ def gap_check(op, *, y0):
         breakdown = b <= _BREAKDOWN * scale
         if k + 1 == n or (not breakdown and ((k + 1) % _LANCZOS_CHECK_EVERY == 0 or k + 1 == dim)):
             a, e = np.array(alpha), np.array(beta)
-            theta_top, s_top = tridiagonal_eigenpairs(a, e, k - 1, k)
+            theta_top, s_top = tridiagonal_eigen(a, e, (k - 1, k))
             tested = a, e, b, float(np.max(np.abs(s_top[-1])))
             if b * tested[-1] <= _LANCZOS_TOL * scale:  # else the full residual fails too
                 lambda_min, residual = _with_bottom_pair(*tested)
@@ -208,7 +208,7 @@ def gap_check(op, *, y0):
 def _with_bottom_pair(a, e, b, top):
     """(lambda_min, the largest residual of the top two and bottom Ritz pairs) of the Lanczos T
     (diagonal a, off-diagonal e), given b = |w| and the top two Ritz vectors' largest last entry."""
-    theta_min, s_min = tridiagonal_eigenpairs(a, e, 0, 0)
+    theta_min, s_min = tridiagonal_eigen(a, e, (0, 0))
     return float(theta_min[0]), b * max(abs(float(s_min[-1, 0])), top)
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import AccuracyError, DegenerateInputError, RejectedInputError
 from .nonlinear import Denoiser, scalar_eval
-from .openblas import dsterf
+from .openblas import tridiagonal_eigen
 
 _SQRT3 = math.sqrt(3.0)
 _QUAD_TOL = 1e-8
@@ -85,17 +85,17 @@ def _symmetric_gauss_rule(b, derivative):
     satisfy x p_k = b[k] p_{k+1} + b[k-1] p_{k-1}, and the nodes are the
     eigenvalues of the Jacobi matrix J with off-diagonal b[:-1]. They come in
     pairs +-x, and the x^2 are the eigenvalues of J^2 on J's odd coordinates, a
-    tridiagonal of half the size (LAPACK dsterf). One Newton step on p_n
-    polishes them. The probability of x is 1 / sum_{k<n} p_k(x)^2, that is
-    1 / (b[n-1] (p_n' p_{n-1} - p_{n-1}' p_n)) by Christoffel-Darboux, with
-    derivative(k, x, p_k, p_{k-1}) = p_k'. Every 32 steps the recurrence is
-    divided by |p_k| + |p_{k-1}|, whose log s it keeps, so that no Hermite
-    value at a far node overflows.
+    tridiagonal of half the size (LAPACK dstevx's all-eigenvalue path, dsterf).
+    One Newton step on p_n polishes them. The probability of x is
+    1 / sum_{k<n} p_k(x)^2, that is 1 / (b[n-1] (p_n' p_{n-1} - p_{n-1}' p_n))
+    by Christoffel-Darboux, with derivative(k, x, p_k, p_{k-1}) = p_k'.
+    Every 32 steps the recurrence is divided by |p_k| + |p_{k-1}|, whose log s
+    it keeps, so that no Hermite value at a far node overflows.
     """
     n = len(b)
     c = np.concatenate(([0.0], b[:-1], [0.0, 0.0]))  # c[j] couples coordinates j - 1 and j of J
     odd = np.arange(1, n, 2)
-    x = np.sqrt(dsterf(c[odd] ** 2 + c[odd + 1] ** 2, (c[odd + 1] * c[odd + 2])[:-1]))
+    x = np.sqrt(tridiagonal_eigen(c[odd] ** 2 + c[odd + 1] ** 2, (c[odd + 1] * c[odd + 2])[:-1]))
     x = np.concatenate((np.zeros(n % 2), x))  # an odd rule's middle node is 0
     for newton in (True, False):
         p2 = p1 = s = np.zeros_like(x)

@@ -9,7 +9,8 @@ summary (with ``master_seed``, as ``amplab run`` writes them) through
 The configs are the byte-identity configs of test_experiments.py, the four
 benchmark workloads at the acceptance seed, universality on the uncorrected
 (generalized) orbit, a bbp config whose small-n inits below the transition
-fall back to operator applies, spectral-init state_evolution configs with a
+fall back to operator applies, a bbp config at n = 2 and 3 (2 x 2 and 3 x 3
+Lanczos tridiagonals, so every Ritz pair of the first), spectral-init state_evolution configs with a
 rademacher and a uniform_sqrt3 prior (Gauss-Legendre), independent-init
 state_evolution with scaled tanh and with the smooth soft threshold (whose
 kinks split its normal rules into Gauss-Legendre pieces), and power_bound from
@@ -63,6 +64,18 @@ def configs():
             "prior": {"kind": "rademacher"},
             "denoiser": {"kind": "identity"},
             "master_seed": 7,
+        }
+    )
+    yield "bbp_small_n", parse_config(
+        {
+            "experiment": "bbp",
+            "n_grid": [2, 3],
+            "trials": 8,
+            "gamma_grid": [0.5, 2.0],
+            "ensemble": {"kind": "rademacher"},
+            "prior": {"kind": "rademacher"},
+            "denoiser": {"kind": "identity"},
+            "master_seed": 3,
         }
     )
     yield "state_evolution_spectral", parse_config(

@@ -11,6 +11,7 @@ import pytest
 import amplab
 from amplab import cli, experiments
 from amplab.cli import main
+from amplab.config import load_config, parse_config
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -362,6 +363,11 @@ MALFORMED = [
     # a value its kind would ignore is refused, not echoed
     ({"ensemble": {"kind": "gaussian", "param": 0.3}}, "gaussian ensemble takes no param"),
     ({"denoiser": {"kind": "identity", "schedule": "bayes"}}, "identity takes a list or null"),
+    ({"n_grid": []}, "n_grid must be nonempty"),
+    ({"records_csv": 5}, "records_csv must be a string path"),
+    ({"denoiser": {"kind": "scaled_tanh", "schedule": 5}}, "schedule must be a list or 'bayes', got 5"),
+    ({"denoiser": {"kind": "scaled_tanh", "schedule": [2.0]}}, "schedule of length 1 does not cover K=2"),
+    ({"init": {"kind": "spectral", "x": 1}}, "unknown init keys: ['x']"),
 ]
 
 
@@ -375,6 +381,18 @@ class TestConfigErrors:
             assert code == 1
             assert err.startswith("error:")
             assert key in err
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ([BASE], "configuration must be a JSON object"),
+            ({k: v for k, v in BASE.items() if k != "experiment"}, "missing required key 'experiment'"),
+        ],
+        ids=["not_an_object", "no_experiment"],
+    )
+    def test_malformed_document_is_config_error(self, tmp_path, capsys, data, message):
+        assert main(["run", "--config", write_config(tmp_path, data), "--dry-run"]) == 1
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "overrides, message",
@@ -484,6 +502,14 @@ SMALL_RUNS = {
         "power_depth": 5,
     },
 }
+
+
+@pytest.mark.parametrize("experiment", sorted(SMALL_RUNS))
+def test_dry_run_output_parses_back_to_the_config(tmp_path, capsys, experiment):
+    # the printed document spells init as an object and unset paths and grids as null
+    path = write_config(tmp_path, {**BASE, "experiment": experiment, **SMALL_RUNS[experiment]})
+    assert main(["run", "--config", path, "--dry-run"]) == 0
+    assert parse_config(json.loads(capsys.readouterr().out)) == load_config(path)
 
 
 class TestImports:

@@ -17,6 +17,7 @@ from amplab.ensembles import (
 )
 from amplab.errors import RejectedInputError
 from amplab.linalg import SymmetricMatrix, packed_diagonal_indices, packed_length, sym_matvec
+from amplab.nonlinear import Denoiser, TestFunction
 
 
 KINDS = [("gaussian", None), ("rademacher", None), ("uniform", None), ("centered_bernoulli", 0.3)]
@@ -76,6 +77,36 @@ class TestStreams:
     def test_negative_trial_rejected(self):
         with pytest.raises(RejectedInputError):
             derive_streams(7, -1)
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PriorSpec("three_point", (NAN, 0.0, 1.0), (0.2, 0.5, 0.3)),
+        lambda: PriorSpec("three_point", (-1.0, 0.0, 1.0), (NAN, 0.5, 0.5)),
+        lambda: PriorSpec("three_point", (-INF, 0.0, INF), (0.25, 0.5, 0.25)),
+        lambda: SpikeSpec(NAN),
+        lambda: SpikeSpec(INF),
+        lambda: Denoiser("scaled_tanh", (NAN,)),
+        lambda: Denoiser("scaled_tanh", (INF,)),
+        lambda: Denoiser("smooth_soft_threshold", (0.5,), delta=NAN),
+        lambda: Denoiser("linear_combo", (), (1.0, -INF)),
+        lambda: Denoiser("linear_combo", (), (), NAN),
+        lambda: TestFunction("tanh_product", NAN),
+    ],
+    ids=["prior_value", "prior_prob", "prior_infinite_values", "spike_nan", "spike_inf", "tanh_nan", "tanh_inf",
+         "soft_threshold_delta", "combo_weight", "combo_offset", "clip_nan"],
+)
+def test_library_specs_refuse_non_finite_numbers(build):
+    with pytest.raises(RejectedInputError):
+        build()
+
+
+def test_an_infinite_clip_clips_nothing():
+    assert TestFunction("last_coord_clipped", INF).pair_eval(0.0, [-1e300, 1e300]).tolist() == [-1e300, 1e300]
 
 
 class TestEnsembleSpecs:

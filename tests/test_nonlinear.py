@@ -120,7 +120,11 @@ class TestPartials:
         rows = np.random.default_rng(2).normal(size=(2, 6))
         np.testing.assert_allclose(fd_partial(f, 1, 1, rows, h=1e-5), np.zeros(6), atol=1e-12)
 
-    @pytest.mark.parametrize("f", BUILTIN_DENOISERS, ids=lambda f: f.kind)
+    @pytest.mark.parametrize(
+        "f",
+        [*BUILTIN_DENOISERS, pytest.param(Denoiser(kind="linear_combo", weights=(0.4,)), id="linear_combo_one_weight")],
+        ids=lambda f: f.kind,
+    )
     def test_analytic_matches_fd(self, f):
         rng = np.random.default_rng(3)
         k = 3

@@ -43,20 +43,23 @@ class TestTridiagonalBytes:
     def test_ritz_pairs_at_gap_check_indices_are_eigh_tridiagonals(self, d, e):
         k = len(d) - 1
         for lo, hi in ((0, 0), (k - 1, k)):
-            w, z = openblas.tridiagonal_eigenpairs(d, e, lo, hi)
-            w_ref, z_ref = eigh_tridiagonal(d, e, select="i", select_range=(lo, hi))
+            w, z = openblas.tridiagonal_eigen(d, e, (lo, hi))
+            if (lo, hi) == (0, k):  # every pair (random2): dstevx's dsteqr path
+                w_ref, z_ref = eigh_tridiagonal(d, e, lapack_driver="stev")
+            else:
+                w_ref, z_ref = eigh_tridiagonal(d, e, select="i", select_range=(lo, hi))
             assert w.tobytes() == w_ref.tobytes() and z.tobytes() == z_ref.tobytes()
 
     def test_dsterf_is_scipys(self, d, e):
         w_ref, info = dsterf(d, e)
-        assert info == 0 and openblas.dsterf(d, e).tobytes() == w_ref.tobytes()
+        assert info == 0 and openblas.tridiagonal_eigen(d, e).tobytes() == w_ref.tobytes()
 
 
 def refuse_calls(monkeypatch):
     def called(*args):
         raise AssertionError("a pointer was passed to LAPACK or BLAS")
 
-    for name in ("_dspmv", "_dsymv", "_dsterf", "_dstebz", "_dstein"):
+    for name in ("_dspmv", "_dsymv", "_dstevx"):
         monkeypatch.setattr(openblas, name, called)
 
 
@@ -109,10 +112,10 @@ class TestRefusedInput:
     def test_tridiagonal(self, monkeypatch, d, e, lo, hi):
         refuse_calls(monkeypatch)
         with pytest.raises(RejectedInputError):
-            openblas.tridiagonal_eigenpairs(d, e, lo, hi)
+            openblas.tridiagonal_eigen(d, e, (lo, hi))
         if lo == 0:
             with pytest.raises(RejectedInputError):
-                openblas.dsterf(d, e)
+                openblas.tridiagonal_eigen(d, e)
 
     def test_read_only_inputs_are_accepted(self):
         ap, x = np.arange(10.0), np.arange(4.0)
@@ -125,17 +128,17 @@ class TestDeclarations:
     def test_character_arguments_take_their_hidden_lengths(self):
         assert openblas._dspmv.argtypes[0] is ctypes.c_char_p and openblas._dspmv.argtypes[-1] is ctypes.c_size_t
         assert openblas._dsymv.argtypes[0] is ctypes.c_char_p and openblas._dsymv.argtypes[-1] is ctypes.c_size_t
-        assert openblas._dstebz.argtypes[:2] == (ctypes.c_char_p,) * 2
-        assert openblas._dstebz.argtypes[-2:] == (ctypes.c_size_t,) * 2
-        assert len(openblas._dstebz.argtypes) == 18 + 2 and len(openblas._dstein.argtypes) == 13
+        assert openblas._dstevx.argtypes[:2] == (ctypes.c_char_p,) * 2
+        assert openblas._dstevx.argtypes[-2:] == (ctypes.c_size_t,) * 2
+        assert len(openblas._dstevx.argtypes) == 18 + 2
 
     def test_lapack_info_becomes_numerical_failure(self, monkeypatch):
         def fail(*args):
-            args[3]._obj.value = -2  # dsterf's info: an illegal argument
+            args[17]._obj.value = -2  # dstevx's info: an illegal argument
 
-        monkeypatch.setattr(openblas, "_dsterf", fail)
-        with pytest.raises(NumericalFailureError, match="dsterf failed with info -2"):
-            openblas.dsterf(np.ones(3), np.ones(2))
+        monkeypatch.setattr(openblas, "_dstevx", fail)
+        with pytest.raises(NumericalFailureError, match="dstevx failed with info -2"):
+            openblas.tridiagonal_eigen(np.ones(3), np.ones(2))
 
 
 class TestMissingLibrary:

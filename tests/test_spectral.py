@@ -124,6 +124,10 @@ class TestPowerMethod:
         assert lhs <= 1e-14
         assert lhs <= power_bound_rhs(eig, aligned, 10)
 
+    def test_one_by_one_bound_is_zero(self):
+        eig = jacobi_eigendecomp(SymmetricMatrix.from_dense(np.array([[2.0]])), tol=1e-14)
+        assert power_bound_rhs(eig, np.ones(1), 10) == 0.0
+
     def test_rejects_non_unit_start(self):
         m = SymmetricMatrix.from_dense(np.eye(3))
         with pytest.raises(RejectedInputError):
@@ -350,11 +354,11 @@ class TestGapCheck:
         # pair once: at the test that converges, or for the residual of a run that does not
         calls = []
 
-        def counted(d, e, lo, hi):
-            calls.append((len(d), lo, hi))
-            return openblas.tridiagonal_eigenpairs(d, e, lo, hi)
+        def counted(d, e, select):
+            calls.append((len(d), *select))
+            return openblas.tridiagonal_eigen(d, e, select)
 
-        monkeypatch.setattr(spectral, "tridiagonal_eigenpairs", counted)
+        monkeypatch.setattr(spectral, "tridiagonal_eigen", counted)
         op, u0 = spiked_instance(300, 2.0, 51)
         if cap is None:
             k = len(gap_check(op, y0=start_along(u0)).krylov.basis)
@@ -368,10 +372,10 @@ class TestGapCheck:
 
     def test_tridiagonal_failure_becomes_numerical_failure(self, monkeypatch):
         def fail(*args):
-            args[-1]._obj.value = 1  # info: one eigenvector did not converge
+            args[17]._obj.value = 1  # dstevx's info: one eigenvector did not converge
 
-        monkeypatch.setattr(openblas, "_dstein", fail)
-        with pytest.raises(NumericalFailureError, match="dstein"):
+        monkeypatch.setattr(openblas, "_dstevx", fail)
+        with pytest.raises(NumericalFailureError, match="dstevx"):
             gap_check(spiked_instance(50, 2.0, 71)[0], y0=other_start(50))
 
     def test_rejects_one_by_one(self):

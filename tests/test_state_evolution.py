@@ -94,22 +94,32 @@ class TestSeSpiked:
         se = se_spiked(1.5, PriorSpec("uniform_sqrt3"), den, K=2)
         assert np.all(se.sigma > 0)
 
-    def test_soft_threshold_converges_with_the_split_rule(self):
-        # the C^1 soft threshold defeats Gauss-Hermite doubling; split at its
-        # kinks, each step matches adaptive quadrature over g for w = -1, 1
-        soft = Denoiser(kind="smooth_soft_threshold", schedule=(0.5,) * 3)
-        se = se_spiked(2.0, RADEMACHER, soft, K=3)
+    @pytest.mark.parametrize(
+        "prior, den",
+        [
+            # the C^1 soft threshold defeats Gauss-Hermite doubling; the rule splits at its kinks
+            (RADEMACHER, Denoiser(kind="smooth_soft_threshold", schedule=(0.5,) * 3)),
+            # a three_point prior's atoms are enumerated exactly
+            (PriorSpec("three_point", (-1.0, 0.0, 2.0), (1 / 3, 1 / 2, 1 / 6)), Denoiser("scaled_tanh", (1.0, 1.5, 0.7))),
+        ],
+        ids=["rademacher_soft_threshold", "three_point_scaled_tanh"],
+    )
+    def test_each_step_matches_adaptive_quadrature_per_atom(self, prior, den):
+        # mu and sigma^2 of each step are the probability-weighted sums, over the prior's atoms w,
+        # of adaptive quadrature over g split at the denoiser's kinks
+        atoms = list(zip(prior.values, prior.probs)) or [(-1.0, 0.5), (1.0, 0.5)]  # rademacher
+        se = se_spiked(2.0, prior, den, K=3)
         for k in range(3):
             mu, sig = se.mu[k], se.sigma[k]
 
             def over_g(h, w):
-                cuts = [(x - mu * w) / sig for x in soft.kinks(k)]
-                return _normal_expectation(lambda g: h(float(scalar_eval(soft, k, mu * w + sig * g))), cuts)
+                cuts = [(x - mu * w) / sig for x in den.kinks(k)]
+                return _normal_expectation(lambda g: h(float(scalar_eval(den, k, mu * w + sig * g))), cuts)
 
-            mu_ref = 2.0 * sum(0.5 * w * over_g(lambda y: y, w) for w in (-1.0, 1.0))
-            sig2_ref = sum(0.5 * over_g(lambda y: y * y, w) for w in (-1.0, 1.0))
-            assert abs(se.mu[k + 1] - mu_ref) <= 1e-8
-            assert abs(se.sigma[k + 1] ** 2 - sig2_ref) <= 1e-8
+            mu_ref = 2.0 * sum(p * w * over_g(lambda y: y, w) for w, p in atoms)
+            sig2_ref = sum(p * over_g(lambda y: y * y, w) for w, p in atoms)
+            assert abs(se.mu[k + 1] - mu_ref) <= 1e-9
+            assert abs(se.sigma[k + 1] ** 2 - sig2_ref) <= 1e-9
 
     def test_unconverged_quadrature_raises(self):
         # a near-step nonlinearity keeps moving under node doubling
