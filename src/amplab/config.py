@@ -186,7 +186,7 @@ class ExperimentConfig:
     experiment: str = _key(choices=EXPERIMENTS)
     n_grid: tuple = _key(check=_n_grid, minimum=1)
     trials: int = _key(50, minimum=1)
-    master_seed: int = 0
+    master_seed: int = _key(0, minimum=0, choices=range(1 << 64))  # derive_streams hashes it as one 64-bit word
     K: int = _key(5, minimum=0)
     gamma: float = _key(0.0, minimum=0)
     gamma_grid: tuple | None = _key(None, _gamma_grid, minimum=0)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RejectedInputError
+from .errors import RejectedInputError, real_number
 from .linalg import SymmetricMatrix, packed_diagonal_indices, packed_length, spread_packed_columns, sym_matvec
 
 ENSEMBLE_KINDS = ("gaussian", "rademacher", "uniform", "centered_bernoulli")
@@ -20,7 +20,6 @@ DIAGONAL_POLICIES = ("same_law", "zero")
 PRIOR_KINDS = ("rademacher", "uniform_sqrt3", "three_point", "gaussian")
 
 _SQRT3 = math.sqrt(3.0)
-_MASK64 = (1 << 64) - 1
 _DRAW_CHUNK = 1 << 16  # Wigner entries drawn per generator call
 
 # role tags mixed into the per-trial seed derivation
@@ -43,7 +42,7 @@ class EnsembleSpec:
         if self.diagonal_policy not in DIAGONAL_POLICIES:
             raise RejectedInputError(f"unknown diagonal policy {self.diagonal_policy!r}")
         if self.kind == "centered_bernoulli":
-            if self.param is None or not (0.0 < self.param < 1.0):
+            if self.param is None or not (0.0 < real_number(self.param, "centered_bernoulli p") < 1.0):
                 raise RejectedInputError(
                     f"centered_bernoulli requires p in (0, 1), got {self.param}"
                 )
@@ -68,8 +67,8 @@ class PriorSpec:
         if self.kind not in PRIOR_KINDS:
             raise RejectedInputError(f"unknown prior kind {self.kind!r}")
         if self.kind == "three_point":
-            values = tuple(float(v) for v in self.values)
-            probs = tuple(float(p) for p in self.probs)
+            values = tuple(real_number(v, "three_point value") for v in self.values)
+            probs = tuple(real_number(p, "three_point probability") for p in self.probs)
             if len(values) != 3 or len(probs) != 3:
                 raise RejectedInputError("three_point prior needs 3 values and 3 probabilities")
             if not all(map(math.isfinite, values + probs)):
@@ -96,7 +95,7 @@ class SpikeSpec:
     gamma: float = 0.0
 
     def __post_init__(self):
-        if not 0 <= self.gamma < math.inf:
+        if not 0 <= real_number(self.gamma, "spike SNR") < math.inf:
             raise RejectedInputError(f"spike SNR must be >= 0 and finite, got {self.gamma}")
 
     @staticmethod
@@ -119,8 +118,8 @@ class TrialStreams:
 
 def derive_streams(master_seed, trial_index):
     """Derive the three role streams for (master_seed, trial_index), deterministically."""
-    if trial_index < 0:
-        raise RejectedInputError(f"trial_index must be >= 0, got {trial_index}")
+    if not (0 <= master_seed < 1 << 64 and trial_index >= 0):  # the seed is hashed as one 64-bit word
+        raise RejectedInputError(f"need master_seed in [0, 2**64), trial_index >= 0; got {master_seed}, {trial_index}")
     return TrialStreams(
         shared=_role_rng(master_seed, trial_index, _ROLE_SHARED),
         noise_a=_role_rng(master_seed, trial_index, _ROLE_NOISE_A),
@@ -130,7 +129,7 @@ def derive_streams(master_seed, trial_index):
 
 def _role_rng(master_seed, trial_index, role):
     # SeedSequence hashes the (seed, trial, role) words through its 64-bit mixer
-    seed = np.random.SeedSequence([int(master_seed) & _MASK64, int(trial_index), role])
+    seed = np.random.SeedSequence([int(master_seed), int(trial_index), role])
     return np.random.default_rng(seed)
 
 

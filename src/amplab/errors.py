@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the number check of the library specs."""
+
+import numbers
 
 
 class AmpLabError(Exception):
@@ -39,3 +41,10 @@ class AccuracyError(NumericalFailureError):
 
 class ConfigError(AmpLabError):
     """Experiment configuration is malformed."""
+
+
+def real_number(value, what):
+    """value as a float; RejectedInputError unless it is a real number (a bool or a string is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise RejectedInputError(f"{what} must be a real number, got {value!r}")
+    return float(value)

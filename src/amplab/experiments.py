@@ -79,8 +79,8 @@ from .state_evolution import (
 # per-trial index range so the two can never collide
 _GROUP_STREAM_OFFSET = 1 << 40
 
-# power_bound's cap on the bytes of one copy of a Jacobi stack, so that the stack stays in
-# cache: 8 matrices at n = 64, one at n = 256
+# power_bound's cap on the bytes of one copy of a Jacobi stack, so that the stack's four copies
+# (A, V, scratch, rotations) stay in cache: 8 matrices at n = 64, one at n = 256
 JACOBI_STACK_BYTES = 1 << 18
 
 # errors that turn a trial into status rows instead of ending the run;

@@ -138,9 +138,10 @@ def jacobi_eigendecomp_stack(matrices, tol=1e-12):
     Each sweep visits every pair (p, q) once, in the round-robin (Brent-Luk
     parallel) ordering: m - 1 steps of disjoint pairs, m = n + n % 2, where a
     zero padding index for odd n is never rotated. A and V are kept in the
-    current step's slot order, pair k at slots (2k, 2k+1), so each side of a
-    step is one complex multiply of the column pairs by c + i s, and the next
-    step is one fixed gather; a sweep brings the slots back to their first
+    current step's slot order, pair k at slots (2k, 2k+1). A step multiplies
+    A's column pairs by one array holding each matrix's c + i s on every row,
+    then A's transpose turned to the next slots by slice copies (A's rows), and
+    V's columns before their turn; a sweep brings the slots back to their first
     order. The matrices run as one stack through each step's NumPy calls.
     Each keeps its own ||M||_F and threshold, is judged at the top of each
     sweep, and leaves the stack once it converges (a diagonal, zero or 1 x 1
@@ -172,18 +173,14 @@ def jacobi_eigendecomp_stack(matrices, tol=1e-12):
         threshold[j] = tol * np.linalg.norm(dense)
         scratch[j, :n, :n] = dense
     skip = 0.1 * threshold
-    a = np.empty_like(scratch)
-    np.take(scratch, slots, axis=1, out=a, mode="clip")
-    np.take(a, slots, axis=2, out=scratch, mode="clip")  # symmetric: rows and columns to slots
-    a, scratch = scratch, a
-    v = np.empty_like(a)  # rows: coordinates, the padding one last; columns: slots
-    v[:] = np.take(np.eye(size), slots, axis=1)
+    a = np.take(np.take(scratch, slots, axis=1), slots, axis=2)  # rows and columns to slots
+    v = np.repeat(np.eye(size)[None, :, slots], count, axis=0)  # rows: coordinates, padding last; columns: slots
+    w = np.empty((count, size, size // 2), np.complex128)  # a step's c + i s, repeated on each row
     p, q = np.arange(0, size, 2), np.arange(1, size, 2)
     base = np.arange(count)[:, None] * (size * size)  # where each matrix starts in the flat stack
     pick = np.stack([p * size + q, p * (size + 1), q * (size + 1)])[:, None] + base  # a_pq, a_pp, a_qq
     back = np.argsort(turn)  # the row a slot moves to
     rotated = np.stack([back[p] * size + q, back[q] * size + p])[:, None] + base  # a_pq, a_qp once rows moved
-    moved = (turn[:, None] + size * np.arange(size)).ravel()  # flat source of each cell of a.T[turn]
     for _ in range(JACOBI_MAX_SWEEPS):
         off = _max_offdiag(a, scratch)
         done = off <= threshold
@@ -194,23 +191,27 @@ def jacobi_eigendecomp_stack(matrices, tol=1e-12):
             count = int(keep.sum())
             if count == 0:
                 return out
-            a, v, scratch = _compacted(a, keep), _compacted(v, keep), scratch[:count]
+            kept = np.flatnonzero(keep)  # moved to the front through the free scratch stack
+            a, scratch = np.take(a, kept, axis=0, out=scratch[:count], mode="clip"), a[:count]
+            v, scratch, w = np.take(v, kept, axis=0, out=scratch, mode="clip"), v[:count], w[:count]
             live, threshold, skip = live[keep], threshold[keep], skip[keep]
             pick, rotated = pick[:, :count], rotated[:, :count]
         for _ in range(size - 1):
             apq, app, aqq = np.take(a, pick)
             active = np.abs(apq) > skip[:, None]
-            tau = (aqq - app) / (2.0 * np.where(active, apq, 1.0))
-            t = np.where(active, np.where(tau >= 0, 1.0, -1.0), 0.0) / (np.abs(tau) + np.hypot(1.0, tau))
+            every = active.all()
+            tau = (aqq - app) / (2.0 * (apq if every else np.where(active, apq, 1.0)))
+            t = np.copysign(1.0 / (np.abs(tau) + np.hypot(1.0, tau)), tau + 0.0)  # -0.0 counts as tau >= 0
+            t = t if every else t * active + 0.0  # +0.0 (rotation 1) where skipped; a NaN stays
             c = 1.0 / np.sqrt(1.0 + t * t)
-            w = (c + 1j * (t * c))[:, None]
+            w[:] = (c + 1j * (t * c))[:, None]
             _rotate_pairs(a, w)  # the columns
-            np.take(a.reshape(count, -1), moved, axis=1, out=scratch.reshape(count, -1), mode="clip")
+            _turned(a, scratch.transpose(0, 2, 1))  # scratch = a.T[turn]
             _rotate_pairs(scratch, w)  # the rows, now columns
-            np.put(scratch, rotated[:, active], 0.0)
-            np.take(scratch.reshape(count, -1), moved, axis=1, out=a.reshape(count, -1), mode="clip")
+            np.put(scratch, rotated if every else rotated[:, active], 0.0)
+            _turned(scratch, a.transpose(0, 2, 1))
             _rotate_pairs(v, w)
-            np.take(v, turn, axis=2, out=scratch, mode="clip")
+            _turned(v, scratch)
             v, scratch = scratch, v
     off = _max_offdiag(a, scratch)
     for j, index in enumerate(live):
@@ -220,13 +221,6 @@ def jacobi_eigendecomp_stack(matrices, tol=1e-12):
             residual=float(off[j]),
         )
     return out
-
-
-def _compacted(x, keep):
-    """The stack x with the matrices of keep moved to its front, in place; returns that part."""
-    count = int(keep.sum())
-    x[:count] = x[keep]
-    return x[:count]
 
 
 def _circle_slots(n):
@@ -244,10 +238,17 @@ def _circle_slots(n):
     return slots, slot[source][slots]
 
 
-def _rotate_pairs(x, w):
-    """Columns (2k, 2k+1) <- (c x_2k - s x_2k+1, s x_2k + c x_2k+1), w_k = c + i s; x C-contiguous.
+def _turned(x, out):
+    """out[..., s] = x[..., turn[s]] of ``_circle_slots``: slot 0 stays, even slots go up a pair, odd down."""
+    if x.shape[-1] == 2:  # one pair: both slots stay
+        out[...] = x
+    else:
+        out[..., :3:2], out[..., 4::2] = x[..., :2], x[..., 2:-2:2]
+        out[..., 1:-1:2], out[..., -1] = x[..., 3::2], x[..., -2]
 
-    x is a stack of matrices and w holds one row of w_k per matrix."""
+
+def _rotate_pairs(x, w):
+    """Column pairs of the C-contiguous stack x <- (c x_2k - s x_2k+1, s x_2k + c x_2k+1), w[..., k] = c + i s."""
     np.multiply(x.view(np.complex128), w, out=x.view(np.complex128))
 
 

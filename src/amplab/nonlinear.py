@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RejectedInputError
+from .errors import RejectedInputError, real_number
 
 DENOISER_KINDS = ("identity", "scaled_tanh", "smooth_soft_threshold", "linear_combo")
 TESTFUNCTION_KINDS = ("last_coord_clipped", "tanh_product", "se_pair", "raw_overlap")
@@ -42,9 +42,10 @@ class Denoiser:
     def __post_init__(self):
         if self.kind not in DENOISER_KINDS:
             raise RejectedInputError(f"unknown denoiser kind {self.kind!r}")
-        object.__setattr__(self, "schedule", tuple(float(a) for a in self.schedule))
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        if not all(map(math.isfinite, (*self.schedule, *self.weights, self.offset, self.delta))):
+        object.__setattr__(self, "schedule", tuple(real_number(a, "schedule entry") for a in self.schedule))
+        object.__setattr__(self, "weights", tuple(real_number(w, "weight") for w in self.weights))
+        offset, delta = real_number(self.offset, "offset"), real_number(self.delta, "delta")
+        if not all(map(math.isfinite, (*self.schedule, *self.weights, offset, delta))):
             raise RejectedInputError(f"{self.kind} parameters must be finite, got {self}")
         if self.kind in _SCHEDULED_KINDS and not self.schedule:
             raise RejectedInputError(f"{self.kind} requires a per-iteration schedule")
@@ -196,7 +197,7 @@ class TestFunction:
     def __post_init__(self):
         if self.kind not in TESTFUNCTION_KINDS:
             raise RejectedInputError(f"unknown test function kind {self.kind!r}")
-        if not self.clip > 0:  # inf clips nothing, and stays allowed
+        if not real_number(self.clip, "clip bound") > 0:  # inf clips nothing, and stays allowed
             raise RejectedInputError(f"clip bound must be positive, got {self.clip}")
 
     def pair_eval(self, w, y):

@@ -14,12 +14,17 @@ Lanczos tridiagonals, so every Ritz pair of the first), spectral-init state_evol
 rademacher and a uniform_sqrt3 prior (Gauss-Legendre), independent-init
 state_evolution with scaled tanh and with the smooth soft threshold (whose
 kinks split its normal rules into Gauss-Legendre pieces), and power_bound from
-n = 1. Diffing the output of two trees shows whether a change moved any
-record. ``--keep DIR`` also keeps the files as DIR/<config>.t<threads>.csv and
-.json; ``--compare A B`` reads two such directories and prints, per file that
-differs, the rows that moved, the largest |difference| of each float column
-and of the summary's numbers, and every flip of status, gap_pass,
-overlap_flag or holds. Not collected by pytest:
+n = 1. A last line, ``jacobi_eigendata sha256=<sha256>``, hashes the
+eigenvalue and eigenvector bytes that the Jacobi oracle returns for criterion
+08's 100 instances (one at a time), the power_bound_oracle workload's stack
+of 8, and mixed stacks at n = 1-7 and 33, so a change to the solver shows
+even where power_bound's lhs and rhs round it away. Diffing the output of two
+trees shows whether a change moved any record. ``--keep DIR`` also keeps
+the files as DIR/<config>.t<threads>.csv and .json; ``--compare A B`` reads
+two such directories and prints, per file that differs, the rows that moved,
+the largest |difference| of each float column and of the summary's numbers,
+and every flip of status, gap_pass, overlap_flag or holds. Not collected by
+pytest:
 
     PYTHONPATH=src python tests/records_digest.py [--keep DIR]
     PYTHONPATH=src python tests/records_digest.py --compare DIR_A DIR_B
@@ -37,11 +42,15 @@ import shutil
 import sys
 import tempfile
 
+import numpy as np
+
 # the repository root, for bench.workloads
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
+from amplab import experiments  # noqa: E402
 from amplab.config import parse_config  # noqa: E402
 from amplab.experiments import run_experiment  # noqa: E402
+from amplab.linalg import SymmetricMatrix, jacobi_eigendecomp_stack  # noqa: E402
 from amplab.reporting import write_records_csv, write_summary_json  # noqa: E402
 from bench.workloads import ACCEPTANCE_SEED, WORKLOADS  # noqa: E402
 from test_experiments import BYTE_IDENTITY_CONFIGS, base_config  # noqa: E402
@@ -123,6 +132,40 @@ def configs():
         )
     power_bound = WORKLOADS["power_bound_oracle"].experiment_config(ACCEPTANCE_SEED)
     yield "power_bound_from_n1", parse_config(dict(power_bound, n_grid=[1, 3, 16, 33, 64, 128]))
+
+
+def jacobi_stacks():
+    """The stacks of matrices whose eigendata the jacobi_eigendata line hashes."""
+    rng = np.random.default_rng(20240810)  # criterion 08's instances, in its order
+    for n in (4, 16, 64, 128):
+        for _ in range(25):
+            dense = rng.normal(size=(n, n))
+            yield [SymmetricMatrix.from_dense((dense + dense.T) / 2.0)]
+    stacks, real = [], experiments.jacobi_eigendecomp_stack
+    experiments.jacobi_eigendecomp_stack = lambda matrices, tol: stacks.append(matrices) or real(matrices, tol)
+    try:
+        run_experiment(parse_config(WORKLOADS["power_bound_oracle"].experiment_config(ACCEPTANCE_SEED)))
+    finally:
+        experiments.jacobi_eigendecomp_stack = real
+    yield from stacks
+    rng = np.random.default_rng(33)
+    for n in (*range(1, 8), 33):
+        dense = [rng.normal(size=(n, n)) for _ in range(3)]
+        dense.append(np.diag(np.arange(1.0, n + 1)) + 1e-6 * rng.normal(size=(n, n)))  # nearly diagonal
+        dense.append(rng.normal(size=(n, n)))
+        dense[-1][: n // 2, n // 2 :] = dense[-1][n // 2 :, : n // 2] = 0.0  # block diagonal
+        dense = [(d + d.T) / 2.0 for d in dense] + [np.zeros((n, n))]
+        yield [SymmetricMatrix.from_dense(d) for d in dense]
+
+
+def jacobi_digest():
+    """sha256 of the eigenvalue and eigenvector bytes of every matrix of jacobi_stacks()."""
+    sha = hashlib.sha256()
+    for stack in jacobi_stacks():
+        for eig in jacobi_eigendecomp_stack(stack, tol=1e-12):
+            sha.update(eig.eigenvalues.tobytes())
+            sha.update(eig.eigenvectors.tobytes())
+    return sha.hexdigest()
 
 
 def digest(cfg, threads, out_dir, keep=None, name=None):
@@ -210,6 +253,7 @@ def main(argv=None):
             for threads in (1, 2):
                 records, summary = digest(cfg, threads, out_dir, args.keep, name)
                 print(f"{name} threads={threads} records={records} summary={summary}", flush=True)
+    print(f"jacobi_eigendata sha256={jacobi_digest()}", flush=True)
     return 0
 
 

@@ -368,6 +368,9 @@ MALFORMED = [
     ({"denoiser": {"kind": "scaled_tanh", "schedule": 5}}, "schedule must be a list or 'bayes', got 5"),
     ({"denoiser": {"kind": "scaled_tanh", "schedule": [2.0]}}, "schedule of length 1 does not cover K=2"),
     ({"init": {"kind": "spectral", "x": 1}}, "unknown init keys: ['x']"),
+    # the streams hash the seed as one 64-bit word, so a seed outside [0, 2**64) would alias another
+    ({"master_seed": -1}, "master_seed must be >= 0, got -1"),
+    ({"master_seed": 1 << 64}, "unknown master_seed 18446744073709551616"),
 ]
 
 
@@ -381,6 +384,15 @@ class TestConfigErrors:
             assert code == 1
             assert err.startswith("error:")
             assert key in err
+
+    @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+    def test_seed_override_outside_64_bits_is_config_error(self, tmp_path, capsys, seed):
+        args = ["run", "--config", write_config(tmp_path, BASE), "--out-dir", str(tmp_path / "out"), "--seed", seed]
+        for dry_run in ([], ["--dry-run"]):
+            assert main(args + dry_run) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "master_seed" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "data, message",

@@ -78,6 +78,16 @@ class TestStreams:
         with pytest.raises(RejectedInputError):
             derive_streams(7, -1)
 
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # masked to 64 bits, -1 would alias 2**64 - 1 and 2**64 would alias 0
+        with pytest.raises(RejectedInputError, match="master_seed"):
+            derive_streams(seed, 0)
+
+    def test_largest_seed_is_accepted(self):
+        top = derive_streams((1 << 64) - 1, 0).shared.standard_normal(8)
+        assert not np.array_equal(top, derive_streams(0, 0).shared.standard_normal(8))
+
 
 NAN, INF = math.nan, math.inf
 
@@ -103,6 +113,36 @@ NAN, INF = math.nan, math.inf
 def test_library_specs_refuse_non_finite_numbers(build):
     with pytest.raises(RejectedInputError):
         build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Denoiser("linear_combo", (), (), "x"),
+        lambda: Denoiser("scaled_tanh", ("x",)),
+        lambda: Denoiser("smooth_soft_threshold", (0.5,), delta=None),
+        lambda: SpikeSpec("x"),
+        lambda: SpikeSpec(None),
+        lambda: SpikeSpec(True),
+        lambda: TestFunction("se_pair", "x"),
+        lambda: PriorSpec("three_point", ("a", 0.0, 1.0), (0.2, 0.5, 0.3)),
+        lambda: EnsembleSpec("centered_bernoulli", "x"),
+    ],
+    ids=["combo_offset", "tanh_schedule", "soft_threshold_delta", "spike_str", "spike_none", "spike_bool",
+         "clip_str", "prior_value", "bernoulli_p"],
+)
+def test_library_specs_refuse_non_numbers(build):
+    with pytest.raises(RejectedInputError, match="must be a real number"):
+        build()
+
+
+def test_library_specs_take_integers_and_numpy_numbers():
+    assert Denoiser("scaled_tanh", (np.float32(1.5), 2)).schedule == (1.5, 2.0)
+    assert Denoiser("linear_combo", (), (np.int64(1),), offset=np.float64(0.5)).weights == (1.0,)
+    assert PriorSpec("three_point", (-1, 0, 1), (0.5, 0, np.float64(0.5))).values == (-1.0, 0.0, 1.0)
+    SpikeSpec(np.int64(2))
+    TestFunction("se_pair", np.float32(3.0))
+    EnsembleSpec("centered_bernoulli", np.float64(0.25))
 
 
 def test_an_infinite_clip_clips_nothing():

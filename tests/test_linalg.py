@@ -222,18 +222,26 @@ def sweep_counts(monkeypatch, matrices):
 
 
 class TestJacobiStack:
-    @pytest.mark.parametrize("n", [2, 3, 4, 31, 32, 65])
+    # n = 1..10 (m = 2..10) are the shortest slice patterns of the turn
+    @pytest.mark.parametrize("n", [*range(1, 11), 31, 32, 65])
     def test_stack_is_bit_identical_to_stacks_of_one(self, monkeypatch, n):
         rng = np.random.default_rng(300 + n)
         dense = [random_symmetric(n, rng) for _ in range(3)]
         dense.append(np.diag(np.arange(1.0, n + 1)) + 1e-6 * random_symmetric(n, rng))  # nearly diagonal
+        block = random_symmetric(n, rng)
+        block[: n // 2, n // 2 :] = block[n // 2 :, : n // 2] = 0.0  # the pairs across the blocks are skipped
+        dense.append(block)
         dense.append(np.zeros((n, n)))  # no sweep at all
         matrices = [SymmetricMatrix.from_dense(d) for d in dense]
         stacked = jacobi_eigendecomp_stack(matrices, tol=1e-12)
-        for m, eig in zip(matrices, stacked):
+        for m, d, eig in zip(matrices, dense, stacked):
             alone = jacobi_eigendecomp(m, tol=1e-12)
             assert eig.eigenvalues.tobytes() == alone.eigenvalues.tobytes()
             assert eig.eigenvectors.tobytes() == alone.eigenvectors.tobytes()
+            q, lam, norm = eig.eigenvectors, eig.eigenvalues, np.linalg.norm(d)
+            assert np.max(np.abs(lam - np.linalg.eigvalsh(d)[::-1])) <= 1e-12 * norm
+            assert np.linalg.norm(q @ np.diag(lam) @ q.T - d) <= 1e-9 * norm
+            assert np.max(np.abs(q.T @ q - np.eye(n))) <= 1e-10
         if n > 2:
             # the members leave the stack after different numbers of sweeps
             assert len(set(sweep_counts(monkeypatch, matrices))) >= 3
@@ -267,6 +275,20 @@ class TestJacobiStack:
         for v, eig in zip(values, stacked):
             assert eig.eigenvalues.tolist() == [v]
             assert eig.eigenvectors.tolist() == [[1.0]]
+
+    def test_turn_by_slices_is_the_turn_gather(self):
+        rng = np.random.default_rng(11)
+        for m in range(2, 1027, 2):
+            _, turn = linalg._circle_slots(m)
+            x = rng.normal(size=(2, 3, m))
+            out = np.empty_like(x)
+            linalg._turned(x, out)
+            assert out.tobytes() == np.take(x, turn, axis=-1).tobytes()
+            if m <= 130:  # as the step calls it on A: read along rows, written through a transposed view
+                square = rng.normal(size=(2, m, m))
+                out = np.empty_like(square)
+                linalg._turned(square, out.transpose(0, 2, 1))
+                assert out.tobytes() == np.take(square.transpose(0, 2, 1), turn, axis=1).tobytes()
 
     def test_empty_and_mixed_stacks(self):
         assert jacobi_eigendecomp_stack([]) == []
