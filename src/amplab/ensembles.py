@@ -235,22 +235,42 @@ def sample_prior(n, prior, stream):
 class InterpolatedNoise:
     """Noise operator x -> sqrt(t) A x + sqrt(1 - t) G x, never formed as a matrix.
 
-    One application costs two packed matvecs on the sampled A and G; nothing
-    of size n(n+1)/2 is allocated.
+    Given a t-grid instead of one t, it maps a (T, n) block: row r to
+    sqrt(t_r) A x_r + sqrt(1 - t_r) G x_r. A row at t = 1 gets A x_r alone
+    and one at t = 0 G x_r alone, so they hold the bytes of the pure
+    operators; a row in between costs two packed matvecs. When every row of
+    the block is the same vector, A x and G x are computed once for all of
+    them. Nothing of size n(n+1)/2 is allocated.
     """
 
     def __init__(self, mat_a, mat_g, t):
         if mat_a.n != mat_g.n:
             raise RejectedInputError(f"dimensions differ: {mat_a.n} vs {mat_g.n}")
-        if not 0.0 <= t <= 1.0:
+        grid = np.atleast_1d(np.asarray(t, dtype=np.float64))
+        if grid.ndim != 1 or not np.all((0.0 <= grid) & (grid <= 1.0)):
             raise RejectedInputError(f"interpolation t must lie in [0, 1], got {t}")
         self.n = mat_a.n
         self.mat_a, self.mat_g = mat_a, mat_g
-        self.weights = (math.sqrt(t), math.sqrt(1.0 - t))
+        self.block = np.ndim(t) == 1
+        self.weights = [(math.sqrt(s), math.sqrt(1.0 - s)) for s in grid.tolist()]
 
     def apply(self, x):
-        wa, wg = self.weights
-        return wa * sym_matvec(self.mat_a, x) + wg * sym_matvec(self.mat_g, x)
+        x = np.asarray(x, dtype=np.float64)
+        rows = x if self.block else x[None]
+        if rows.ndim != 2 or len(rows) != len(self.weights):
+            raise RejectedInputError(f"expected {len(self.weights)} rows of length {self.n}, got shape {x.shape}")
+        shared = len(rows) > 1 and bool((rows[1:] == rows[0]).all())
+        out = np.empty(rows.shape)
+        ax = gx = None
+        for r, (wa, wg) in enumerate(self.weights):
+            if not shared:
+                ax = gx = None
+            if wa and ax is None:
+                ax = sym_matvec(self.mat_a, rows[r])
+            if wg and gx is None:
+                gx = sym_matvec(self.mat_g, rows[r])
+            out[r] = (wa * ax + wg * gx) if wa and wg else ax if wa else gx
+        return out if self.block else out[0]
 
 
 class SpikedOperator:
@@ -258,6 +278,7 @@ class SpikedOperator:
 
     X is any noise operator with ``.n`` and ``.apply`` (a SymmetricMatrix or an
     InterpolatedNoise; both check x in ``sym_matvec``); z=None means no spike term.
+    On a (T, n) block of a block noise operator, the spike term is added row by row.
     The rank-one part is never materialized; one application costs the noise apply plus O(n).
     """
 
@@ -270,7 +291,8 @@ class SpikedOperator:
     def apply(self, x):
         y = self.noise.apply(x) * self._inv_sqrt_n
         if self.z is not None:
-            y += (self.gamma / self.n) * np.dot(self.z, x) * self.z
+            for y_r, x_r in zip(y, x) if y.ndim == 2 else [(y, x)]:
+                y_r += (self.gamma / self.n) * np.dot(self.z, x_r) * self.z
         return y
 
 

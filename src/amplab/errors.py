@@ -20,11 +20,13 @@ class NumericalFailureError(AmpLabError, RuntimeError):
 
 
 class DivergenceError(NumericalFailureError):
-    """An iterate left the finite range; carries the offending iteration index."""
+    """An iterate left the finite range; carries the offending iteration index and,
+    for an orbit block, the indices of the rows that left it (None for one orbit)."""
 
-    def __init__(self, message, iteration):
+    def __init__(self, message, iteration, rows=None):
         super().__init__(message)
         self.iteration = iteration
+        self.rows = rows
 
 
 class DegenerateInputError(AmpLabError):

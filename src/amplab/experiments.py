@@ -18,7 +18,8 @@ worker thread reuses its buffers from trial to trial and faults their pages in
 once. Universality and interpolation apply each matrix a few times and keep
 packed buffers. Universality reduces G's orbit to phi_g before A is drawn into
 the same buffer (the noise streams are independent, so the order changes no
-value); interpolation holds A and G. bbp and spectral-init state_evolution
+value); interpolation holds A and G, and runs a trial's whole t_grid as one
+orbit block (see ``run_interpolation``). bbp and spectral-init state_evolution
 apply their matrix 100+ times in the gap check's Lanczos solve, so they keep
 one dense Fortran-order buffer, twice the packed size, whose threaded BLAS
 apply outruns the packed one; the packed draw fills its first half and is
@@ -58,7 +59,7 @@ from .ensembles import (
     sample_prior,
     sample_wigner,
 )
-from .errors import AmpLabError, RejectedInputError
+from .errors import AmpLabError, DivergenceError, RejectedInputError
 from .linalg import (
     SymmetricMatrix,
     jacobi_eigendecomp,  # not called here; bench/spans.py traces it under this module's name
@@ -261,9 +262,11 @@ def _gaussian_twin(ensemble):
     return EnsembleSpec("gaussian", diagonal_policy=ensemble.diagonal_policy)
 
 
-def _run_independent(cfg, noise, denoisers, u0):
+def _run_independent(cfg, noise, denoisers, u0, block=None):
+    """The configured orbit from u0, or a block of that many orbits from u0 for a block noise operator."""
     run = run_generalized if cfg.engine == "generalized" else run_onsager
-    return run(build_spiked(noise, SpikeSpec.rank_one(cfg.gamma), u0), denoisers, u0, cfg.K)
+    v0 = u0 if block is None else np.broadcast_to(u0, (block, len(u0)))
+    return run(build_spiked(noise, SpikeSpec.rank_one(cfg.gamma), u0), denoisers, v0, cfg.K)
 
 
 def run_universality(cfg):
@@ -387,7 +390,14 @@ def run_bbp(cfg):
 
 
 def run_interpolation(cfg):
-    """Orbit observable along the path sqrt(t) A + sqrt(1-t) G, applied as two matvecs."""
+    """Orbit observable along the path sqrt(t) A + sqrt(1-t) G, applied as two matvecs.
+
+    Each trial runs the whole t_grid as one orbit block, row r at t_grid[r].
+    Every row starts at u0, so the first step applies A and G once for all
+    t. The rows at t = 1 and t = 0 apply A and G alone, so they reproduce
+    the pure runs exactly. Rows never mix: a row that diverges fails its own
+    t, and the others rerun without it to the same bytes.
+    """
     denoisers, _ = _resolve_denoisers(cfg)
     gauss = _gaussian_twin(cfg.ensemble)
     scratch = _NoiseScratch()
@@ -396,23 +406,20 @@ def run_interpolation(cfg):
         u0 = sample_prior(n, cfg.prior, streams.shared)
         mat_a = sample_wigner(n, cfg.ensemble, streams.noise_a, out=scratch.packed(0, n))
         mat_g = sample_wigner(n, gauss, streams.noise_g, out=scratch.packed(1, n))
-        rows = []
-        for t in cfg.t_grid:
-            row = {"t": t}
-            # the endpoints run on A and G themselves, so they reproduce the
-            # pure runs exactly; interior t never forms the mixed matrix
-            if t == 1.0:
-                noise = mat_a
-            elif t == 0.0:
-                noise = mat_g
-            else:
-                noise = InterpolatedNoise(mat_a, mat_g, t)
+        rows = [{"t": t} for t in cfg.t_grid]
+        live = rows
+        while live:
+            grid = [row["t"] for row in live]
             try:
-                orbit = _run_independent(cfg, noise, denoisers, u0)
-                row["phi"] = phi_average(orbit, cfg.phi, cfg.K)
-            except _TRIAL_ERRORS as exc:
-                row["status"] = type(exc).__name__
-            rows.append(row)
+                orbit = _run_independent(cfg, InterpolatedNoise(mat_a, mat_g, grid), denoisers, u0, len(grid))
+            except DivergenceError as exc:
+                for r in exc.rows:
+                    live[r]["status"] = type(exc).__name__
+                live = [row for r, row in enumerate(live) if r not in exc.rows]
+                continue
+            for row, phi in zip(live, phi_average(orbit, cfg.phi, cfg.K).tolist()):
+                row["phi"] = phi
+            break
         return rows
 
     rows = _run_grid(cfg, one_trial, failure_rows=[{"t": t} for t in cfg.t_grid])

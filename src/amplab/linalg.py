@@ -81,6 +81,8 @@ class SymmetricMatrix:
         a = np.asarray(a, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise RejectedInputError(f"expected a square matrix, got shape {a.shape}")
+        if not np.isfinite(a).all():  # a NaN would also pass the symmetry test below
+            raise RejectedInputError("matrix has a non-finite entry")
         scale = max(1.0, float(np.max(np.abs(a))))
         if np.max(np.abs(a - a.T)) > 1e-12 * scale:
             raise RejectedInputError("matrix is not symmetric")
@@ -149,9 +151,11 @@ def jacobi_eigendecomp_stack(matrices, tol=1e-12):
     stack of one. Within a sweep, pairs with |a_pq| <= 0.1 * tol * ||M||_F
     are skipped (rotation 1). From scratch, no LAPACK eigensolver, so an
     independent oracle (n <= 1024). Returns, in order, each matrix's
-    EigenDecomp, or the NumericalFailureError of one that did not converge in
-    100 sweeps. NumPy may fuse the complex multiply (FMA) by CPU, so the last
-    bits are per machine, reruns identical.
+    EigenDecomp, or the NumericalFailureError of one whose ||M||_F is not
+    finite (it fails at the first test) or that did not converge in 100
+    sweeps. The scratch and rotation stacks are released before the last
+    members are read out. NumPy may fuse the complex multiply (FMA) by CPU,
+    so the last bits are per machine, reruns identical.
     """
     if tol <= 0:
         raise RejectedInputError(f"tol must be positive, got {tol}")
@@ -183,12 +187,19 @@ def jacobi_eigendecomp_stack(matrices, tol=1e-12):
     rotated = np.stack([back[p] * size + q, back[q] * size + p])[:, None] + base  # a_pq, a_qp once rows moved
     for _ in range(JACOBI_MAX_SWEEPS):
         off = _max_offdiag(a, scratch)
-        done = off <= threshold
+        broken = ~np.isfinite(threshold)  # a non-finite entry, or one large enough that ||M||_F overflows
+        done = (off <= threshold) | broken
         if done.any():
-            for j in np.flatnonzero(done):
-                out[live[j]] = _sorted_decomp(np.diag(a[j])[slots < n], v[j][:n, slots < n])
             keep = ~done
             count = int(keep.sum())
+            if count == 0:
+                del scratch, w  # only a and v are read out
+            for j in np.flatnonzero(done):
+                out[live[j]] = (
+                    NumericalFailureError(f"Jacobi threshold tol * ||M||_F = {threshold[j]} is not finite")
+                    if broken[j]
+                    else _sorted_decomp(np.diag(a[j])[slots < n], v[j][:n, slots < n])
+                )
             if count == 0:
                 return out
             kept = np.flatnonzero(keep)  # moved to the front through the free scratch stack

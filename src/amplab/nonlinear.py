@@ -4,7 +4,8 @@ Iterate history is passed as a ``rows`` array of shape (k+1, n), newest first:
 ``rows[d]`` holds iterate ``v^[k-d]``, so ``rows[0]`` is the current iterate and
 ``rows[k]`` the initialization. Partial-derivative indices ``j`` refer to the
 iterate number (``j = k`` is the newest argument), matching the memory-term
-convention of the iteration.
+convention of the iteration. A block of T orbits passes (k+1, T, n) rows,
+and every function here maps them coordinate by coordinate.
 """
 
 import math
@@ -83,9 +84,9 @@ class Denoiser:
 
 def _check_rows(k, j, rows):
     rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[0] != k + 1:
+    if rows.ndim not in (2, 3) or rows.shape[0] != k + 1:
         raise RejectedInputError(
-            f"rows must have shape (k+1, n) = ({k + 1}, n), got {rows.shape}"
+            f"rows must have shape (k+1, n) = ({k + 1}, n) or (k+1, T, n), got {rows.shape}"
         )
     if j is not None and not (0 <= j <= k):
         raise RejectedInputError(f"argument index j={j} outside 0..{k}")
@@ -136,7 +137,7 @@ def scalar_derivative(f, k, x):
 
 def _combo_eval(f, k, rows):
     depth = min(len(f.weights), k + 1)
-    out = np.full(rows.shape[1], f.offset)
+    out = np.full(rows.shape[1:], f.offset)
     for d in range(depth):
         out += f.weights[d] * rows[d]
     return out
@@ -157,14 +158,13 @@ def _smooth_soft_derivative(x, lam, delta):
 def denoiser_partial(f, k, j, rows):
     """Analytic partial of f_k with respect to argument v^[j], evaluated row-wise."""
     rows = _check_rows(k, j, rows)
-    n = rows.shape[1]
     d = k - j  # depth of argument j in the newest-first layout
     if f.newest_only():
         if d == 0:
             return scalar_derivative(f, k, rows[0])
-        return np.zeros(n)
+        return np.zeros(rows.shape[1:])
     w = f.weights[d] if d < len(f.weights) else 0.0
-    return np.full(n, w)
+    return np.full(rows.shape[1:], w)
 
 
 def fd_partial(f, k, j, rows, h=1e-5):

@@ -13,10 +13,12 @@ fall back to operator applies, a bbp config at n = 2 and 3 (2 x 2 and 3 x 3
 Lanczos tridiagonals, so every Ritz pair of the first), spectral-init state_evolution configs with a
 rademacher and a uniform_sqrt3 prior (Gauss-Legendre), independent-init
 state_evolution with scaled tanh and with the smooth soft threshold (whose
-kinks split its normal rules into Gauss-Legendre pieces), and power_bound from
-n = 1. A last line, ``jacobi_eigendata sha256=<sha256>``, hashes the
-eigenvalue and eigenvector bytes that the Jacobi oracle returns for criterion
-08's 100 instances (one at a time), the power_bound_oracle workload's stack
+kinks split its normal rules into Gauss-Legendre pieces), interpolation on the
+generalized orbit, with a memory linear_combo denoiser and with the smooth
+soft threshold on a t_grid without 0 and 1, and power_bound from n = 1. A
+last line, ``jacobi_eigendata sha256=<sha256>``, hashes the eigenvalue and
+eigenvector bytes that the Jacobi oracle returns for criterion 08's 100
+instances (one at a time), the power_bound_oracle workload's stack
 of 8, and mixed stacks at n = 1-7 and 33, so a change to the solver shows
 even where power_bound's lhs and rhs round it away. Diffing the output of two
 trees shows whether a change moved any record. ``--keep DIR`` also keeps
@@ -130,6 +132,18 @@ def configs():
             prior={"kind": "gaussian"},
             denoiser=denoiser,
         )
+    for name, overrides in (
+        ("interpolation_generalized", dict(engine="generalized", t_grid=[0.0, 0.4, 1.0])),
+        (
+            "interpolation_linear_combo",
+            dict(denoiser={"kind": "linear_combo", "weights": [0.6, -0.3, 0.2], "offset": 0.1}, t_grid=[1.0, 0.5, 0.0]),
+        ),
+        (
+            "interpolation_soft_threshold",
+            dict(denoiser={"kind": "smooth_soft_threshold", "schedule": [0.6, 0.9, 0.5]}, gamma=0.0, t_grid=[0.2, 0.5, 0.9]),
+        ),
+    ):
+        yield name, base_config(experiment="interpolation", n_grid=[50, 301], trials=3, **overrides)
     power_bound = WORKLOADS["power_bound_oracle"].experiment_config(ACCEPTANCE_SEED)
     yield "power_bound_from_n1", parse_config(dict(power_bound, n_grid=[1, 3, 16, 33, 64, 128]))
 

@@ -6,12 +6,14 @@ import pytest
 from amplab.engine import (
     onsager_coeffs,
     phi_average,
+    phi_pair_average,
     run_generalized,
     run_onsager,
     run_spectral_amp,
 )
 from amplab.ensembles import (
     EnsembleSpec,
+    InterpolatedNoise,
     PriorSpec,
     SpikeSpec,
     build_spiked,
@@ -280,6 +282,76 @@ class TestPhiAverage:
         for k in (1, -1):  # a negative k must not wrap to the last iterate
             with pytest.raises(RejectedInputError):
                 phi_average(orbit, TestFunction("tanh_product"), k)
+
+
+def interpolated_block(n, seed, grid, gamma=2.0):
+    """(spiked block operator on the t-grid, the 1-D spiked operator of each t, u0)."""
+    streams = derive_streams(seed, 0)
+    u0 = sample_prior(n, PriorSpec("rademacher"), streams.shared)
+    mat_a = sample_wigner(n, EnsembleSpec("rademacher"), streams.noise_a)
+    mat_g = sample_wigner(n, EnsembleSpec("gaussian"), streams.noise_g)
+    spike = SpikeSpec.rank_one(gamma)
+    singles = [build_spiked(InterpolatedNoise(mat_a, mat_g, t), spike, u0) for t in grid]
+    return build_spiked(InterpolatedNoise(mat_a, mat_g, grid), spike, u0), singles, u0
+
+
+BLOCK_DENOISERS = [
+    Denoiser(kind="identity"),
+    Denoiser(kind="scaled_tanh", schedule=(1.5, 0.9, 1.1, 2.0)),
+    Denoiser(kind="smooth_soft_threshold", schedule=(0.6, 0.9, 0.5, 1.1)),
+    Denoiser(kind="linear_combo", weights=(0.6, -0.3, 0.2), offset=0.1),
+]
+
+
+class TestOrbitBlock:
+    @pytest.mark.parametrize("n", [37, 250])
+    @pytest.mark.parametrize("run", [run_onsager, run_generalized], ids=lambda run: run.__name__)
+    @pytest.mark.parametrize("f", BLOCK_DENOISERS, ids=lambda f: f.kind)
+    def test_rows_hold_the_single_orbits_bytes(self, f, run, n):
+        grid, K = [0.0, 0.3, 0.3, 0.8, 1.0], 4
+        block_op, singles, u0 = interpolated_block(n, 5, grid)
+        block = run(block_op, [f] * K, np.broadcast_to(u0, (len(grid), n)), K)
+        tf = TestFunction("tanh_product")
+        phis = phi_average(block, tf, K)
+        assert phis.shape == (len(grid),)
+        for r, op in enumerate(singles):
+            single = run(op, [f] * K, u0, K)
+            assert [v[r].tobytes() for v in block.iterates] == [v.tobytes() for v in single.iterates]
+            assert [b[r].tobytes() for b in block.onsager_log] == [b.tobytes() for b in single.onsager_log]
+            assert phis[r] == phi_average(single, tf, K)
+
+    def test_onsager_log_has_a_row_per_orbit(self):
+        block_op, _, u0 = interpolated_block(20, 6, [0.2, 0.7])
+        orbit = run_onsager(block_op, [Denoiser(kind="identity")] * 3, np.stack([u0, u0]), 3)
+        assert [b.shape for b in orbit.onsager_log] == [(2, 0), (2, 1), (2, 2)]
+        np.testing.assert_array_equal(orbit.onsager_log[2], [[0.0, 1.0], [0.0, 1.0]])
+
+    def test_divergence_names_the_rows_that_left(self):
+        n = 6
+        entries = np.zeros(n * (n + 1) // 2)
+        entries[packed_diagonal_indices(n)] = 1e9 * math.sqrt(n)
+        huge = SymmetricMatrix(n, entries)
+        tame = SymmetricMatrix(n, np.zeros(n * (n + 1) // 2))
+        op = build_spiked(InterpolatedNoise(huge, tame, [0.0, 0.5, 1.0]), SpikeSpec())
+        with pytest.raises(DivergenceError, match=r"orbit diverged at iteration \d in rows \[1, 2\]$") as err:
+            run_onsager(op, [Denoiser(kind="identity")] * 3, np.ones((3, n)), 3)
+        assert err.value.rows == [1, 2] and err.value.iteration >= 1
+        with pytest.raises(DivergenceError) as err:  # one orbit names no rows
+            run_onsager(build_spiked(huge, SpikeSpec()), [Denoiser(kind="identity")] * 3, np.ones(n), 3)
+        assert err.value.rows is None
+
+    def test_block_of_the_wrong_height_refused(self):
+        block_op, _, u0 = interpolated_block(10, 7, [0.2, 0.7])
+        with pytest.raises(RejectedInputError, match=r"expected 2 rows of length 10, got shape \(3, 10\)"):
+            run_generalized(block_op, [Denoiser(kind="identity")], np.ones((3, 10)), 1)
+
+    @pytest.mark.parametrize("n", [250, 251, 1000, 4096, 4097])
+    def test_row_averages_are_the_1d_averages(self, n):
+        rng = np.random.default_rng(n)
+        w, y = rng.normal(size=(2, 4, n))
+        tf = TestFunction("tanh_product")
+        rows = phi_pair_average(tf, w, y)
+        assert rows.tolist() == [phi_pair_average(tf, w[r], y[r]) for r in range(4)]
 
 
 class TestRunSpectralAmp:

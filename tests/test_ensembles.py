@@ -459,7 +459,47 @@ class TestInterpolatedNoise:
         with pytest.raises(RejectedInputError):
             InterpolatedNoise(zeros(3), zeros(4), 0.5)
 
-    @pytest.mark.parametrize("t", [-0.1, 1.5])
+    def test_block_rows_are_the_single_t_bytes_and_endpoints_the_pure_ones(self, monkeypatch):
+        n, grid = 41, [0.0, 0.25, 0.9, 1.0]
+        streams = derive_streams(6, 0)
+        u0 = sample_prior(n, PriorSpec("rademacher"), streams.shared)
+        mat_a = sample_wigner(n, EnsembleSpec("rademacher"), streams.noise_a)
+        mat_g = sample_wigner(n, EnsembleSpec("gaussian"), streams.noise_g)
+        x = np.random.default_rng(15).normal(size=(len(grid), n))
+        spike = SpikeSpec.rank_one(2.0)
+        block = build_spiked(InterpolatedNoise(mat_a, mat_g, grid), spike, u0).apply(x)
+        singles = [build_spiked(InterpolatedNoise(mat_a, mat_g, t), spike, u0).apply(x[r]) for r, t in enumerate(grid)]
+        assert [row.tobytes() for row in block] == [y.tobytes() for y in singles]
+        assert singles[0].tobytes() == build_spiked(mat_g, spike, u0).apply(x[0]).tobytes()
+        assert singles[-1].tobytes() == build_spiked(mat_a, spike, u0).apply(x[-1]).tobytes()
+        calls = []
+        real = ensembles.sym_matvec
+        monkeypatch.setattr(ensembles, "sym_matvec", lambda m, v: calls.append(m is mat_a) or real(m, v))
+        InterpolatedNoise(mat_a, mat_g, grid).apply(x)
+        assert calls == [False, True, False, True, False, True]  # G; A and G twice; A
+
+    def test_a_block_of_one_vector_applies_a_and_g_once(self, monkeypatch):
+        n, grid = 30, [0.0, 0.5, 0.75, 1.0]
+        mat_a = sample_wigner(n, EnsembleSpec("rademacher"), derive_streams(7, 0).noise_a)
+        mat_g = sample_wigner(n, EnsembleSpec("gaussian"), derive_streams(7, 0).noise_g)
+        x = np.random.default_rng(16).normal(size=n)
+        calls = []
+        real = ensembles.sym_matvec
+        monkeypatch.setattr(ensembles, "sym_matvec", lambda m, v: calls.append(m is mat_a) or real(m, v))
+        block = InterpolatedNoise(mat_a, mat_g, grid).apply(np.tile(x, (len(grid), 1)))
+        assert calls == [False, True]
+        singles = [InterpolatedNoise(mat_a, mat_g, t).apply(x) for t in grid]
+        assert [row.tobytes() for row in block] == [y.tobytes() for y in singles]
+
+    def test_block_of_the_wrong_shape_refused(self):
+        noise = InterpolatedNoise(zeros(3), zeros(3), [0.0, 0.5])
+        for x in (np.ones(3), np.ones((3, 3)), np.ones((2, 2, 3))):
+            with pytest.raises(RejectedInputError, match=r"expected 2 rows of length 3"):
+                noise.apply(x)
+        with pytest.raises(RejectedInputError, match=r"vector length \(4,\) does not match n=3"):
+            noise.apply(np.ones((2, 4)))
+
+    @pytest.mark.parametrize("t", [-0.1, 1.5, math.nan, [0.5, 1.5]])
     def test_t_outside_unit_interval_rejected(self, t):
         with pytest.raises(RejectedInputError):
             InterpolatedNoise(zeros(3), zeros(3), t)

@@ -6,9 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from amplab import experiments
+from amplab import experiments, linalg
 from amplab.config import parse_config
-from amplab.engine import phi_average, run_onsager
+from amplab.engine import phi_average, run_generalized, run_onsager
 from amplab.ensembles import (
     EnsembleSpec,
     InterpolatedNoise,
@@ -18,7 +18,7 @@ from amplab.ensembles import (
     sample_prior,
     sample_wigner,
 )
-from amplab.errors import ConfigError, DegenerateInputError, DivergenceError, RejectedInputError
+from amplab.errors import ConfigError, DegenerateInputError, RejectedInputError
 from amplab.experiments import fit_decay, run_experiment
 from amplab.linalg import packed_length
 from amplab.nonlinear import TESTFUNCTION_KINDS, Denoiser
@@ -378,6 +378,15 @@ class TestBbp:
         assert summary["failures"] == {"2.0": 0, "1e+308": 2}
 
 
+# denoiser families an interpolation block runs: newest-only, with a bayes or a fixed schedule, and with memory
+BLOCK_DENOISERS = {
+    "linear_combo": {"kind": "linear_combo", "weights": [0.6, -0.3, 0.2], "offset": 0.1},
+    "scaled_tanh_bayes": {"kind": "scaled_tanh", "schedule": "bayes"},
+    "scaled_tanh_fixed": {"kind": "scaled_tanh", "schedule": [2.0, 1.5, 1.0]},
+    "smooth_soft_threshold": {"kind": "smooth_soft_threshold", "schedule": [0.6, 0.9, 0.5]},
+}
+
+
 class TestInterpolation:
     def test_endpoints_match_pure_runs_exactly(self):
         cfg = base_config(
@@ -417,15 +426,21 @@ class TestInterpolation:
             experiment="interpolation", n_grid=[40], trials=2, t_grid=[0.0, 0.25, 0.75, 1.0]
         )
         _, clean, _ = run_experiment(cfg)
-        real_run_onsager = experiments.run_onsager
+        real_apply = InterpolatedNoise.apply
+        heights = []
 
-        def diverge_on_mixed_noise(op, *args):
-            if isinstance(op.noise, InterpolatedNoise):
-                raise DivergenceError("iterate left the finite range", iteration=2)
-            return real_run_onsager(op, *args)
+        def diverge_on_mixed_rows(noise, x):
+            y = real_apply(noise, x)
+            heights.append(len(y))
+            for r, (wa, wg) in enumerate(noise.weights):
+                if wa and wg:  # an interior t
+                    y[r] = np.inf
+            return y
 
-        monkeypatch.setattr(experiments, "run_onsager", diverge_on_mixed_noise)
+        monkeypatch.setattr(InterpolatedNoise, "apply", diverge_on_mixed_rows)
         _, rows, summary = run_experiment(cfg)
+        # per trial: the block of four diverges at its first step, then the endpoints rerun K = 3 steps
+        assert heights == [4, 2, 2, 2] * 2
         assert len(rows) == len(clean) == 2 * 4
         for row, ref in zip(rows, clean):
             if row["t"] in (0.0, 1.0):
@@ -434,6 +449,56 @@ class TestInterpolation:
                 assert row == {**ref, "status": "DivergenceError", "phi": None}
         assert summary["failures"] == {"0.0": 0, "0.25": 2, "0.75": 2, "1.0": 0}
         assert {e["group"] for e in summary["groups"]} == {0.0, 1.0}
+
+    @pytest.mark.parametrize("t_grid", [[0.0, 0.25, 0.5, 0.75, 1.0], [0.9, 0.1, 0.6]], ids=["endpoints", "interior"])
+    @pytest.mark.parametrize("engine", ["onsager", "generalized"])
+    @pytest.mark.parametrize(
+        ("denoiser", "gamma"),
+        # the bayes schedule needs gamma > 1
+        [(name, gamma) for name in sorted(BLOCK_DENOISERS) for gamma in (0.0, 2.0) if gamma or "bayes" not in name],
+    )
+    def test_every_row_is_its_single_orbit(self, denoiser, gamma, engine, t_grid):
+        n = 61
+        cfg = base_config(
+            experiment="interpolation",
+            n_grid=[n],
+            trials=2,
+            gamma=gamma,
+            engine=engine,
+            denoiser=BLOCK_DENOISERS[denoiser],
+            t_grid=t_grid,
+        )
+        _, rows, _ = run_experiment(cfg)
+        assert all(r["status"] == "ok" for r in rows)
+        denoisers, _ = experiments._resolve_denoisers(cfg)
+        run = run_generalized if engine == "generalized" else run_onsager
+        by_key = {(r["trial"], r["t"]): r["phi"] for r in rows}
+        for trial in range(2):
+            streams = derive_streams(cfg.master_seed, trial)
+            u0 = sample_prior(n, cfg.prior, streams.shared)
+            mat_a = sample_wigner(n, cfg.ensemble, streams.noise_a)
+            mat_g = sample_wigner(n, EnsembleSpec("gaussian"), streams.noise_g)
+            for t in t_grid:
+                noise = mat_a if t == 1.0 else mat_g if t == 0.0 else InterpolatedNoise(mat_a, mat_g, t)
+                orbit = run(build_spiked(noise, SpikeSpec.rank_one(gamma), u0), denoisers, u0, cfg.K)
+                assert by_key[(trial, t)] == phi_average(orbit, cfg.phi, cfg.K)
+
+    def test_trial_makes_34_packed_matvecs_on_the_workload_grid(self, monkeypatch):
+        calls = []
+        real_symv = linalg.symv
+        monkeypatch.setattr(linalg, "symv", lambda entries, x: calls.append(entries.size) or real_symv(entries, x))
+        cfg = base_config(
+            experiment="interpolation",
+            n_grid=[50],
+            trials=1,
+            K=5,
+            denoiser={"kind": "scaled_tanh", "schedule": "bayes"},
+            t_grid=[0.0, 0.25, 0.5, 0.75, 1.0],
+        )
+        _, rows, _ = run_experiment(cfg)
+        assert all(r["status"] == "ok" for r in rows)
+        # step 0 applies A and G to u0 once for every t; steps 1-4 apply G, A and three (A, G) pairs
+        assert calls == [packed_length(50)] * (2 + 4 * 8)
 
     def test_peak_memory_stays_near_the_two_sampled_matrices(self):
         n = 600

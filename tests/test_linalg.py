@@ -1,9 +1,11 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from amplab import linalg
+from amplab.ensembles import EnsembleSpec, derive_streams, sample_wigner
 from amplab.errors import NumericalFailureError, RejectedInputError
 from amplab.linalg import SymmetricMatrix, jacobi_eigendecomp, jacobi_eigendecomp_stack, sym_matvec
 
@@ -28,6 +30,12 @@ class TestSymmetricMatrix:
     def test_rejects_asymmetric_dense(self):
         with pytest.raises(RejectedInputError):
             SymmetricMatrix.from_dense([[1.0, 2.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_dense(self, bad):
+        for dense in ([[1.0, bad], [2.0, 1.0]], [[1.0, bad], [bad, 1.0]], [[bad, 0.0], [0.0, 1.0]]):
+            with pytest.raises(RejectedInputError, match="non-finite entry"):
+                SymmetricMatrix.from_dense(dense)
 
     def test_dense_layout_reads_the_upper_triangle_only(self):
         rng = np.random.default_rng(3)
@@ -254,12 +262,50 @@ class TestJacobiStack:
         matrices[1] = SymmetricMatrix(8, poisoned)
         stacked = jacobi_eigendecomp_stack(matrices, tol=1e-12)
         assert isinstance(stacked[1], NumericalFailureError)
-        assert "did not converge in 100 sweeps" in str(stacked[1])
+        assert "tol * ||M||_F = nan is not finite" in str(stacked[1])
         for i in (0, 2):
             alone = jacobi_eigendecomp(matrices[i], tol=1e-12)
             assert stacked[i].eigenvectors.tobytes() == alone.eigenvectors.tobytes()
         with pytest.raises(NumericalFailureError):
             jacobi_eigendecomp(matrices[1], tol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_member_with_non_finite_norm_fails_at_the_first_test(self, monkeypatch, bad):
+        calls = []
+        real = linalg._max_offdiag
+        monkeypatch.setattr(linalg, "_max_offdiag", lambda *args: calls.append(len(args[0])) or real(*args))
+        rng = np.random.default_rng(12)
+        matrices = [SymmetricMatrix.from_dense(random_symmetric(64, rng)) for _ in range(2)]
+        poisoned = matrices[0].entries.copy()
+        poisoned[5] = bad  # a_23
+        matrices.insert(1, SymmetricMatrix(64, poisoned))
+        stacked = jacobi_eigendecomp_stack(matrices, tol=1e-12)
+        assert isinstance(stacked[1], NumericalFailureError) and "is not finite" in str(stacked[1])
+        assert calls[:2] == [3, 2]  # judged after 0 sweeps, then the stack runs on without it
+        calls.clear()
+        with pytest.raises(NumericalFailureError, match="is not finite"):
+            jacobi_eigendecomp(matrices[1], tol=1e-12)
+        assert calls == [1]
+        for i in (0, 2):
+            alone = jacobi_eigendecomp(matrices[i], tol=1e-12)
+            assert stacked[i].eigenvectors.tobytes() == alone.eigenvectors.tobytes()
+
+    def test_peak_memory_of_a_power_bound_stack(self):
+        # the workload's stack: 8 shifted Wigner matrices at n = 64, four stacks of 256 KiB each
+        matrices = []
+        for trial in range(8):
+            entries = sample_wigner(64, EnsembleSpec("gaussian"), derive_streams(20240810, trial).noise_a).entries / 8.0
+            entries[linalg.packed_diagonal_indices(64)] += 3.0
+            matrices.append(SymmetricMatrix(64, entries))
+        tracemalloc.start()
+        try:
+            stacked = jacobi_eigendecomp_stack(matrices, tol=1e-12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(isinstance(eig, linalg.EigenDecomp) for eig in stacked)
+        # A, V, scratch and rotations (1024 KiB) never live next to all eight members' eigenvectors
+        assert peak < 1024 * 1024 + 8 * 64 * 64 * 8
 
     def test_sweep_cap_fails_each_member_with_its_residual(self, monkeypatch):
         monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
