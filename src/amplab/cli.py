@@ -16,8 +16,6 @@ from .experiments import run_experiment
 from .reporting import ensure_parent, write_records_csv, write_summary_json
 from .selftest import run_selftest
 
-_THREADS_ENV = "AMPLAB_THREADS"
-
 
 def _build_parser():
     parser = argparse.ArgumentParser(
@@ -48,15 +46,9 @@ def _cmd_run(args):
     overrides = {}
     if args.seed is not None:
         overrides["master_seed"] = args.seed
+    if args.threads is not None:
+        overrides["threads"] = args.threads
     try:
-        if args.threads is not None:
-            overrides["threads"] = args.threads
-        elif os.environ.get(_THREADS_ENV):
-            raw = os.environ[_THREADS_ENV]
-            try:
-                overrides["threads"] = int(raw)
-            except ValueError:
-                raise ConfigError(f"{_THREADS_ENV} must be an integer, got {raw!r}") from None
         cfg = load_config(args.config, **overrides)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

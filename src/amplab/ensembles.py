@@ -233,32 +233,29 @@ def sample_prior(n, prior, stream):
 
 
 class InterpolatedNoise:
-    """Noise operator x -> sqrt(t) A x + sqrt(1 - t) G x, never formed as a matrix.
+    """Noise operator on a t-grid, never formed as a matrix.
 
-    Given a t-grid instead of one t, it maps a (T, n) block: row r to
-    sqrt(t_r) A x_r + sqrt(1 - t_r) G x_r. A row at t = 1 gets A x_r alone
-    and one at t = 0 G x_r alone, so they hold the bytes of the pure
-    operators; a row in between costs two packed matvecs. When every row of
-    the block is the same vector, A x and G x are computed once for all of
-    them. Nothing of size n(n+1)/2 is allocated.
+    It maps a (T, n) block, row r to sqrt(t_r) A x_r + sqrt(1 - t_r) G x_r.
+    A row at t = 1 gets A x_r alone and one at t = 0 G x_r alone, so they
+    hold the bytes of the pure operators; a row in between costs two packed
+    matvecs. When every row of the block is the same vector, A x and G x are
+    computed once for all of them. Nothing of size n(n+1)/2 is allocated.
     """
 
-    def __init__(self, mat_a, mat_g, t):
+    def __init__(self, mat_a, mat_g, t_grid):
         if mat_a.n != mat_g.n:
             raise RejectedInputError(f"dimensions differ: {mat_a.n} vs {mat_g.n}")
-        grid = np.atleast_1d(np.asarray(t, dtype=np.float64))
+        grid = np.asarray(t_grid, dtype=np.float64)
         if grid.ndim != 1 or not np.all((0.0 <= grid) & (grid <= 1.0)):
-            raise RejectedInputError(f"interpolation t must lie in [0, 1], got {t}")
+            raise RejectedInputError(f"interpolation needs a 1-D t-grid in [0, 1], got {t_grid}")
         self.n = mat_a.n
         self.mat_a, self.mat_g = mat_a, mat_g
-        self.block = np.ndim(t) == 1
         self.weights = [(math.sqrt(s), math.sqrt(1.0 - s)) for s in grid.tolist()]
 
     def apply(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        rows = x if self.block else x[None]
+        rows = np.asarray(x, dtype=np.float64)
         if rows.ndim != 2 or len(rows) != len(self.weights):
-            raise RejectedInputError(f"expected {len(self.weights)} rows of length {self.n}, got shape {x.shape}")
+            raise RejectedInputError(f"expected {len(self.weights)} rows of length {self.n}, got shape {rows.shape}")
         shared = len(rows) > 1 and bool((rows[1:] == rows[0]).all())
         out = np.empty(rows.shape)
         ax = gx = None
@@ -270,15 +267,15 @@ class InterpolatedNoise:
             if wg and gx is None:
                 gx = sym_matvec(self.mat_g, rows[r])
             out[r] = (wa * ax + wg * gx) if wa and wg else ax if wa else gx
-        return out if self.block else out[0]
+        return out
 
 
 class SpikedOperator:
     """Lazy operator x -> X x / sqrt(n) + (gamma / n) <z, x> z.
 
-    X is any noise operator with ``.n`` and ``.apply`` (a SymmetricMatrix or an
-    InterpolatedNoise; both check x in ``sym_matvec``); z=None means no spike term.
-    On a (T, n) block of a block noise operator, the spike term is added row by row.
+    X is any noise operator with ``.n`` and ``.apply`` (a SymmetricMatrix, or an
+    InterpolatedNoise on a (T, n) block; both check x in ``sym_matvec``); z=None means
+    no spike term. On a block, the spike term is added row by row.
     The rank-one part is never materialized; one application costs the noise apply plus O(n).
     """
 

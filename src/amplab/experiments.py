@@ -6,11 +6,11 @@ measures, and the grid adds the key fields, the status and None in every
 column left unset. Each trial derives its own random streams from
 (master_seed, trial index), so trials are independent tasks; with threads > 1
 they run on a pool whose map keeps the task order, so the output does not
-depend on scheduling. A trial that raises a library error (``AmpLabError``), a
-``LinAlgError`` or an ``ArithmeticError`` such as ``FloatingPointError`` --
-while sampling or later -- is recorded with its error class in the status
-column and excluded from summaries, which count it separately; any other
-exception is a bug and ends the run.
+depend on scheduling. A trial that raises a library error (``AmpLabError``) or
+an ``ArithmeticError`` such as ``FloatingPointError`` -- while sampling or
+later -- is recorded with its error class in the status column and excluded
+from summaries, which count it separately; any other exception is a bug and
+ends the run.
 
 Universality, interpolation, bbp and spectral-init state_evolution draw their
 noise into a scratch the runner creates, so its buffers die with the run: each
@@ -84,10 +84,9 @@ _GROUP_STREAM_OFFSET = 1 << 40
 # (A, V, scratch, rotations) stay in cache: 8 matrices at n = 64, one at n = 256
 JACOBI_STACK_BYTES = 1 << 18
 
-# errors that turn a trial into status rows instead of ending the run;
-# ArithmeticError covers FloatingPointError, and LinAlgError is numpy.linalg's failure
-# (a LAPACK failure in amplab's own calls is a NumericalFailureError)
-_TRIAL_ERRORS = (AmpLabError, np.linalg.LinAlgError, ArithmeticError)
+# errors that turn a trial into status rows instead of ending the run; ArithmeticError
+# covers FloatingPointError (a LAPACK failure in amplab's own calls is a NumericalFailureError)
+_TRIAL_ERRORS = (AmpLabError, ArithmeticError)
 
 COLUMNS = {
     "universality": ("n", "trial", "status", "phi_a", "phi_g", "abs_diff"),

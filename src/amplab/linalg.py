@@ -151,11 +151,11 @@ def jacobi_eigendecomp_stack(matrices, tol=1e-12):
     stack of one. Within a sweep, pairs with |a_pq| <= 0.1 * tol * ||M||_F
     are skipped (rotation 1). From scratch, no LAPACK eigensolver, so an
     independent oracle (n <= 1024). Returns, in order, each matrix's
-    EigenDecomp, or the NumericalFailureError of one whose ||M||_F is not
-    finite (it fails at the first test) or that did not converge in 100
-    sweeps. The scratch and rotation stacks are released before the last
-    members are read out. NumPy may fuse the complex multiply (FMA) by CPU,
-    so the last bits are per machine, reruns identical.
+    EigenDecomp, or the NumericalFailureError of one with a non-finite entry
+    (it fails at the first test) or that did not converge in 100 sweeps. The
+    scratch and rotation stacks are released before the last members are read
+    out. NumPy may fuse the complex multiply (FMA) by CPU, so the last bits
+    are per machine, reruns identical.
     """
     if tol <= 0:
         raise RejectedInputError(f"tol must be positive, got {tol}")
@@ -174,7 +174,12 @@ def jacobi_eigendecomp_stack(matrices, tol=1e-12):
     threshold = np.empty(count)
     for j, m in enumerate(matrices):
         dense = m.to_dense()
-        threshold[j] = tol * np.linalg.norm(dense)
+        with np.errstate(over="ignore"):  # a finite matrix's sum of squares may overflow: then scale by max |a_ij|
+            norm = np.linalg.norm(dense)
+            if not np.isfinite(norm) and np.isfinite(dense).all():
+                top = np.abs(dense).max()
+                norm = top * np.linalg.norm(dense / top)
+            threshold[j] = tol * norm
         scratch[j, :n, :n] = dense
     skip = 0.1 * threshold
     a = np.take(np.take(scratch, slots, axis=1), slots, axis=2)  # rows and columns to slots
@@ -187,7 +192,7 @@ def jacobi_eigendecomp_stack(matrices, tol=1e-12):
     rotated = np.stack([back[p] * size + q, back[q] * size + p])[:, None] + base  # a_pq, a_qp once rows moved
     for _ in range(JACOBI_MAX_SWEEPS):
         off = _max_offdiag(a, scratch)
-        broken = ~np.isfinite(threshold)  # a non-finite entry, or one large enough that ||M||_F overflows
+        broken = ~np.isfinite(threshold)  # a non-finite entry, or a threshold that overflows
         done = (off <= threshold) | broken
         if done.any():
             keep = ~done

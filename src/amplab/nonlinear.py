@@ -118,23 +118,6 @@ def scalar_eval(f, k, x):
     return f.offset + w * x
 
 
-def scalar_derivative(f, k, x):
-    """d f_k / d x_k for newest-only families; same shapes as scalar_eval."""
-    if not f.newest_only():
-        raise RejectedInputError(f"{f.kind} with {len(f.weights)} weights is not scalar")
-    x = np.asarray(x, dtype=np.float64)
-    if f.kind == "identity":
-        return np.ones_like(x)
-    if f.kind == "scaled_tanh":
-        a = f._param(k)
-        t = np.tanh(a * x)
-        return a * (1.0 - t * t)
-    if f.kind == "smooth_soft_threshold":
-        return _smooth_soft_derivative(x, f._param(k), f.delta)
-    w = f.weights[0] if f.weights else 0.0
-    return np.full_like(x, w)
-
-
 def _combo_eval(f, k, rows):
     depth = min(len(f.weights), k + 1)
     out = np.full(rows.shape[1:], f.offset)
@@ -159,11 +142,16 @@ def denoiser_partial(f, k, j, rows):
     """Analytic partial of f_k with respect to argument v^[j], evaluated row-wise."""
     rows = _check_rows(k, j, rows)
     d = k - j  # depth of argument j in the newest-first layout
-    if f.newest_only():
-        if d == 0:
-            return scalar_derivative(f, k, rows[0])
-        return np.zeros(rows.shape[1:])
-    w = f.weights[d] if d < len(f.weights) else 0.0
+    if d == 0 and f.kind == "scaled_tanh":
+        a = f._param(k)
+        t = np.tanh(a * rows[0])
+        return a * (1.0 - t * t)
+    if d == 0 and f.kind == "smooth_soft_threshold":
+        return _smooth_soft_derivative(rows[0], f._param(k), f.delta)
+    if f.kind == "linear_combo":
+        w = f.weights[d] if d < len(f.weights) else 0.0
+    else:  # identity has slope 1 in x_k; no other family reads an older argument
+        w = 1.0 if d == 0 else 0.0
     return np.full(rows.shape[1:], w)
 
 

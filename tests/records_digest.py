@@ -25,29 +25,39 @@ trees shows whether a change moved any record. ``--keep DIR`` also keeps
 the files as DIR/<config>.t<threads>.csv and .json; ``--compare A B`` reads
 two such directories and prints, per file that differs, the rows that moved,
 the largest |difference| of each float column and of the summary's numbers,
-and every flip of status, gap_pass, overlap_flag or holds. Not collected by
-pytest:
+and every flip of status, gap_pass, overlap_flag or holds. ``--against REV``
+extracts REV's ``src`` with ``git archive`` into a temporary directory, runs
+this script once with that ``src`` and once with this tree's, prints each line
+that differs and exits 1 if any does; both runs use this tree's configs, so
+REV's ``amplab`` must provide what they import. With ``--keep DIR`` it keeps
+the two runs' files in DIR/against and DIR/here, for ``--compare``. Not
+collected by pytest:
 
     PYTHONPATH=src python tests/records_digest.py [--keep DIR]
     PYTHONPATH=src python tests/records_digest.py --compare DIR_A DIR_B
+    PYTHONPATH=src python tests/records_digest.py --against REV [--keep DIR]
 """
 
 import argparse
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
 import pathlib
 import shutil
+import subprocess
 import sys
+import tarfile
 import tempfile
 
 import numpy as np
 
 # the repository root, for bench.workloads
-sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
 
 from amplab import experiments  # noqa: E402
 from amplab.config import parse_config  # noqa: E402
@@ -252,14 +262,37 @@ def compare(dir_a, dir_b):
             print(f"  flip: {flip}")
 
 
+def against(rev, keep=None):
+    """Run this script on REV's src and on this tree's; print the lines that differ and return their count."""
+    archive = subprocess.run(["git", "-C", ROOT, "archive", rev, "src"], check=True, capture_output=True).stdout
+    outputs = []
+    with tempfile.TemporaryDirectory() as tree:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tree, filter="data")
+        for side, src in (("against", os.path.join(tree, "src")), ("here", os.path.join(ROOT, "src"))):
+            command = [sys.executable, os.path.abspath(__file__)] + (["--keep", os.path.join(keep, side)] if keep else [])
+            env = dict(os.environ, PYTHONPATH=src)
+            outputs.append(subprocess.run(command, env=env, check=True, capture_output=True, text=True).stdout.splitlines())
+    differ = 0
+    for theirs, ours in zip(*outputs):  # the same configs in the same order on both sides
+        if theirs != ours:
+            differ += 1
+            print(f"{rev}: {theirs}\nhere: {ours}")
+    print(f"{differ} of {len(outputs[1])} lines differ from {rev}")
+    return differ
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--keep", metavar="DIR", help="also keep each records CSV and summary JSON in DIR")
     parser.add_argument("--compare", nargs=2, metavar=("DIR_A", "DIR_B"), help="diff two --keep directories")
+    parser.add_argument("--against", metavar="REV", help="diff the output of REV's src and this tree's")
     args = parser.parse_args(argv)
     if args.compare:
         compare(*args.compare)
         return 0
+    if args.against:
+        return 1 if against(args.against, args.keep) else 0
     if args.keep:
         os.makedirs(args.keep, exist_ok=True)
     with tempfile.TemporaryDirectory() as out_dir:

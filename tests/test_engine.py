@@ -24,6 +24,7 @@ from amplab.ensembles import (
 from amplab.errors import DivergenceError, PreconditionError, RejectedInputError
 from amplab.linalg import SymmetricMatrix, packed_diagonal_indices
 from amplab.nonlinear import Denoiser, TestFunction, fd_partial
+from mixed_noise import MixedNoise
 
 
 def small_operator(n, seed, gamma=0.0, prior=None):
@@ -291,7 +292,7 @@ def interpolated_block(n, seed, grid, gamma=2.0):
     mat_a = sample_wigner(n, EnsembleSpec("rademacher"), streams.noise_a)
     mat_g = sample_wigner(n, EnsembleSpec("gaussian"), streams.noise_g)
     spike = SpikeSpec.rank_one(gamma)
-    singles = [build_spiked(InterpolatedNoise(mat_a, mat_g, t), spike, u0) for t in grid]
+    singles = [build_spiked(MixedNoise(mat_a, mat_g, t), spike, u0) for t in grid]
     return build_spiked(InterpolatedNoise(mat_a, mat_g, grid), spike, u0), singles, u0
 
 

@@ -18,6 +18,7 @@ from amplab.ensembles import (
 from amplab.errors import RejectedInputError
 from amplab.linalg import SymmetricMatrix, packed_diagonal_indices, packed_length, sym_matvec
 from amplab.nonlinear import Denoiser, TestFunction
+from mixed_noise import MixedNoise
 
 
 KINDS = [("gaussian", None), ("rademacher", None), ("uniform", None), ("centered_bernoulli", 0.3)]
@@ -418,10 +419,10 @@ class TestSpikedOperator:
     @pytest.mark.parametrize("interpolated", [False, True], ids=["matrix", "interpolated"])
     def test_wrong_length_vector_refused_by_the_noise_matvec(self, interpolated):
         mat = sample_wigner(20, EnsembleSpec("gaussian"), derive_streams(4, 0).noise_a)
-        noise = InterpolatedNoise(mat, mat, 0.5) if interpolated else mat
+        noise = InterpolatedNoise(mat, mat, [0.5]) if interpolated else mat
         op = build_spiked(noise, SpikeSpec.rank_one(2.0), np.ones(20))
         with pytest.raises(RejectedInputError, match=r"vector length \(21,\) does not match n=20"):
-            op.apply(np.ones(21))
+            op.apply(np.ones((1, 21)) if interpolated else np.ones(21))
 
     def test_negative_gamma_rejected(self):
         with pytest.raises(RejectedInputError, match="spike SNR must be >= 0"):
@@ -443,21 +444,28 @@ class TestSpikedOperator:
 
 class TestInterpolatedNoise:
     def test_against_dense_mixed_matrix_oracle(self):
-        n, t, gamma = 50, 0.25, 2.0
+        n, grid, gamma = 50, [0.0, 0.25, 0.6, 1.0], 2.0
         streams = derive_streams(5, 0)
         u0 = sample_prior(n, PriorSpec("rademacher"), streams.shared)
         mat_a = sample_wigner(n, EnsembleSpec("rademacher"), streams.noise_a)
         mat_g = sample_wigner(n, EnsembleSpec("gaussian"), streams.noise_g)
-        op = build_spiked(InterpolatedNoise(mat_a, mat_g, t), SpikeSpec.rank_one(gamma), u0)
-        # oracle: materialize (sqrt(t) A + sqrt(1-t) G) / sqrt(n) + gamma u0 u0^T / n
-        mixed = math.sqrt(t) * mat_a.to_dense() + math.sqrt(1.0 - t) * mat_g.to_dense()
-        full = mixed / math.sqrt(n) + gamma * np.outer(u0, u0) / n
-        x = np.random.default_rng(13).normal(size=n)
-        assert float(np.max(np.abs(op.apply(x) - full @ x))) <= 1e-12
+        op = build_spiked(InterpolatedNoise(mat_a, mat_g, grid), SpikeSpec.rank_one(gamma), u0)
+        x = np.random.default_rng(13).normal(size=(len(grid), n))
+        y = op.apply(x)
+        for r, t in enumerate(grid):
+            # oracle: materialize (sqrt(t) A + sqrt(1-t) G) / sqrt(n) + gamma u0 u0^T / n
+            mixed = math.sqrt(t) * mat_a.to_dense() + math.sqrt(1.0 - t) * mat_g.to_dense()
+            full = mixed / math.sqrt(n) + gamma * np.outer(u0, u0) / n
+            assert float(np.max(np.abs(y[r] - full @ x[r]))) <= 1e-12
 
     def test_mismatched_dimensions_rejected(self):
         with pytest.raises(RejectedInputError):
-            InterpolatedNoise(zeros(3), zeros(4), 0.5)
+            InterpolatedNoise(zeros(3), zeros(4), [0.5])
+
+    @pytest.mark.parametrize("t", [0.5, 0.0, np.float64(1.0)])
+    def test_a_single_t_is_refused(self, t):
+        with pytest.raises(RejectedInputError, match=r"needs a 1-D t-grid"):
+            InterpolatedNoise(zeros(3), zeros(3), t)
 
     def test_block_rows_are_the_single_t_bytes_and_endpoints_the_pure_ones(self, monkeypatch):
         n, grid = 41, [0.0, 0.25, 0.9, 1.0]
@@ -468,7 +476,7 @@ class TestInterpolatedNoise:
         x = np.random.default_rng(15).normal(size=(len(grid), n))
         spike = SpikeSpec.rank_one(2.0)
         block = build_spiked(InterpolatedNoise(mat_a, mat_g, grid), spike, u0).apply(x)
-        singles = [build_spiked(InterpolatedNoise(mat_a, mat_g, t), spike, u0).apply(x[r]) for r, t in enumerate(grid)]
+        singles = [build_spiked(MixedNoise(mat_a, mat_g, t), spike, u0).apply(x[r]) for r, t in enumerate(grid)]
         assert [row.tobytes() for row in block] == [y.tobytes() for y in singles]
         assert singles[0].tobytes() == build_spiked(mat_g, spike, u0).apply(x[0]).tobytes()
         assert singles[-1].tobytes() == build_spiked(mat_a, spike, u0).apply(x[-1]).tobytes()
@@ -488,7 +496,7 @@ class TestInterpolatedNoise:
         monkeypatch.setattr(ensembles, "sym_matvec", lambda m, v: calls.append(m is mat_a) or real(m, v))
         block = InterpolatedNoise(mat_a, mat_g, grid).apply(np.tile(x, (len(grid), 1)))
         assert calls == [False, True]
-        singles = [InterpolatedNoise(mat_a, mat_g, t).apply(x) for t in grid]
+        singles = [MixedNoise(mat_a, mat_g, t).apply(x) for t in grid]
         assert [row.tobytes() for row in block] == [y.tobytes() for y in singles]
 
     def test_block_of_the_wrong_shape_refused(self):
@@ -499,7 +507,7 @@ class TestInterpolatedNoise:
         with pytest.raises(RejectedInputError, match=r"vector length \(4,\) does not match n=3"):
             noise.apply(np.ones((2, 4)))
 
-    @pytest.mark.parametrize("t", [-0.1, 1.5, math.nan, [0.5, 1.5]])
+    @pytest.mark.parametrize("t", [[-0.1], [1.5], [math.nan], [0.5, 1.5]])
     def test_t_outside_unit_interval_rejected(self, t):
         with pytest.raises(RejectedInputError):
             InterpolatedNoise(zeros(3), zeros(3), t)

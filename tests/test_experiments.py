@@ -18,12 +18,13 @@ from amplab.ensembles import (
     sample_prior,
     sample_wigner,
 )
-from amplab.errors import ConfigError, DegenerateInputError, RejectedInputError
+from amplab.errors import ConfigError, DegenerateInputError, NumericalFailureError, RejectedInputError
 from amplab.experiments import fit_decay, run_experiment
 from amplab.linalg import packed_length
 from amplab.nonlinear import TESTFUNCTION_KINDS, Denoiser
 from amplab.reporting import write_records_csv, write_summary_json
 from amplab.state_evolution import bayes_tanh_schedule
+from mixed_noise import MixedNoise
 
 
 def read_rows(path):
@@ -255,18 +256,19 @@ class TestStateEvolution:
         assert all(r["phi_empirical"] is None and r["phi_prediction"] is not None for r in rows)
         assert summary["failures"] == {"0": 2, "1": 2}
 
-    def test_sampling_failure_becomes_status_rows_with_predictions(self, monkeypatch):
+    @staticmethod
+    def fail_second_sampling(monkeypatch, error):
         real_sample_wigner = experiments.sample_wigner
         calls = []
 
         def fail_second_trial(n, ens, stream):
             calls.append(n)
             if len(calls) == 2:
-                raise np.linalg.LinAlgError("sampling failed")
+                raise error("sampling failed")
             return real_sample_wigner(n, ens, stream)
 
         monkeypatch.setattr(experiments, "sample_wigner", fail_second_trial)
-        cfg = base_config(
+        return base_config(
             experiment="state_evolution",
             n_grid=[100],
             trials=3,
@@ -277,10 +279,13 @@ class TestStateEvolution:
             denoiser={"kind": "identity"},
             phi={"kind": "last_coord_clipped"},
         )
+
+    def test_sampling_failure_becomes_status_rows_with_predictions(self, monkeypatch):
+        cfg = self.fail_second_sampling(monkeypatch, NumericalFailureError)
         _, rows, summary = run_experiment(cfg)
         failed = [r for r in rows if r["status"] != "ok"]
         assert [(r["trial"], r["k"], r["status"]) for r in failed] == [
-            (1, k, "LinAlgError") for k in range(3)
+            (1, k, "NumericalFailureError") for k in range(3)
         ]
         ok_by_k = {r["k"]: r for r in rows if r["status"] == "ok"}
         for row in failed:
@@ -289,6 +294,12 @@ class TestStateEvolution:
             assert row["phi_prediction"] == ok_by_k[row["k"]]["phi_prediction"]
             assert row["second_moment_prediction"] == ok_by_k[row["k"]]["second_moment_prediction"]
         assert summary["failures"] == {"0": 1, "1": 1, "2": 1}
+
+    def test_linalg_error_in_a_trial_ends_the_run(self, monkeypatch):
+        # amplab raises no LinAlgError of its own, so one is a bug, not a trial's status
+        cfg = self.fail_second_sampling(monkeypatch, np.linalg.LinAlgError)
+        with pytest.raises(np.linalg.LinAlgError, match="sampling failed"):
+            run_experiment(cfg)
 
     def test_summaries_recomputable_from_records_file(self, tmp_path):
         # failed trials must not contaminate summaries: recompute the grouped
@@ -479,8 +490,7 @@ class TestInterpolation:
             mat_a = sample_wigner(n, cfg.ensemble, streams.noise_a)
             mat_g = sample_wigner(n, EnsembleSpec("gaussian"), streams.noise_g)
             for t in t_grid:
-                noise = mat_a if t == 1.0 else mat_g if t == 0.0 else InterpolatedNoise(mat_a, mat_g, t)
-                orbit = run(build_spiked(noise, SpikeSpec.rank_one(gamma), u0), denoisers, u0, cfg.K)
+                orbit = run(build_spiked(MixedNoise(mat_a, mat_g, t), SpikeSpec.rank_one(gamma), u0), denoisers, u0, cfg.K)
                 assert by_key[(trial, t)] == phi_average(orbit, cfg.phi, cfg.K)
 
     def test_trial_makes_34_packed_matvecs_on_the_workload_grid(self, monkeypatch):

@@ -290,6 +290,20 @@ class TestJacobiStack:
             alone = jacobi_eigendecomp(matrices[i], tol=1e-12)
             assert stacked[i].eigenvectors.tobytes() == alone.eigenvectors.tobytes()
 
+    def test_member_whose_norm_overflows_is_decomposed(self):
+        # every entry is finite, but the sum of squares overflows: the norm is taken scaled by max |a_ij|
+        rng = np.random.default_rng(13)
+        dense = random_symmetric(64, rng)
+        dense[2, 3] = dense[3, 2] = 1e300
+        matrices = [SymmetricMatrix.from_dense(random_symmetric(64, rng)), SymmetricMatrix.from_dense(dense)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _, eig = jacobi_eigendecomp_stack(matrices, tol=1e-12)
+        q, lam, norm = eig.eigenvectors, eig.eigenvalues, np.linalg.norm(dense / 1e300)  # norm in units of 1e300
+        assert np.max(np.abs(lam - np.linalg.eigvalsh(dense)[::-1])) / 1e300 <= 1e-12 * norm
+        assert np.linalg.norm((q @ np.diag(lam) @ q.T - dense) / 1e300) <= 1e-9 * norm
+        assert np.max(np.abs(q.T @ q - np.eye(64))) <= 1e-10
+
     def test_peak_memory_of_a_power_bound_stack(self):
         # the workload's stack: 8 shifted Wigner matrices at n = 64, four stacks of 256 KiB each
         matrices = []
