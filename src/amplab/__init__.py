@@ -13,7 +13,6 @@ from .engine import (
     phi_pair_average,
     run_generalized,
     run_onsager,
-    run_spectral_amp,
 )
 from .ensembles import (
     EnsembleSpec,
@@ -37,6 +36,7 @@ from .errors import (
     PreconditionError,
     RejectedInputError,
 )
+from .experiments import run_spectral_amp
 from .linalg import (
     EigenDecomp,
     SymmetricMatrix,

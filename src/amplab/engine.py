@@ -1,5 +1,5 @@
-"""AMP orbits: the generalized recursion, the memory-corrected recursion, and
-the spectrally initialized variant, plus orbit observables.
+"""AMP orbits: the generalized and the memory-corrected recursions, plus orbit
+observables; ``experiments.run_spectral_amp`` starts the latter from the spectral init.
 
 Conventions match :mod:`amplab.nonlinear`: history rows are newest first, and
 the correction coefficient b_{k,j} averages the analytic partial of f_k with
@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import spectral
-from .errors import DegenerateInputError, DivergenceError, PreconditionError, RejectedInputError
+from .errors import DivergenceError, RejectedInputError
 from .nonlinear import Denoiser, denoiser_eval, denoiser_partial
 
 DIVERGENCE_LIMIT = 1e12
@@ -125,28 +124,6 @@ def run_onsager(op, denoisers, v0, K):
             nxt -= b[..., j - 1, None] * denoised[j - 1]
         orbit.iterates.append(_checked(nxt, k + 1, orbit.iterates[0].shape))
     return orbit
-
-
-def run_spectral_amp(op, denoisers, u0, power_depth, K):
-    """Memory-corrected orbit started from the sign-corrected top eigenvector.
-
-    Refuses to run (PreconditionError) when u0 is zero, the eigenvalue gap
-    check fails or the eigenvector has zero overlap with u0, mirroring the
-    hypotheses under which the initialization is defined.
-    """
-    try:
-        gap = spectral.gap_check(op, y0=u0)
-        d = spectral.resolve_power_depth(op, power_depth, gap)
-        if not gap.passed:
-            raise PreconditionError(
-                f"eigenvalue gap check failed: lambda1={gap.lambda1:.6g}, "
-                f"lambda2_abs={gap.lambda2_abs:.6g}, margin={spectral.GAP_MARGIN}"
-            )
-        psi = spectral.spectral_init(op, gap, d)
-    except DegenerateInputError as exc:
-        raise PreconditionError(f"spectral initialization refused: {exc}") from exc
-    del gap  # frees the Lanczos basis before the orbit allocates
-    return run_onsager(op, denoisers, psi, K)
 
 
 def phi_average(orbit, tf, k):

@@ -12,20 +12,15 @@ later -- is recorded with its error class in the status column and excluded
 from summaries, which count it separately; any other exception is a bug and
 ends the run.
 
-Universality, interpolation, bbp and spectral-init state_evolution draw their
-noise into a scratch the runner creates, so its buffers die with the run: each
-worker thread reuses its buffers from trial to trial and faults their pages in
-once. Universality and interpolation apply each matrix a few times and keep
-packed buffers. Universality reduces G's orbit to phi_g before A is drawn into
-the same buffer (the noise streams are independent, so the order changes no
-value); interpolation holds A and G, and runs a trial's whole t_grid as one
-orbit block (see ``run_interpolation``). bbp and spectral-init state_evolution
-apply their matrix 100+ times in the gap check's Lanczos solve, so they keep
-one dense Fortran-order buffer, twice the packed size, whose threaded BLAS
-apply outruns the packed one; the packed draw fills its first half and is
-spread in place to the tops of its columns. Concentration, power_bound and
-independent-init state_evolution allocate their packed matrix per trial
-(power_bound then scales it into a new array for its Jacobi instance).
+Every trial draws its noise into the run's ``_NoiseScratch``, which
+``_run_grid`` creates and passes to each trial body, so each worker thread
+reuses its buffers from trial to trial and faults their pages in once. A
+matrix that a trial applies a few times is packed (slot 0, and slot 1 for
+interpolation's G; universality reduces G's orbit to phi_g before A is drawn
+into the same buffer). One that the gap check's Lanczos solve applies 100+
+times (bbp and spectral-init state_evolution) is dense Fortran-order, twice
+the packed size, because the threaded BLAS apply outruns the packed one.
+bbp and spectral-init AMP both start from ``_spectral_start``.
 
 power_bound runs its trials in stacks (see ``_run_grid``): a stack's
 instances are drawn first and decomposed by one stacked Jacobi call, whose
@@ -43,13 +38,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .engine import (
-    phi_average,
-    phi_pair_average,
-    run_generalized,
-    run_onsager,
-    run_spectral_amp,
-)
+from .engine import phi_average, phi_pair_average, run_generalized, run_onsager
 from .ensembles import (
     EnsembleSpec,
     InterpolatedNoise,
@@ -59,7 +48,7 @@ from .ensembles import (
     sample_prior,
     sample_wigner,
 )
-from .errors import AmpLabError, DivergenceError, RejectedInputError
+from .errors import AmpLabError, DegenerateInputError, DivergenceError, PreconditionError, RejectedInputError
 from .linalg import (
     SymmetricMatrix,
     jacobi_eigendecomp,  # not called here; bench/spans.py traces it under this module's name
@@ -67,7 +56,7 @@ from .linalg import (
     packed_diagonal_indices,
     packed_length,
 )
-from .spectral import gap_check, power_bound_rhs, power_method, resolve_power_depth, spectral_init
+from .spectral import GAP_MARGIN, gap_check, power_bound_rhs, power_method, resolve_power_depth, spectral_init
 from .state_evolution import (
     SEParams,
     bayes_tanh_schedule,
@@ -138,18 +127,20 @@ def _run_grid(cfg, one_trial, leading_axes=(), failure_rows=({},), stacked=None)
 
     The keys are product(*leading_axes, n_grid, range(trials)); a key's
     position in that product is its trial index, from which its streams
-    derive. one_trial(streams, *key) returns a list of dicts of what it
-    measured, one per row. Each row starts as None in every column, takes the
-    key fields and status "ok", then the dict's fields. A trial that raises
-    one of _TRIAL_ERRORS, sampling included, takes the entries of failure_rows
-    instead, with the error class as status. Rows are sorted by the columns
-    before "status"; pool.map already keeps the task order, so what the sort
-    does is put a gamma_grid or t_grid given out of order in ascending order.
+    derive. one_trial(streams, scratch, *key) returns a list of dicts of what
+    it measured, one per row; scratch is the run's _NoiseScratch, the only
+    place a trial draws its noise into. Each row starts as None in every
+    column, takes the key fields and status "ok", then the dict's fields. A
+    trial that raises one of _TRIAL_ERRORS, sampling included, takes the
+    entries of failure_rows instead, with the error class as status. Rows are
+    sorted by the columns before "status"; pool.map already keeps the task
+    order, so what the sort does is put a gamma_grid or t_grid given out of
+    order in ascending order.
 
     With stacked = (size, prepare), the trials of each (*leading, n) run in
     stacks of consecutive trials, at most size(n) of them and few enough that
-    every thread gets one: prepare(streams_list, n) returns one entry per
-    trial of the stack, which one_trial takes as its last argument. prepare
+    every thread gets one: prepare(streams_list, scratch, n) returns one entry
+    per trial of the stack, which one_trial takes as its last argument. prepare
     returns a trial's own error as its entry; should prepare raise one of
     _TRIAL_ERRORS, that error is the entry of every trial of the stack.
     """
@@ -157,6 +148,7 @@ def _run_grid(cfg, one_trial, leading_axes=(), failure_rows=({},), stacked=None)
     key_fields = columns[: columns.index("status")]
     keys = list(itertools.product(*leading_axes, cfg.n_grid, range(cfg.trials)))
     size, prepare = stacked or (lambda n: 1, None)
+    scratch = _NoiseScratch()
     tasks = []  # runs of consecutive trial indices that share (*leading, n)
     for first in range(0, len(keys), cfg.trials):
         step = max(1, min(size(keys[first][-2]), -(-cfg.trials // cfg.threads)))
@@ -166,7 +158,7 @@ def _run_grid(cfg, one_trial, leading_axes=(), failure_rows=({},), stacked=None)
     def run(task):
         streams = [derive_streams(cfg.master_seed, index) for index in task]
         try:
-            extra = [()] * len(task) if prepare is None else [(e,) for e in prepare(streams, keys[task[0]][-2])]
+            extra = [(e,) for e in prepare(streams, scratch, keys[task[0]][-2])] if prepare else [()] * len(task)
         except _TRIAL_ERRORS as exc:
             extra = [(exc,)] * len(task)
         rows = []
@@ -175,7 +167,7 @@ def _run_grid(cfg, one_trial, leading_axes=(), failure_rows=({},), stacked=None)
             row = dict.fromkeys(columns)
             row.update(zip(key_fields, key), status="ok")
             try:
-                measured = one_trial(trial_streams, *key, *args)
+                measured = one_trial(trial_streams, scratch, *key, *args)
             except _TRIAL_ERRORS as exc:
                 row["status"] = type(exc).__name__
                 measured = failure_rows
@@ -193,10 +185,7 @@ def _run_grid(cfg, one_trial, leading_axes=(), failure_rows=({},), stacked=None)
 
 
 class _NoiseScratch(threading.local):
-    """One run's packed or dense noise buffers by slot, each thread its own.
-
-    See the module docstring for which experiment keeps which.
-    """
+    """One run's packed or dense noise buffers by slot, each thread its own; see the module docstring."""
 
     def __init__(self):
         self.slots = {}
@@ -268,13 +257,48 @@ def _run_independent(cfg, noise, denoisers, u0, block=None):
     return run(build_spiked(noise, SpikeSpec.rank_one(cfg.gamma), u0), denoisers, v0, cfg.K)
 
 
+def _spectral_start(op, u0, power_depth):
+    """(gap, psi): op's gap check from u0 and the spectral init at the depth it resolves.
+
+    psi is instead the DegenerateInputError of an init whose sign is
+    undefined; every other error propagates.
+    """
+    gap = gap_check(op, y0=u0)
+    depth = resolve_power_depth(op, power_depth, gap)
+    try:
+        return gap, spectral_init(op, gap, depth)
+    except DegenerateInputError as exc:
+        return gap, exc
+
+
+def run_spectral_amp(op, denoisers, u0, power_depth, K):
+    """Memory-corrected orbit started from the sign-corrected top eigenvector.
+
+    Refuses to run (PreconditionError) when u0 is zero, the eigenvalue gap
+    check fails or the eigenvector has zero overlap with u0, mirroring the
+    hypotheses under which the initialization is defined.
+    """
+    try:
+        gap, psi = _spectral_start(op, u0, power_depth)
+        if not gap.passed:
+            raise PreconditionError(
+                f"eigenvalue gap check failed: lambda1={gap.lambda1:.6g}, "
+                f"lambda2_abs={gap.lambda2_abs:.6g}, margin={GAP_MARGIN}"
+            )
+        if isinstance(psi, Exception):
+            raise psi
+    except DegenerateInputError as exc:
+        raise PreconditionError(f"spectral initialization refused: {exc}") from exc
+    del gap  # frees the Lanczos basis before the orbit allocates
+    return run_onsager(op, denoisers, psi, K)
+
+
 def run_universality(cfg):
     """Trial-wise comparison of the configured ensemble against the Gaussian twin."""
     denoisers, _ = _resolve_denoisers(cfg)
     gauss = _gaussian_twin(cfg.ensemble)
-    scratch = _NoiseScratch()
 
-    def one_trial(streams, n, trial):
+    def one_trial(streams, scratch, n, trial):
         u0 = sample_prior(n, cfg.prior, streams.shared)
 
         def phi_on(ensemble, stream):
@@ -305,7 +329,6 @@ def run_state_evolution(cfg):
     """
     quad = cfg.quadrature()
     denoisers, se = _resolve_denoisers(cfg)
-    scratch = _NoiseScratch()
 
     if cfg.init == "independent":
         sd = np.sqrt(np.diag(se_covariance(denoisers, cfg.K, quad)))
@@ -321,14 +344,14 @@ def run_state_evolution(cfg):
         for k in range(cfg.K + 1)
     ]
 
-    def one_trial(streams, n, trial):
+    def one_trial(streams, scratch, n, trial):
         u0 = sample_prior(n, cfg.prior, streams.shared)
         if cfg.init == "spectral":
             mat = sample_wigner(n, cfg.ensemble, streams.noise_a, out=scratch.dense(0, n))
             op = build_spiked(mat, SpikeSpec.rank_one(cfg.gamma), u0)
             orbit = run_spectral_amp(op, denoisers, u0, cfg.power_depth, cfg.K)
         else:
-            mat = sample_wigner(n, cfg.ensemble, streams.noise_a)
+            mat = sample_wigner(n, cfg.ensemble, streams.noise_a, out=scratch.packed(0, n))
             orbit = _run_independent(cfg, mat, denoisers, u0)
         rows = []
         for pred, vk in zip(predictions, orbit.iterates):
@@ -356,28 +379,19 @@ def run_state_evolution(cfg):
 
 def run_bbp(cfg):
     """Top eigenvalue, max(|lambda2|, |lambda_min|), and eigenvector overlap per SNR."""
-    scratch = _NoiseScratch()
 
-    def one_trial(streams, gamma, n, trial):
+    def one_trial(streams, scratch, gamma, n, trial):
         u0 = sample_prior(n, cfg.prior, streams.shared)
         mat = sample_wigner(n, cfg.ensemble, streams.noise_a, out=scratch.dense(0, n))
-        op = build_spiked(mat, SpikeSpec.rank_one(gamma), u0)
-        gc = gap_check(op, y0=u0)
-        depth = resolve_power_depth(op, cfg.power_depth, gc)
-        try:
-            psi = spectral_init(op, gc, depth)
-            overlap = abs(float(np.dot(psi, u0))) / n
-            flag = 0
-        except _TRIAL_ERRORS:
-            overlap = 0.0
-            flag = 1
+        gap, psi = _spectral_start(build_spiked(mat, SpikeSpec.rank_one(gamma), u0), u0, cfg.power_depth)
+        flag = isinstance(psi, Exception)  # the sign is undefined: no overlap to record
         return [
             {
-                "lambda1": gc.lambda1,
-                "lambda2_abs": gc.lambda2_abs,
-                "gap_pass": int(gc.passed),
-                "overlap": overlap,
-                "overlap_flag": flag,
+                "lambda1": gap.lambda1,
+                "lambda2_abs": gap.lambda2_abs,
+                "gap_pass": int(gap.passed),
+                "overlap": 0.0 if flag else abs(float(np.dot(psi, u0))) / n,
+                "overlap_flag": int(flag),
             }
         ]
 
@@ -399,9 +413,8 @@ def run_interpolation(cfg):
     """
     denoisers, _ = _resolve_denoisers(cfg)
     gauss = _gaussian_twin(cfg.ensemble)
-    scratch = _NoiseScratch()
 
-    def one_trial(streams, n, trial):
+    def one_trial(streams, scratch, n, trial):
         u0 = sample_prior(n, cfg.prior, streams.shared)
         mat_a = sample_wigner(n, cfg.ensemble, streams.noise_a, out=scratch.packed(0, n))
         mat_g = sample_wigner(n, gauss, streams.noise_g, out=scratch.packed(1, n))
@@ -435,9 +448,9 @@ def run_concentration(cfg):
         group_streams = derive_streams(cfg.master_seed, _GROUP_STREAM_OFFSET + n_idx)
         group_u0[n] = sample_prior(n, cfg.prior, group_streams.shared)
 
-    def one_trial(streams, n, trial):
+    def one_trial(streams, scratch, n, trial):
         u0 = group_u0[n]
-        mat = sample_wigner(n, cfg.ensemble, streams.noise_g)
+        mat = sample_wigner(n, cfg.ensemble, streams.noise_g, out=scratch.packed(0, n))
         orbit = _run_independent(cfg, mat, denoisers, u0)
         return [{"phi": phi_average(orbit, cfg.phi, cfg.K)}]
 
@@ -462,17 +475,17 @@ def run_power_bound(cfg):
     def stack_size(n):
         return JACOBI_STACK_BYTES // (8 * (n + n % 2) ** 2)
 
-    def prepare(streams_list, n):
+    def prepare(streams_list, scratch, n):
         instances = []
         for streams in streams_list:
-            shifted = sample_wigner(n, cfg.ensemble, streams.noise_a).entries / math.sqrt(n)
+            shifted = sample_wigner(n, cfg.ensemble, streams.noise_a, out=scratch.packed(0, n)).entries / math.sqrt(n)
             shifted[packed_diagonal_indices(n)] += cfg.diag_shift
             y0 = streams.shared.standard_normal(n)
             instances.append((SymmetricMatrix(n, shifted), y0 / np.linalg.norm(y0)))
         eigen = jacobi_eigendecomp_stack([matrix for matrix, _ in instances], tol=1e-12)
         return [e if isinstance(e, Exception) else (*instance, e) for instance, e in zip(instances, eigen)]
 
-    def one_trial(streams, n, trial, instance):
+    def one_trial(streams, scratch, n, trial, instance):
         if isinstance(instance, Exception):
             raise instance
         matrix, y0, eigen = instance

@@ -150,7 +150,8 @@ def configs():
         ),
         (
             "interpolation_soft_threshold",
-            dict(denoiser={"kind": "smooth_soft_threshold", "schedule": [0.6, 0.9, 0.5]}, gamma=0.0, t_grid=[0.2, 0.5, 0.9]),
+            # thresholds low enough that no orbit dies out: phi != 0 on every row
+            dict(denoiser={"kind": "smooth_soft_threshold", "schedule": [0.2, 0.3, 0.2]}, gamma=0.0, t_grid=[0.2, 0.5, 0.9]),
         ),
     ):
         yield name, base_config(experiment="interpolation", n_grid=[50, 301], trials=3, **overrides)

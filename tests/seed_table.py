@@ -1,18 +1,21 @@
 """Held-out-seed table for the statistical acceptance criteria.
 
-Reruns the configs of criteria 03, 04, 05, 06, 07, 10 and 11 (as pinned in
-test_acceptance.py, with only ``master_seed`` replaced) on the given seeds and
-prints, per criterion and seed, the margin to the criterion's bound (>= 0
-passes) with the measured quantity, then the pass count over the seeds. A
-check that passes only on its pinned seed cannot tell a method change from
-noise; this table can. The deterministic parts of criterion 11 (the exact
-endpoint identities) are not rerun. Not collected by pytest:
+Reruns the configs of criteria 01, 02, 03, 04, 05, 06 and its companion, 07,
+10 and 11 (as pinned in test_acceptance.py, with only ``master_seed``
+replaced) on the given seeds and prints, per criterion and seed, the margin
+to the criterion's bound (>= 0 passes) with the measured quantity, then the
+pass count over the seeds. A check that passes only on its pinned seed cannot
+tell a method change from noise; this table can. The deterministic parts of
+criterion 11 (the exact endpoint identities) and the wall-clock budgets of
+criteria 01 and 02 are not rerun. Not collected by pytest:
 
     PYTHONPATH=src python tests/seed_table.py 1 2 3 4 5 6 7 8 9 10
 """
 
 import math
 import sys
+
+import numpy as np
 
 from amplab.config import parse_config
 from amplab.experiments import run_experiment
@@ -35,12 +38,31 @@ def _group(summary, field, group):
     return next(e for e in summary["groups"] if e["field"] == field and e["group"] == group)
 
 
-def criterion_03(seed):
-    _, summary = _run(
-        seed, experiment="bbp", n_grid=[2000], trials=20, gamma_grid=[0.5, 2.0],
-        ensemble={"kind": "rademacher"}, prior={"kind": "rademacher"},
+def _bbp(seed, gamma_grid, ensemble_kind):
+    return _run(
+        seed, experiment="bbp", n_grid=[2000], trials=20, gamma_grid=gamma_grid,
+        ensemble={"kind": ensemble_kind}, prior={"kind": "rademacher"},
         denoiser={"kind": "identity"},
-    )
+    )[1]
+
+
+def criterion_01(seed):
+    summary = _bbp(seed, [2.0], "gaussian")
+    lam, ov = _group(summary, "lambda1", 2.0), _group(summary, "overlap", 2.0)
+    if lam["count"] != 20:
+        return -math.inf, f"{20 - lam['count']} trials failed"
+    margin = min(0.1 - abs(lam["mean"] - 2.5), 0.05 - abs(ov["mean"] - 0.8660))
+    return margin, f"lambda1 {lam['mean']:.4f}, overlap {ov['mean']:.4f}"
+
+
+def criterion_02(seed):
+    summary = _bbp(seed, [0.5], "gaussian")
+    lam, ov = _group(summary, "lambda1", 0.5)["mean"], _group(summary, "overlap", 0.5)["mean"]
+    return min(0.1 - abs(lam - 2.0), 0.1 - ov), f"lambda1 {lam:.4f}, overlap {ov:.4f}"
+
+
+def criterion_03(seed):
+    summary = _bbp(seed, [0.5, 2.0], "rademacher")
     lam_hi = _group(summary, "lambda1", 2.0)["mean"]
     ov_hi = _group(summary, "overlap", 2.0)["mean"]
     lam_lo = _group(summary, "lambda1", 0.5)["mean"]
@@ -84,16 +106,33 @@ def criterion_05(seed):
     return 0.05 - worst, f"max error {worst:.4f}"
 
 
-def criterion_06(seed):
-    rows, _ = _run(
-        seed, experiment="state_evolution", n_grid=[2000], trials=3, K=5, gamma=0.0,
+def _identity_fixed_point(seed, trials):
+    return _run(
+        seed, experiment="state_evolution", n_grid=[2000], trials=trials, K=5, gamma=0.0,
         ensemble={"kind": "gaussian"}, prior={"kind": "gaussian"},
         denoiser={"kind": "identity"}, phi={"kind": "last_coord_clipped"}, init="independent",
-    )
+    )[0]
+
+
+def criterion_06(seed):
+    rows = _identity_fixed_point(seed, 3)
     if any(r["status"] != "ok" for r in rows):
         return -math.inf, "a trial failed"
     worst = max(abs(r["second_moment_empirical"] - 1.0) for r in rows)
     return 0.1 - worst, f"max abs(variance - 1) {worst:.4f}"
+
+
+def criterion_06_companion(seed):
+    rows = _identity_fixed_point(seed, 40)
+    if any(r["status"] != "ok" for r in rows):
+        return -math.inf, "a trial failed"
+    worst = 0.0
+    for k in range(6):
+        at_k = [r for r in rows if r["k"] == k]
+        values = np.array([r["second_moment_empirical"] for r in at_k])
+        z = (values.mean() - at_k[0]["second_moment_prediction"]) / (values.std(ddof=1) / math.sqrt(len(values)))
+        worst = max(worst, abs(float(z)))
+    return 4.0 - worst, f"max abs(mean - prediction) {worst:.2f} standard errors"
 
 
 def criterion_07(seed):
@@ -132,10 +171,13 @@ def criterion_11(seed):
 
 
 CRITERIA = {
+    "01": criterion_01,
+    "02": criterion_02,
     "03": criterion_03,
     "04": criterion_04,
     "05": criterion_05,
     "06": criterion_06,
+    "06 companion": criterion_06_companion,
     "07": criterion_07,
     "10": criterion_10,
     "11": criterion_11,

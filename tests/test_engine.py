@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from amplab import run_spectral_amp
 from amplab.engine import (
     onsager_coeffs,
     phi_average,
     phi_pair_average,
     run_generalized,
     run_onsager,
-    run_spectral_amp,
 )
 from amplab.ensembles import (
     EnsembleSpec,

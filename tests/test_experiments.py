@@ -256,16 +256,28 @@ class TestStateEvolution:
         assert all(r["phi_empirical"] is None and r["phi_prediction"] is not None for r in rows)
         assert summary["failures"] == {"0": 2, "1": 2}
 
+    def test_spectral_init_runs_through_the_spectral_start(self, monkeypatch):
+        calls = []
+        for name in ("gap_check", "resolve_power_depth", "spectral_init"):
+            real = getattr(experiments, name)
+            monkeypatch.setattr(
+                experiments, name, lambda *a, real=real, name=name, **kw: calls.append(name) or real(*a, **kw)
+            )
+        cfg = base_config(**{**NEAR_TRANSITION_SE, "gamma": 2.0, "trials": 3})
+        _, rows, _ = run_experiment(cfg)
+        assert all(r["status"] == "ok" for r in rows)
+        assert calls == ["gap_check", "resolve_power_depth", "spectral_init"] * 3
+
     @staticmethod
     def fail_second_sampling(monkeypatch, error):
         real_sample_wigner = experiments.sample_wigner
         calls = []
 
-        def fail_second_trial(n, ens, stream):
+        def fail_second_trial(n, ens, stream, out=None):
             calls.append(n)
             if len(calls) == 2:
                 raise error("sampling failed")
-            return real_sample_wigner(n, ens, stream)
+            return real_sample_wigner(n, ens, stream, out=out)
 
         monkeypatch.setattr(experiments, "sample_wigner", fail_second_trial)
         return base_config(
@@ -363,6 +375,19 @@ class TestBbp:
             # the gap check's lambda1, lambda2_abs and gap_pass are kept as recorded
             assert row == {**ref, "overlap": 0.0, "overlap_flag": 1}
         assert summary["failures"] == {"0.5": 0, "2.0": 0}
+
+    def test_other_spectral_init_errors_fail_the_trial(self, monkeypatch):
+        # only an undefined sign is flagged; an overlap of 0.0 must not enter the mean for anything else
+        def fail(*args):
+            raise NumericalFailureError("init failed")
+
+        monkeypatch.setattr(experiments, "spectral_init", fail)
+        cfg = base_config(experiment="bbp", n_grid=[60], trials=2, gamma_grid=[2.0], denoiser={"kind": "identity"})
+        _, rows, summary = run_experiment(cfg)
+        assert [r["status"] for r in rows] == ["NumericalFailureError"] * 2
+        assert all(r["overlap"] is None and r["overlap_flag"] is None for r in rows)
+        assert summary["groups"] == []  # no ok row, so no overlap enters a mean
+        assert summary["failures"] == {"2.0": 2}
 
     def test_zero_prior_vector_is_a_degenerate_input_row(self, monkeypatch):
         # the gap check has no start vector
@@ -571,6 +596,33 @@ class TestNoiseBuffers:
         assert all(len(pointers) == 1 for pointers in per_thread.values())
         assert len(set.union(*per_thread.values())) == len(per_thread)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(experiment="concentration", ensemble={"kind": "gaussian"}),
+            dict(
+                experiment="state_evolution",
+                gamma=0.0,
+                init="independent",
+                prior={"kind": "gaussian"},
+                denoiser={"kind": "identity"},
+                phi={"kind": "last_coord_clipped"},
+            ),
+            dict(experiment="power_bound", ensemble={"kind": "gaussian"}, denoiser={"kind": "identity"}, power_depth=15),
+        ],
+        ids=["concentration", "independent_state_evolution", "power_bound"],
+    )
+    def test_single_matrix_experiments_reuse_one_packed_buffer_per_thread(self, monkeypatch, threads, overrides):
+        calls = record_noise_buffers(monkeypatch)
+        run_experiment(base_config(n_grid=[60], trials=6, threads=threads, **overrides))
+        assert len(calls) == 6
+        per_thread = {}
+        for thread, _, pointer in calls:
+            assert pointer is not None
+            per_thread.setdefault(thread, set()).add(pointer)
+        assert all(len(pointers) == 1 for pointers in per_thread.values())
+        assert len(set.union(*per_thread.values())) == len(per_thread)
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize(
