@@ -34,7 +34,6 @@ is drawn or decomposed becomes the status of every trial of that stack.
 import itertools
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -177,6 +176,8 @@ def _run_grid(cfg, one_trial, leading_axes=(), failure_rows=({},), stacked=None)
     if cfg.threads <= 1:
         chunks = [run(task) for task in tasks]
     else:
+        from concurrent.futures import ThreadPoolExecutor  # only here, so 1-worker runs never import it
+
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             chunks = list(pool.map(run, tasks))
     rows = [row for chunk in chunks for row in chunk]

@@ -45,6 +45,10 @@ class TestRunCommand:
         path.write_text("{not json")
         assert main(["run", "--config", str(path)]) == 1
 
+    def test_directory_as_config_is_config_error(self, tmp_path, capsys):
+        assert main(["run", "--config", str(tmp_path)]) == 1
+        assert f"cannot read config file {tmp_path}" in capsys.readouterr().err
+
     def test_unknown_key_is_config_error(self, tmp_path):
         cfg = dict(BASE)
         cfg["mystery"] = True
@@ -365,6 +369,7 @@ MALFORMED = [
     # the streams hash the seed as one 64-bit word, so a seed outside [0, 2**64) would alias another
     ({"master_seed": -1}, "master_seed must be >= 0, got -1"),
     ({"master_seed": 1 << 64}, "unknown master_seed 18446744073709551616"),
+    ({"trials": 2.0}, "trials must be an integer, got 2.0"),
 ]
 
 
@@ -522,7 +527,8 @@ class TestImports:
     def test_one_openblas_and_no_scipy_per_run(self, tmp_path):
         """In a fresh interpreter importing amplab from this checkout: after `import amplab.cli`
         and after each run, no scipy module is loaded, nothing under scipy.libs is mapped, and
-        exactly one OpenBLAS file (numpy's) is."""
+        exactly one OpenBLAS file (numpy's) is. The runs use one worker, so the thread pool's
+        concurrent.futures (and the logging it imports) stays unloaded too."""
         runs = []
         for experiment, overrides in SMALL_RUNS.items():
             cfg = write_config(tmp_path, {**BASE, "experiment": experiment, **overrides}, f"{experiment}.json")
@@ -539,6 +545,7 @@ class TestImports:
                 "    print(json.dumps([name, code, {",
                 "        'scipy': sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),",
                 "        'scipy.libs': sorted(f for f in files if 'scipy.libs' in f.split(os.sep)),",
+                "        'pool': sorted(m for m in ('concurrent.futures', 'logging') if m in sys.modules),",
                 "        'openblas': sorted(os.path.basename(f) for f in files",
                 "                           if os.path.basename(f).startswith('libscipy_openblas')),",
                 "    }]))",
@@ -552,7 +559,8 @@ class TestImports:
         report = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("[")]
         assert [line[:2] for line in report] == [["import", 0]] + [[name, 0] for name in SMALL_RUNS]
         for name, _, state in report:
-            assert state["scipy"] == state["scipy.libs"] == [] and len(state["openblas"]) == 1, (name, state)
+            assert state["scipy"] == state["scipy.libs"] == state["pool"] == [], (name, state)
+            assert len(state["openblas"]) == 1, (name, state)
         for experiment in SMALL_RUNS:
             assert (tmp_path / experiment / f"{experiment}_records.csv").exists()
 

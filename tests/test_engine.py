@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from amplab import run_spectral_amp
+from amplab import experiments, run_spectral_amp
 from amplab.engine import (
     onsager_coeffs,
     phi_average,
@@ -21,7 +21,7 @@ from amplab.ensembles import (
     sample_prior,
     sample_wigner,
 )
-from amplab.errors import DivergenceError, PreconditionError, RejectedInputError
+from amplab.errors import DegenerateInputError, DivergenceError, PreconditionError, RejectedInputError
 from amplab.linalg import SymmetricMatrix, packed_diagonal_indices
 from amplab.nonlinear import Denoiser, TestFunction, fd_partial
 from mixed_noise import MixedNoise
@@ -82,6 +82,28 @@ class TestRunGeneralized:
         op = small_operator(3, 4)
         with pytest.raises(RejectedInputError):
             run_generalized(op, [Denoiser(kind="identity")], np.ones(3), 2)
+
+
+ENGINE_REFUSALS = [
+    (lambda op: run_generalized(op, [], np.ones(3), 0).rows(1), r"iteration 1 outside 0\.\.0"),
+    (lambda op: run_onsager(op, [], np.ones(4), 0), r"iterate has shape \(4,\), expected \(3,\)"),
+    (lambda op: run_generalized(op, [], np.ones(3), -1), "iteration count must be >= 0, got -1"),
+    (lambda op: run_onsager(op, [], np.ones(3), -1), "iteration count must be >= 0, got -1"),
+    (lambda op: run_onsager(op, [Denoiser(kind="identity")], np.ones(3), 2), "need 2 denoisers, got 1"),
+    (lambda op: run_onsager(op, [lambda rows: rows[0]], np.ones(3), 1), "needs Denoiser instances"),
+    (lambda op: phi_pair_average(TestFunction("tanh_product"), np.ones(3), np.ones(4)), "length mismatch"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    ENGINE_REFUSALS,
+    ids=["rows_index", "start_shape", "generalized_negative_K", "onsager_negative_K", "too_few_denoisers",
+         "callable_step", "pair_length"],
+)
+def test_engine_refuses_bad_input(call, match):
+    with pytest.raises(RejectedInputError, match=match):
+        call(small_operator(3, 1))
 
 
 class TestOnsagerCoeffs:
@@ -386,6 +408,18 @@ class TestRunSpectralAmp:
         mat = sample_wigner(50, EnsembleSpec("gaussian"), derive_streams(3, 0).noise_g)
         with pytest.raises(PreconditionError, match="vector is zero"):
             run_spectral_amp(mat, [Denoiser(kind="identity")], np.zeros(50), 60, 1)
+
+    def test_undefined_sign_after_a_passed_gap_check_refused(self, monkeypatch):
+        def refuse(op, gap, depth):
+            assert gap.passed
+            raise DegenerateInputError("sign undefined")
+
+        monkeypatch.setattr(experiments, "spectral_init", refuse)
+        streams = derive_streams(13, 0)
+        u0 = sample_prior(300, PriorSpec("rademacher"), streams.shared)
+        op = build_spiked(sample_wigner(300, EnsembleSpec("gaussian"), streams.noise_g), SpikeSpec.rank_one(2.0), u0)
+        with pytest.raises(PreconditionError, match="spectral initialization refused: sign undefined"):
+            run_spectral_amp(op, [Denoiser(kind="identity")], u0, 60, 1)
 
     def test_below_threshold_refused(self):
         n, gamma = 500, 0.5

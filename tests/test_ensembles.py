@@ -1,5 +1,6 @@
 import math
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -148,6 +149,28 @@ def test_library_specs_take_integers_and_numpy_numbers():
 
 def test_an_infinite_clip_clips_nothing():
     assert TestFunction("last_coord_clipped", INF).pair_eval(0.0, [-1e300, 1e300]).tolist() == [-1e300, 1e300]
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda s: EnsembleSpec("gaussian", diagonal_policy="half"), "unknown diagonal policy 'half'"),
+        (lambda s: PriorSpec("cauchy"), "unknown prior kind 'cauchy'"),
+        (lambda s: PriorSpec("three_point", (-1.0, 1.0), (0.5, 0.5)), "needs 3 values and 3 probabilities"),
+        (lambda s: PriorSpec("rademacher", (1.0,)), "rademacher prior takes no values/probs"),
+        (lambda s: sample_wigner(0, EnsembleSpec("gaussian"), s), "dimension must be >= 1, got 0"),
+        (lambda s: sample_prior(0, PriorSpec("gaussian"), s), "dimension must be >= 1, got 0"),
+        # the samplers read any object with .kind as a spec
+        (lambda s: sample_wigner(3, SimpleNamespace(kind="cauchy", diagonal_policy="same_law"), s),
+         "unknown ensemble kind 'cauchy'"),
+        (lambda s: sample_prior(3, SimpleNamespace(kind="cauchy"), s), "unknown prior kind 'cauchy'"),
+    ],
+    ids=["diagonal_policy", "prior_kind", "three_point_length", "prior_values", "wigner_n", "prior_n",
+         "wigner_spec_like", "prior_spec_like"],
+)
+def test_specs_and_samplers_refuse_bad_input(call, match):
+    with pytest.raises(RejectedInputError, match=match):
+        call(derive_streams(1, 0).noise_a)
 
 
 class TestEnsembleSpecs:

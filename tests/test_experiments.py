@@ -256,6 +256,20 @@ class TestStateEvolution:
         assert all(r["phi_empirical"] is None and r["phi_prediction"] is not None for r in rows)
         assert summary["failures"] == {"0": 2, "1": 2}
 
+    def test_undefined_sign_after_a_passed_gap_check_refuses_the_trial(self, monkeypatch):
+        def refuse(*args):
+            refused.append(args[1].passed)
+            raise DegenerateInputError("top-eigenvector estimate is orthogonal to the gap check's start")
+
+        refused = []
+        monkeypatch.setattr(experiments, "spectral_init", refuse)
+        cfg = base_config(**{**NEAR_TRANSITION_SE, "gamma": 2.0, "trials": 2})
+        _, rows, summary = run_experiment(cfg)
+        assert refused == [True, True]
+        assert [(r["k"], r["status"]) for r in rows] == [(0, "PreconditionError"), (1, "PreconditionError")] * 2
+        assert all(r["phi_empirical"] is None and r["phi_prediction"] is not None for r in rows)
+        assert summary["failures"] == {"0": 2, "1": 2}
+
     def test_spectral_init_runs_through_the_spectral_start(self, monkeypatch):
         calls = []
         for name in ("gap_check", "resolve_power_depth", "spectral_init"):

@@ -55,6 +55,18 @@ class TestSymmetricMatrix:
         with pytest.raises(RejectedInputError, match="Fortran-order float64"):
             SymmetricMatrix(3, entries)
 
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda: SymmetricMatrix(0, np.zeros(0)), "dimension must be >= 1, got 0"),
+            (lambda: SymmetricMatrix.from_dense(np.zeros((2, 3))), r"expected a square matrix, got shape \(2, 3\)"),
+        ],
+        ids=["empty", "not_square"],
+    )
+    def test_rejects_a_shape_that_is_no_symmetric_matrix(self, call, match):
+        with pytest.raises(RejectedInputError, match=match):
+            call()
+
 
 class TestSymMatvec:
     def test_identity(self):

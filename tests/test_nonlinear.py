@@ -143,6 +143,21 @@ class TestPartials:
             fd_partial(Denoiser(kind="identity"), 0, 0, np.zeros((1, 2)), h=0.0)
 
 
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: Denoiser("smooth_soft_threshold", (0.5,), delta=0.0), "smoothing width must be positive, got 0.0"),
+        (lambda: Denoiser("linear_combo"), "linear_combo requires weights or a nonzero offset"),
+        (lambda: denoiser_eval(Denoiser("identity"), 1, np.zeros((3, 4))), r"rows must have shape .* got \(3, 4\)"),
+        (lambda: TestFunction("cubic"), "unknown test function kind 'cubic'"),
+    ],
+    ids=["zero_width", "empty_linear_combo", "rows_height", "unknown_test_function"],
+)
+def test_nonlinear_refuses_bad_input(call, match):
+    with pytest.raises(RejectedInputError, match=match):
+        call()
+
+
 class TestTestFunctions:
     def test_last_coord_clipped_inside_range(self):
         tf = TestFunction("last_coord_clipped", clip=10.0)

@@ -16,7 +16,7 @@ from amplab.ensembles import (
     sample_wigner,
 )
 from amplab.errors import DegenerateInputError, NumericalFailureError, RejectedInputError
-from amplab.linalg import SymmetricMatrix, jacobi_eigendecomp, packed_diagonal_indices
+from amplab.linalg import EigenDecomp, SymmetricMatrix, jacobi_eigendecomp, packed_diagonal_indices
 from amplab.spectral import (
     GapCheckResult,
     gap_check,
@@ -142,6 +142,36 @@ class TestPowerMethod:
         m = SymmetricMatrix.from_dense(np.zeros((3, 3)))
         with pytest.raises(DegenerateInputError):
             power_method(m, np.array([1.0, 0.0, 0.0]), 3)
+
+    @pytest.mark.parametrize(
+        "call, error, match",
+        [
+            (
+                lambda: power_bound_rhs(EigenDecomp(np.zeros(2), np.eye(2)), np.array([1.0, 0.0]), 3),
+                DegenerateInputError,
+                "top eigenvalue is zero",
+            ),
+            (
+                lambda: power_bound_rhs(EigenDecomp(np.array([2.0, 1.0]), np.eye(2)), np.array([0.0, 1.0]), 3),
+                DegenerateInputError,
+                "start vector orthogonal to the top eigenvector",
+            ),
+            (
+                lambda: power_method(SymmetricMatrix.from_dense(np.eye(3)), np.array([1.0, 0.0]), 5),
+                RejectedInputError,
+                r"start vector has shape \(2,\), expected \(3,\)",
+            ),
+            (
+                lambda: resolve_power_depth(SymmetricMatrix.from_dense(np.eye(3)), 0, None),
+                RejectedInputError,
+                "power depth must be >= 1, got 0",
+            ),
+        ],
+        ids=["zero_top_eigenvalue", "orthogonal_start", "start_length", "zero_depth"],
+    )
+    def test_refuses_what_the_bound_and_depth_do_not_define(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
 
 
 class TestSpectralInit:

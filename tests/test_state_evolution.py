@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +21,21 @@ from amplab.state_evolution import (
 )
 
 RADEMACHER = PriorSpec("rademacher")
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: QuadratureSpec(gauss_hermite_nodes=1), "quadrature node counts must be >= 2"),
+        # the recursions read any object with .kind as a prior
+        (lambda: se_spiked(2.0, SimpleNamespace(kind="cauchy"), Denoiser("identity"), 1), "unknown prior kind 'cauchy'"),
+        (lambda: se_covariance([Denoiser("identity")], 2), "need 2 denoisers, got 1"),
+    ],
+    ids=["one_node", "unknown_prior", "too_few_denoisers"],
+)
+def test_state_evolution_refuses_bad_input(call, match):
+    with pytest.raises(RejectedInputError, match=match):
+        call()
 
 
 def _normal_expectation(h, points=()):
