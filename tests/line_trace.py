@@ -8,10 +8,13 @@ instruction to it. The script then prints one ``file:line: source`` per
 executable line that never ran, and a last line with the totals; it exits
 with pytest's status. Child processes (the CLI and benchmark subprocess
 tests) are not traced, so a line that only they run shows up here as well.
-Arguments after ``--`` go to pytest in place of the default
-``-q -p no:cacheprovider``. Not collected by pytest; from the repository root:
+The standard library's ``trace`` does not fit: it caches its ignore decision
+per module basename, so with ``--ignore-dir`` for site-packages it drops
+``amplab/__init__.py`` (a site-packages ``__init__`` is seen first) and lets
+numpy's or hypothesis's ``errors``/``linalg`` decide for amplab's files.
+Not collected by pytest; from the repository root:
 
-    PYTHONPATH=src python tests/line_trace.py [-- PYTEST_ARGS...]
+    PYTHONPATH=src python tests/line_trace.py
 """
 
 import collections
@@ -35,8 +38,7 @@ def executable_lines(path):
     return lines
 
 
-def main(argv):
-    pytest_args = argv[argv.index("--") + 1 :] if "--" in argv else ["-q", "-p", "no:cacheprovider"]
+def main():
     prefix = PACKAGE + os.sep
     seen = collections.defaultdict(set)  # filename -> line numbers that ran
 
@@ -54,7 +56,7 @@ def main(argv):
     threading.settrace(tracer)
     sys.settrace(tracer)
     try:
-        status = pytest.main(["--continue-on-collection-errors", *pytest_args])
+        status = pytest.main(["--continue-on-collection-errors", "-q", "-p", "no:cacheprovider"])
     finally:
         sys.settrace(None)
         threading.settrace(None)
@@ -75,4 +77,4 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
