@@ -258,13 +258,19 @@ def _run_independent(cfg, noise, denoisers, u0, block=None):
     return run(build_spiked(noise, SpikeSpec.rank_one(cfg.gamma), u0), denoisers, v0, cfg.K)
 
 
-def _spectral_start(op, u0, power_depth):
+def _spectral_start(op, u0, power_depth, require_gap=False):
     """(gap, psi): op's gap check from u0 and the spectral init at the depth it resolves.
 
     psi is instead the DegenerateInputError of an init whose sign is
-    undefined; every other error propagates.
+    undefined; every other error propagates. With require_gap, a failed gap
+    check raises PreconditionError before the init runs.
     """
     gap = gap_check(op, y0=u0)
+    if require_gap and not gap.passed:
+        raise PreconditionError(
+            f"eigenvalue gap check failed: lambda1={gap.lambda1:.6g}, "
+            f"lambda2_abs={gap.lambda2_abs:.6g}, margin={GAP_MARGIN}"
+        )
     depth = resolve_power_depth(op, power_depth, gap)
     try:
         return gap, spectral_init(op, gap, depth)
@@ -280,17 +286,12 @@ def run_spectral_amp(op, denoisers, u0, power_depth, K):
     hypotheses under which the initialization is defined.
     """
     try:
-        gap, psi = _spectral_start(op, u0, power_depth)
-        if not gap.passed:
-            raise PreconditionError(
-                f"eigenvalue gap check failed: lambda1={gap.lambda1:.6g}, "
-                f"lambda2_abs={gap.lambda2_abs:.6g}, margin={GAP_MARGIN}"
-            )
+        # keeps psi alone, so the Lanczos basis is freed before the orbit allocates
+        psi = _spectral_start(op, u0, power_depth, require_gap=True)[1]
         if isinstance(psi, Exception):
             raise psi
     except DegenerateInputError as exc:
         raise PreconditionError(f"spectral initialization refused: {exc}") from exc
-    del gap  # frees the Lanczos basis before the orbit allocates
     return run_onsager(op, denoisers, psi, K)
 
 

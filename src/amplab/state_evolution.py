@@ -15,9 +15,11 @@ newest iterate alone or is linear, so no entry is more than a 2-D expectation
 2013).
 
 Every expectation starts at the configured node counts and doubles them until
-two levels agree within 1e-8, as sharply scaled tanh denoisers need, raising
-AccuracyError if the cap still disagrees. The C^1 soft threshold's normal
-expectations are split at its kinks (see _normal_rule).
+two levels agree within 1e-8, raising AccuracyError if the cap still
+disagrees. Normal expectations are split (see _normal_rule) at the C^1 soft
+threshold's kinks, and at the centre y = 0 of the Bayes schedule's tanh(a y),
+whose poles at +-i pi / (2 a) near the real axis keep Gauss-Hermite doubling
+moving (1,952 nodes at gamma = 2, no convergence at gamma = 3).
 """
 
 import functools
@@ -140,10 +142,12 @@ def _normal_rule(quad, factor, kinks=(), center=0.0, scale=1.0):
     """Nodes z and probabilities p with sum p h(center + scale z) = E h(center + scale Z).
 
     Z is standard normal and kinks are the ascending points where h is not
-    smooth. Without kinks (or at scale 0) this is the Gauss-Hermite rule, the
+    smooth or, like tanh(a y) at y = 0, where it turns steeply next to complex
+    poles. Without kinks (or at scale 0) this is the Gauss-Hermite rule, the
     same for every center. Otherwise each center gets its own row: the normal
     is truncated at +-_Z_MAX and split at (kink - center) / scale, and every
-    piece takes a Gauss-Legendre rule weighted by the density.
+    piece takes a Gauss-Legendre rule weighted by the density, whose nodes
+    cluster at the piece's ends.
     """
     if not kinks or scale == 0.0:
         return _gauss_hermite(factor * quad.gauss_hermite_nodes)
@@ -239,7 +243,8 @@ def bayes_tanh_schedule(gamma, prior, K, quad=QuadratureSpec()):
 
     def make_scalar(_k, mu_k, sig_k):
         a = gamma * mu_k / (sig_k * sig_k)
-        return (lambda y, a=a: np.tanh(a * y)), (), a
+        # tanh(a y) turns at y = 0 next to its poles +-i pi / (2 a): split the normal rules there
+        return (lambda y, a=a: np.tanh(a * y)), (0.0,), a
 
     mu, sigma, params = _run_spiked(gamma, prior, make_scalar, K, quad, "bayes_tanh_schedule")
     schedule = tuple(params) + (gamma * mu[K] / (sigma[K] * sigma[K]),)

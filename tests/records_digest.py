@@ -6,6 +6,8 @@ summary (with ``master_seed``, as ``amplab run`` writes them) through
 
     <config> threads=<t> records=<sha256> summary=<sha256>
 
+or, for a run that raises an ``AmpLabError``, ``<config> threads=<t> error=<class>``.
+
 The configs are the byte-identity configs of test_experiments.py, the four
 benchmark workloads at the acceptance seed, universality on the uncorrected
 (generalized) orbit, a bbp config whose small-n inits below the transition
@@ -14,8 +16,9 @@ Lanczos tridiagonals, so every Ritz pair of the first), spectral-init state_evol
 rademacher and a uniform_sqrt3 prior (Gauss-Legendre), independent-init
 state_evolution with scaled tanh and with the smooth soft threshold (whose
 kinks split its normal rules into Gauss-Legendre pieces), interpolation on the
-generalized orbit, with a memory linear_combo denoiser and with the smooth
-soft threshold on a t_grid without 0 and 1, and power_bound from n = 1. A
+generalized orbit, with the bayes schedule at gamma = 3, with a memory
+linear_combo denoiser and with the smooth soft threshold on a t_grid without
+0 and 1, and power_bound from n = 1. A
 last line, ``jacobi_eigendata sha256=<sha256>``, hashes the eigenvalue and
 eigenvector bytes that the Jacobi oracle returns for criterion 08's 100
 instances (one at a time), the power_bound_oracle workload's stack
@@ -24,7 +27,8 @@ even where power_bound's lhs and rhs round it away. Diffing the output of two
 trees shows whether a change moved any record. ``--keep DIR`` also keeps
 the files as DIR/<config>.t<threads>.csv and .json; ``--compare A B`` reads
 two such directories and prints, per file that differs, the rows that moved,
-the largest |difference| of each float column and of the summary's numbers,
+the largest absolute and relative |difference| of each float column and of
+the summary's numbers,
 and every flip of status, gap_pass, overlap_flag or holds. ``--against REV``
 extracts REV's ``src`` with ``git archive`` into a temporary directory, runs
 this script once with that ``src`` and once with this tree's, prints each line
@@ -61,6 +65,7 @@ sys.path.insert(0, ROOT)
 
 from amplab import experiments  # noqa: E402
 from amplab.config import parse_config  # noqa: E402
+from amplab.errors import AmpLabError  # noqa: E402
 from amplab.experiments import run_experiment  # noqa: E402
 from amplab.linalg import SymmetricMatrix, jacobi_eigendecomp_stack  # noqa: E402
 from amplab.reporting import write_records_csv, write_summary_json  # noqa: E402
@@ -144,6 +149,11 @@ def configs():
         )
     for name, overrides in (
         ("interpolation_generalized", dict(engine="generalized", t_grid=[0.0, 0.4, 1.0])),
+        # the bayes schedule at gamma 3 needs its normal rules split at the tanh's centre
+        (
+            "interpolation_bayes_gamma3",
+            dict(denoiser={"kind": "scaled_tanh", "schedule": "bayes"}, gamma=3.0, K=5, t_grid=[0.0, 0.5, 1.0]),
+        ),
         (
             "interpolation_linear_combo",
             dict(denoiser={"kind": "linear_combo", "weights": [0.6, -0.3, 0.2], "offset": 0.1}, t_grid=[1.0, 0.5, 0.0]),
@@ -225,6 +235,13 @@ def _numbers(node, path=""):
     return {path: float(node)} if isinstance(node, (int, float)) and not isinstance(node, bool) else {}
 
 
+def _delta(a, b):
+    """(|a - b|, |a - b| / max(|a|, |b|)) of two numbers that differ; both inf if one is not finite."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf, math.inf
+    return abs(a - b), abs(a - b) / max(abs(a), abs(b))
+
+
 def compare(dir_a, dir_b):
     """Print how the kept files of dir_b differ from those of dir_a, value by value."""
     names = sorted(set(os.listdir(dir_a)) | set(os.listdir(dir_b)))
@@ -237,8 +254,10 @@ def compare(dir_a, dir_b):
             continue
         if name.endswith(".json"):
             x, y = (_numbers(json.loads(pathlib.Path(p).read_text())) for p in (a, b))
-            delta = max((abs(x[k] - y[k]) for k in x.keys() & y.keys()), default=0.0)
-            print(f"{name}: max |delta| {delta:.3g}" + ("" if x.keys() == y.keys() else "; other keys"))
+            moved = [_delta(x[k], y[k]) for k in x.keys() & y.keys() if x[k] != y[k]]
+            delta, rel = (max((m[i] for m in moved), default=0.0) for i in (0, 1))
+            other = "" if x.keys() == y.keys() else "; other keys"
+            print(f"{name}: max |delta| {delta:.3g} (relative {rel:.3g})" + other)
             continue
         with open(a, newline="") as fa, open(b, newline="") as fb:
             rows_a, rows_b = list(csv.DictReader(fa)), list(csv.DictReader(fb))
@@ -255,9 +274,8 @@ def compare(dir_a, dir_b):
                     continue
                 va, vb = _float(ra[col]), _float(rb[col])
                 if va is not None and vb is not None and va != vb:
-                    d = abs(va - vb) if math.isfinite(va) and math.isfinite(vb) else math.inf
-                    deltas[col] = max(deltas.get(col, 0.0), d)
-        parts = [f"{col} {d:.3g}" for col, d in sorted(deltas.items())]
+                    deltas[col] = tuple(map(max, deltas.get(col, (0.0, 0.0)), _delta(va, vb)))
+        parts = [f"{col} {d:.3g} (relative {r:.3g})" for col, (d, r) in sorted(deltas.items())]
         print(f"{name}: {moved} of {len(rows_a)} rows moved; max |delta| " + (", ".join(parts) or "none"))
         for flip in flips:
             print(f"  flip: {flip}")
@@ -299,7 +317,11 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as out_dir:
         for name, cfg in configs():
             for threads in (1, 2):
-                records, summary = digest(cfg, threads, out_dir, args.keep, name)
+                try:
+                    records, summary = digest(cfg, threads, out_dir, args.keep, name)
+                except AmpLabError as exc:
+                    print(f"{name} threads={threads} error={type(exc).__name__}", flush=True)
+                    continue
                 print(f"{name} threads={threads} records={records} summary={summary}", flush=True)
     print(f"jacobi_eigendata sha256={jacobi_digest()}", flush=True)
     return 0

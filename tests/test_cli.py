@@ -203,6 +203,24 @@ class TestRunCommand:
         assert len(rows) == 2 * 4
         assert all(math.isfinite(float(r["phi_prediction"])) for r in rows)
 
+    def test_bayes_interpolation_run_at_gamma_3_completes(self, tmp_path):
+        # the bayes schedule's normal rules split at the tanh's centre: with Gauss-Hermite
+        # doubling alone the schedule never settled at gamma >= 3 and the run exited 2
+        cfg = {
+            **BASE,
+            "experiment": "interpolation",
+            "n_grid": [40],
+            "t_grid": [0.0, 0.5, 1.0],
+            "K": 5,
+            "gamma": 3.0,
+            "denoiser": {"kind": "scaled_tanh", "schedule": "bayes"},
+        }
+        assert main(["run", "--config", write_config(tmp_path, cfg), "--out-dir", str(tmp_path)]) == 0
+        with open(tmp_path / "interpolation_records.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 3 * 3
+        assert all(r["status"] == "ok" for r in rows)
+
     def test_zero_prior_draw_is_a_bbp_status_row(self, tmp_path):
         # at n=2 the three-point prior draws u0 = 0 in some trials; the gap
         # check has no start vector there, and only those trials fail

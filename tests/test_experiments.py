@@ -270,6 +270,17 @@ class TestStateEvolution:
         assert all(r["phi_empirical"] is None and r["phi_prediction"] is not None for r in rows)
         assert summary["failures"] == {"0": 2, "1": 2}
 
+    def test_failed_gap_check_refuses_before_the_spectral_init(self, monkeypatch):
+        cfg = base_config(**NEAR_TRANSITION_SE)
+        _, expected, _ = run_experiment(cfg)
+        gaps, real = [], experiments.spectral_init
+        monkeypatch.setattr(experiments, "spectral_init", lambda op, gap, d: gaps.append(gap.passed) or real(op, gap, d))
+        _, rows, _ = run_experiment(cfg)
+        refused = [r for r in rows if r["k"] == 0 and r["status"] == "PreconditionError"]
+        assert refused, "expected at least one refused trial near the transition"
+        assert gaps == [True] * (cfg.trials - len(refused))
+        assert rows == expected
+
     def test_spectral_init_runs_through_the_spectral_start(self, monkeypatch):
         calls = []
         for name in ("gap_check", "resolve_power_depth", "spectral_init"):

@@ -155,6 +155,31 @@ class TestBayesSchedule:
         _, se = bayes_tanh_schedule(2.0, RADEMACHER, 10)
         assert np.all(np.diff(se.mu) >= -1e-12)
 
+    @pytest.mark.parametrize("gamma, K", [(3.0, 5), (3.0, 10), (4.0, 5), (4.0, 10)])
+    def test_large_gamma_schedule_matches_adaptive_quadrature_per_atom(self, gamma, K):
+        # tanh(a y) has poles at +-i pi / (2 a), which Gauss-Hermite doubling never
+        # resolved at gamma >= 3; each step is the probability-weighted sum, over the
+        # atoms w, of adaptive quadrature over g split at the tanh's centre y = 0
+        den, se = bayes_tanh_schedule(gamma, RADEMACHER, K)
+        for k in range(K):
+            mu, sig, a = se.mu[k], se.sigma[k], den.schedule[k]
+            assert a == pytest.approx(gamma * mu / sig**2, rel=1e-12)
+
+            def over_g(h, w):
+                return _normal_expectation(lambda g: h(math.tanh(a * (mu * w + sig * g))), [-mu * w / sig])
+
+            mu_ref = gamma * sum(0.5 * w * over_g(lambda y: y, w) for w in (-1.0, 1.0))
+            sig2_ref = sum(0.5 * over_g(lambda y: y * y, w) for w in (-1.0, 1.0))
+            assert abs(se.mu[k + 1] - mu_ref) <= 1e-9
+            assert abs(se.sigma[k + 1] ** 2 - sig2_ref) <= 1e-9
+
+    def test_schedule_builds_no_gauss_hermite_rule(self):
+        state_evolution._gauss_hermite.cache_clear()
+        state_evolution._gauss_legendre.cache_clear()
+        bayes_tanh_schedule(2.0, RADEMACHER, 5)
+        assert state_evolution._gauss_hermite.cache_info().currsize == 0
+        assert state_evolution._gauss_legendre.cache_info().currsize > 0
+
 
 class TestSePredictPhi:
     def setup_method(self):
