@@ -68,9 +68,13 @@ class Denoiser:
         return len(self.weights) <= 1
 
     def kinks(self, k):
-        """Ascending points where f_k'' jumps: +-(lambda_k -+ delta) for the soft threshold."""
+        """Ascending split points of f_k's normal expectations.
+
+        They are where f_k is not smooth, +-(lambda_k -+ delta) for the soft threshold,
+        or turns steeply next to complex poles, 0 for tanh(a_k x) (poles at +-i pi / (2 a_k)).
+        """
         if self.kind != "smooth_soft_threshold":
-            return ()
+            return (0.0,) if self.kind == "scaled_tanh" else ()
         lam = self._param(k)
         return (-lam - self.delta, -lam + self.delta, lam - self.delta, lam + self.delta)
 

@@ -16,10 +16,10 @@ newest iterate alone or is linear, so no entry is more than a 2-D expectation
 
 Every expectation starts at the configured node counts and doubles them until
 two levels agree within 1e-8, raising AccuracyError if the cap still
-disagrees. Normal expectations are split (see _normal_rule) at the C^1 soft
-threshold's kinks, and at the centre y = 0 of the Bayes schedule's tanh(a y),
-whose poles at +-i pi / (2 a) near the real axis keep Gauss-Hermite doubling
-moving (1,952 nodes at gamma = 2, no convergence at gamma = 3).
+disagrees. Normal expectations are split (see _normal_rule) at the denoiser's
+split points, Denoiser.kinks: the C^1 soft threshold's kinks and the centre of
+every tanh(a y), fixed or Bayes, whose poles at +-i pi / (2 a) keep Gauss-Hermite
+doubling moving (no convergence at a fixed a >= 8, nor at gamma = 3 for Bayes).
 """
 
 import functools
@@ -141,8 +141,8 @@ def _prior_nodes(prior, quad, factor=1):
 def _normal_rule(quad, factor, kinks=(), center=0.0, scale=1.0):
     """Nodes z and probabilities p with sum p h(center + scale z) = E h(center + scale Z).
 
-    Z is standard normal and kinks are the ascending points where h is not
-    smooth or, like tanh(a y) at y = 0, where it turns steeply next to complex
+    Z is standard normal and kinks are h's ascending split points (see
+    Denoiser.kinks), where it is not smooth or turns steeply next to complex
     poles. Without kinks (or at scale 0) this is the Gauss-Hermite rule, the
     same for every center. Otherwise each center gets its own row: the normal
     is truncated at +-_Z_MAX and split at (kink - center) / scale, and every
@@ -191,21 +191,21 @@ def _converged(run, what):
     )
 
 
-def _run_spiked(gamma, prior, make_scalar, K, quad, what):
-    """(mu, sigma, records) of the scalar recursion, converged under node doubling.
+def _run_spiked(gamma, prior, denoiser_at, K, quad, what):
+    """(mu, sigma) of the scalar recursion, converged under node doubling.
 
-    make_scalar(k, mu_k, sigma_k) gives f_k, its kinks and a number to record.
+    denoiser_at(k, mu_k, sigma_k) is the newest-only Denoiser whose f_k drives step k.
     """
     mu0, sig0 = initial_se_params(gamma)
 
     def run(factor):
         w_vals, w_probs = _prior_nodes(prior, quad, factor)
         pw = w_probs * w_vals  # weights for E[w . ]
-        mu, sig, records = [mu0], [sig0], []
+        mu, sig = [mu0], [sig0]
         for k in range(K):
-            fk, kinks, record = make_scalar(k, mu[k], sig[k])
-            g_vals, g_probs = _normal_rule(quad, factor, kinks, mu[k] * w_vals, sig[k])
-            f_grid = fk(mu[k] * w_vals[:, None] + sig[k] * g_vals)
+            f = denoiser_at(k, mu[k], sig[k])
+            g_vals, g_probs = _normal_rule(quad, factor, f.kinks(k), mu[k] * w_vals, sig[k])
+            f_grid = scalar_eval(f, k, mu[k] * w_vals[:, None] + sig[k] * g_vals)
             sig2_next = float(w_probs @ _row_means(f_grid * f_grid, g_probs))
             if sig2_next <= 0.0:
                 raise DegenerateInputError(
@@ -214,8 +214,7 @@ def _run_spiked(gamma, prior, make_scalar, K, quad, what):
                 )
             mu.append(gamma * float(pw @ _row_means(f_grid, g_probs)))
             sig.append(math.sqrt(sig2_next))
-            records.append(record)
-        return np.array(mu), np.array(sig), np.array(records)
+        return np.array(mu), np.array(sig)
 
     return _converged(run, what)
 
@@ -226,11 +225,7 @@ def se_spiked(gamma, prior, f, K, quad=QuadratureSpec()):
         raise RejectedInputError(
             "the scalar recursion needs a denoiser acting on the newest coordinate only"
         )
-
-    def make_scalar(k, _mu, _sig):
-        return (lambda y: scalar_eval(f, k, y)), f.kinks(k), 0.0
-
-    mu, sigma, _ = _run_spiked(gamma, prior, make_scalar, K, quad, "se_spiked")
+    mu, sigma = _run_spiked(gamma, prior, lambda k, mu_k, sig_k: f, K, quad, "se_spiked")
     return SEParams(mu=mu, sigma=sigma)
 
 
@@ -241,14 +236,11 @@ def bayes_tanh_schedule(gamma, prior, K, quad=QuadratureSpec()):
     last orbit step and any diagnostics at iteration K are covered.
     """
 
-    def make_scalar(_k, mu_k, sig_k):
-        a = gamma * mu_k / (sig_k * sig_k)
-        # tanh(a y) turns at y = 0 next to its poles +-i pi / (2 a): split the normal rules there
-        return (lambda y, a=a: np.tanh(a * y)), (0.0,), a
+    def tanh_at(k, mu_k, sig_k):
+        return Denoiser(kind="scaled_tanh", schedule=(gamma * mu_k / (sig_k * sig_k),) * (k + 1))
 
-    mu, sigma, params = _run_spiked(gamma, prior, make_scalar, K, quad, "bayes_tanh_schedule")
-    schedule = tuple(params) + (gamma * mu[K] / (sigma[K] * sigma[K]),)
-    denoiser = Denoiser(kind="scaled_tanh", schedule=schedule)
+    mu, sigma = _run_spiked(gamma, prior, tanh_at, K, quad, "bayes_tanh_schedule")
+    denoiser = Denoiser(kind="scaled_tanh", schedule=tuple(gamma * mu / (sigma * sigma)))
     return denoiser, SEParams(mu=mu, sigma=sigma)
 
 
@@ -261,7 +253,7 @@ def se_predict_phi(phi, k, se, prior, quad=QuadratureSpec()):
 
     def run(factor):
         w_vals, w_probs = _prior_nodes(prior, quad, factor)
-        g_vals, g_probs = _gauss_hermite(factor * quad.gauss_hermite_nodes)
+        g_vals, g_probs = _normal_rule(quad, factor)
         grid = mu_k * w_vals[:, None] + sig_k * g_vals[None, :]
         vals = phi.pair_eval(np.broadcast_to(w_vals[:, None], grid.shape), grid)
         return (np.array([float(w_probs @ (vals @ g_probs))]),)

@@ -13,9 +13,11 @@ benchmark workloads at the acceptance seed, universality on the uncorrected
 (generalized) orbit, a bbp config whose small-n inits below the transition
 fall back to operator applies, a bbp config at n = 2 and 3 (2 x 2 and 3 x 3
 Lanczos tridiagonals, so every Ritz pair of the first), spectral-init state_evolution configs with a
-rademacher and a uniform_sqrt3 prior (Gauss-Legendre), independent-init
-state_evolution with scaled tanh and with the smooth soft threshold (whose
-kinks split its normal rules into Gauss-Legendre pieces), interpolation on the
+rademacher and a uniform_sqrt3 prior (Gauss-Legendre), spectral- and
+independent-init state_evolution with a fixed tanh(8 y) schedule,
+independent-init state_evolution with scaled tanh and with the smooth soft
+threshold (split points cut the normal rules of both into Gauss-Legendre
+pieces), interpolation on the
 generalized orbit, with the bayes schedule at gamma = 3, with a memory
 linear_combo denoiser and with the smooth soft threshold on a t_grid without
 0 and 1, and power_bound from n = 1. A
@@ -135,8 +137,25 @@ def configs():
             "phi": {"kind": "se_pair"},
         }
     )
+    # a fixed steep tanh: its normal rules settle only when split at the tanh's centre
+    yield "state_evolution_spectral_tanh8", parse_config(
+        {
+            "experiment": "state_evolution",
+            "n_grid": [200],
+            "trials": 3,
+            "master_seed": 5,
+            "K": 3,
+            "gamma": 2.0,
+            "init": "spectral",
+            "ensemble": {"kind": "rademacher"},
+            "prior": {"kind": "rademacher"},
+            "denoiser": {"kind": "scaled_tanh", "schedule": [8.0, 8.0, 8.0]},
+            "phi": {"kind": "se_pair"},
+        }
+    )
     for name, denoiser in (
         ("state_evolution_independent", {"kind": "scaled_tanh", "schedule": [1.5, 1.5, 1.5]}),
+        ("state_evolution_independent_tanh8", {"kind": "scaled_tanh", "schedule": [8.0, 8.0, 8.0]}),
         ("state_evolution_soft_threshold", {"kind": "smooth_soft_threshold", "schedule": [0.6, 0.9, 0.5]}),
     ):
         yield name, base_config(

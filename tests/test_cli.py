@@ -164,8 +164,9 @@ class TestRunCommand:
         assert a != b
 
     def test_numerical_failure_exits_2(self, tmp_path, capsys):
-        # a near-step tanh defeats the quadrature escalation inside the
-        # state-evolution prediction, which aborts the run before any trial
+        # se_pair clipped at 0.25 has kinks in w that the prior's Legendre rule is
+        # not split at, so the prediction still moves at the doubling cap of 2-node
+        # rules (128 nodes) and aborts the run before any trial
         cfg = {
             "experiment": "state_evolution",
             "n_grid": [50],
@@ -173,13 +174,37 @@ class TestRunCommand:
             "K": 1,
             "gamma": 2.0,
             "init": "spectral",
-            "prior": {"kind": "rademacher"},
-            "denoiser": {"kind": "scaled_tanh", "schedule": [1e8, 1e8]},
-            "phi": {"kind": "se_pair"},
+            "prior": {"kind": "uniform_sqrt3"},
+            "denoiser": {"kind": "scaled_tanh", "schedule": [1.0, 1.0]},
+            "phi": {"kind": "se_pair", "clip": 0.25},
+            "gauss_hermite_nodes": 2,
+            "gauss_legendre_nodes": 2,
         }
         code = main(["run", "--config", write_config(tmp_path, cfg)])
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "init, prior, gamma",
+        [("spectral", "rademacher", 2.0), ("independent", "gaussian", 0.0)],
+        ids=["spectral", "independent"],
+    )
+    def test_steep_tanh_schedule_run_completes(self, tmp_path, init, prior, gamma):
+        # a fixed tanh(8 y) settles once its normal rules split at the centre; with
+        # Gauss-Hermite doubling alone se_spiked and se_covariance raised and the run exited 2
+        cfg = {
+            **BASE,
+            "experiment": "state_evolution",
+            "n_grid": [100],
+            "trials": 2,
+            "K": 3,
+            "gamma": gamma,
+            "init": init,
+            "prior": {"kind": prior},
+            "denoiser": {"kind": "scaled_tanh", "schedule": [8, 8, 8]},
+            "phi": {"kind": "se_pair"},
+        }
+        assert main(["run", "--config", write_config(tmp_path, cfg), "--out-dir", str(tmp_path)]) == 0
 
     def test_spectral_soft_threshold_run_completes(self, tmp_path):
         # the C^1 soft threshold needs its split quadrature rule: with Gauss-Hermite

@@ -117,8 +117,11 @@ class TestSeSpiked:
             (RADEMACHER, Denoiser(kind="smooth_soft_threshold", schedule=(0.5,) * 3)),
             # a three_point prior's atoms are enumerated exactly
             (PriorSpec("three_point", (-1.0, 0.0, 2.0), (1 / 3, 1 / 2, 1 / 6)), Denoiser("scaled_tanh", (1.0, 1.5, 0.7))),
+            # tanh(a y) has poles at +-i pi / (2 a); split at its centre, a fixed a >= 8 settles too
+            (RADEMACHER, Denoiser(kind="scaled_tanh", schedule=(8.0,) * 3)),
+            (RADEMACHER, Denoiser(kind="scaled_tanh", schedule=(12.0,) * 3)),
         ],
-        ids=["rademacher_soft_threshold", "three_point_scaled_tanh"],
+        ids=["rademacher_soft_threshold", "three_point_scaled_tanh", "rademacher_scaled_tanh_8", "rademacher_scaled_tanh_12"],
     )
     def test_each_step_matches_adaptive_quadrature_per_atom(self, prior, den):
         # mu and sigma^2 of each step are the probability-weighted sums, over the prior's atoms w,
@@ -137,11 +140,24 @@ class TestSeSpiked:
             assert abs(se.mu[k + 1] - mu_ref) <= 1e-9
             assert abs(se.sigma[k + 1] ** 2 - sig2_ref) <= 1e-9
 
+    def test_near_step_tanh_follows_the_sign_recursion(self):
+        # tanh(1e8 y) is sign(y) but within ~1e-8 of 0, so for rademacher w
+        # mu_{k+1} = gamma E[w sign(mu_k w + sigma_k g)] = gamma erf(mu_k / (sqrt(2) sigma_k))
+        # and sigma_{k+1} = 1
+        gamma, K = 2.0, 3
+        se = se_spiked(gamma, RADEMACHER, Denoiser(kind="scaled_tanh", schedule=(1e8,) * K), K)
+        for k in range(K):
+            assert abs(se.mu[k + 1] - gamma * math.erf(se.mu[k] / (math.sqrt(2.0) * se.sigma[k]))) <= 1e-9
+            assert abs(se.sigma[k + 1] - 1.0) <= 1e-9
+
     def test_unconverged_quadrature_raises(self):
-        # a near-step nonlinearity keeps moving under node doubling
+        # at gamma = 100, E[w tanh(1e8 (mu_0 w + sigma_0 g))] steps in w over a width
+        # sigma_0 / mu_0 ~ 0.01, which the prior's Legendre rule does not resolve by
+        # its doubling cap of 128 nodes
         spiky = Denoiser(kind="scaled_tanh", schedule=(1e8,))
+        coarse = QuadratureSpec(gauss_hermite_nodes=2, gauss_legendre_nodes=2)
         with pytest.raises(AccuracyError):
-            se_spiked(2.0, RADEMACHER, spiky, K=1)
+            se_spiked(100.0, PriorSpec("uniform_sqrt3"), spiky, K=1, quad=coarse)
 
 
 class TestBayesSchedule:
@@ -257,8 +273,8 @@ class TestSeCovariance:
         assert np.min(np.linalg.eigvalsh(cov)) >= -1e-12
 
     def test_sharp_tanh_reaches_the_doubling_tolerance(self):
-        # a = 3 puts tanh's poles near the real axis; the Hermite rule doubles
-        # until it settles, and then agrees with adaptive quadrature
+        # a = 3 puts tanh's poles near the real axis; the rule split at the
+        # tanh's centre doubles until it settles, and then agrees with adaptive quadrature
         K = 4
         cov = se_covariance([Denoiser(kind="scaled_tanh", schedule=(3.0,) * K)] * K, K)
         for k in range(K):
@@ -266,12 +282,21 @@ class TestSeCovariance:
             ref = _normal_expectation(lambda z: math.tanh(3.0 * s * z) ** 2)
             assert abs(cov[k + 1, k + 1] - ref) <= 1e-8
 
-    def test_soft_threshold_matches_adaptive_quadrature_at_its_kinks(self):
-        # two offset linear levels correlate V_1 and V_2, so the soft threshold's
-        # entries include 2-D integrals with kinks in both coordinates
+    @pytest.mark.parametrize(
+        "split",
+        [
+            Denoiser(kind="smooth_soft_threshold", schedule=(0.3, 0.3, 0.5, 0.4)),
+            # Gauss-Hermite doubling never settled on tanh(a y) at these a; it splits at y = 0
+            Denoiser(kind="scaled_tanh", schedule=(8.0,) * 4),
+            Denoiser(kind="scaled_tanh", schedule=(12.0,) * 4),
+        ],
+        ids=["soft_threshold", "tanh_8", "tanh_12"],
+    )
+    def test_split_rules_match_adaptive_quadrature_at_the_split_points(self, split):
+        # two offset linear levels correlate V_1 and V_2, so the entries include
+        # 2-D integrals with split points in both coordinates
         shift = Denoiser(kind="linear_combo", weights=(1.0,), offset=0.5)
-        soft = Denoiser(kind="smooth_soft_threshold", schedule=(0.3, 0.3, 0.5, 0.4))
-        fs = [shift, shift, soft, soft]
+        fs = [shift, shift, split, split]
         cov = se_covariance(fs, 4)
 
         def f(k, x):
