@@ -72,6 +72,7 @@ from amplab.experiments import run_experiment  # noqa: E402
 from amplab.linalg import SymmetricMatrix, jacobi_eigendecomp_stack  # noqa: E402
 from amplab.reporting import write_records_csv, write_summary_json  # noqa: E402
 from bench.workloads import ACCEPTANCE_SEED, WORKLOADS  # noqa: E402
+from test_acceptance import criterion_08_instances  # noqa: E402
 from test_experiments import BYTE_IDENTITY_CONFIGS, base_config  # noqa: E402
 
 
@@ -190,11 +191,8 @@ def configs():
 
 def jacobi_stacks():
     """The stacks of matrices whose eigendata the jacobi_eigendata line hashes."""
-    rng = np.random.default_rng(20240810)  # criterion 08's instances, in its order
-    for n in (4, 16, 64, 128):
-        for _ in range(25):
-            dense = rng.normal(size=(n, n))
-            yield [SymmetricMatrix.from_dense((dense + dense.T) / 2.0)]
+    for dense in criterion_08_instances():
+        yield [SymmetricMatrix.from_dense(dense)]
     stacks, real = [], experiments.jacobi_eigendecomp_stack
     experiments.jacobi_eigendecomp_stack = lambda matrices, tol: stacks.append(matrices) or real(matrices, tol)
     try:

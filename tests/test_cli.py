@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import amplab
-from amplab import cli, experiments
+from amplab import cli, experiments, selftest
 from amplab.cli import main
 from amplab.config import load_config, parse_config
 
@@ -613,3 +613,13 @@ class TestSelftest:
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+    def test_selftest_fails_on_wrong_covariance_and_partials(self, capsys, monkeypatch):
+        # shifted covariances and partials fail their two checks; the other four still pass
+        for name in ("se_covariance", "denoiser_partial"):
+            real = getattr(selftest, name)
+            monkeypatch.setattr(selftest, name, lambda *args, real=real: real(*args) + 1.0)
+        assert main(["selftest"]) == 2
+        failing = {"covariance recursion: identity and split-rule quadrature", "analytic partials vs finite differences"}
+        expected = [f"{'FAIL' if name in failing else 'PASS'}  {name}" for name, _ in selftest.CHECKS]
+        assert capsys.readouterr().out.splitlines() == expected

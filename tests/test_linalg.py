@@ -8,6 +8,7 @@ from amplab import linalg
 from amplab.ensembles import EnsembleSpec, derive_streams, sample_wigner
 from amplab.errors import NumericalFailureError, RejectedInputError
 from amplab.linalg import SymmetricMatrix, jacobi_eigendecomp, jacobi_eigendecomp_stack, sym_matvec
+from test_acceptance import criterion_08_instances
 
 
 def random_symmetric(n, rng):
@@ -201,14 +202,11 @@ class TestJacobi:
         calls = []
         real = linalg._max_offdiag
         monkeypatch.setattr(linalg, "_max_offdiag", lambda *args: calls.append(1) or real(*args))
-        rng = np.random.default_rng(20240810)  # the instances of criterion 08
         sweeps = 0
-        for n in (4, 16, 64, 128):
-            for _ in range(25):
-                dense = random_symmetric(n, rng)
-                calls.clear()
-                jacobi_eigendecomp(SymmetricMatrix.from_dense(dense), tol=1e-12)
-                sweeps += len(calls) - 1
+        for dense in criterion_08_instances():
+            calls.clear()
+            jacobi_eigendecomp(SymmetricMatrix.from_dense(dense), tol=1e-12)
+            sweeps += len(calls) - 1
         assert sweeps <= 641
 
     def test_sweep_cap_raises_with_residual(self, monkeypatch):
