@@ -32,7 +32,7 @@ from test_acceptance import CRITERIA, run_criterion
 def criterion_margin(name, seed):
     """(least margin, measured quantities) of criterion name at seed."""
     try:
-        margins, _ = run_criterion(name, seed)
+        margins, _, _ = run_criterion(name, seed)
     except AssertionError as exc:
         return -math.inf, f"structural check failed: {exc}"
     return min(m.margin for m in margins), ", ".join(f"{m.quantity} = {m.value:.4f}" for m in margins)

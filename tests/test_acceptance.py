@@ -62,8 +62,8 @@ class Margin(NamedTuple):
 
 class Criterion(NamedTuple):
     runs: dict  # label -> config without master_seed; the label names the run in its quantities
-    measure: Callable  # (rows, summary) of one run -> {quantity: value}, asserting the structural checks
-    bounds: dict  # quantity -> Bound
+    measure: Callable  # (cfg, rows, summary) of one run -> {quantity: value}, asserting the structural checks
+    bounds: dict  # quantity -> Bound; a quantity without one is measured for the tests' PASS lines only
 
 
 def _report(num, text):
@@ -82,6 +82,11 @@ def _all_ok(rows):
     assert failed == 0, f"{failed} of {len(rows)} rows failed"
 
 
+def _largest(values):
+    """The largest of values, NaN if any is NaN (the built-in max skips a NaN that does not come first)."""
+    return float(np.max(values))
+
+
 def _bbp(gamma_grid, ensemble_kind):
     return {
         "experiment": "bbp",
@@ -94,14 +99,14 @@ def _bbp(gamma_grid, ensemble_kind):
     }
 
 
-def _bbp_means(rows, summary):
+def _bbp_means(cfg, rows, summary):
     return {f"{e['field']} at gamma={e['group']}": e["mean"] for e in summary["groups"]}
 
 
-def _bbp_all_trials(rows, summary):
-    count = _group(summary, "lambda1", 2.0)["count"]
-    assert count == 20, f"{20 - count} of 20 trials failed"
-    return _bbp_means(rows, summary)
+def _bbp_all_trials(cfg, rows, summary):
+    count, expected = _group(summary, "lambda1", 2.0)["count"], cfg.trials * len(cfg.n_grid)
+    assert count == expected, f"{expected - count} of {expected} trials failed"
+    return _bbp_means(cfg, rows, summary)
 
 
 # top eigenvalue gamma + 1/gamma and overlap sqrt(1 - gamma^-2) above the transition
@@ -118,8 +123,17 @@ _AMP = {
     "phi": {"kind": "tanh_product"},
 }
 
+# the quantity of each criterion that bounds one
+_SLOPE = "slope"
+_SE_ERROR = "max_k |empirical - prediction|"
+_VARIANCE = "max_k |variance - 1|"
+_MEAN_Z = "max_k |mean - prediction| / SE"
+_EXCESS = "max lhs - (rhs + 1e-8)"
+_STD_RATIO = "std(2000) / std(500)"
+_STEP_Z = "max adjacent |diff| / pooled SE"
 
-def _decay(rows, summary):
+
+def _decay(cfg, rows, summary):
     """The slope of log mean |Phi(A) - Phi(G)| against log n; the means fall with n, one inversion allowed."""
     groups = sorted((e for e in summary["groups"] if e["field"] == "abs_diff"), key=lambda e: e["group"])
     means = [e["mean"] for e in groups]
@@ -129,12 +143,12 @@ def _decay(rows, summary):
     assert len(inversions) <= 1, f"means {means}"
     for i in inversions:
         assert means[i + 1] - means[i] <= 2.0 * math.hypot(errs[i], errs[i + 1]), f"means {means}, stderrs {errs}"
-    return {"slope": summary["extras"]["decay_slope"]}
+    return {_SLOPE: summary["extras"]["decay_slope"]}
 
 
-def _se_error(rows, summary):
+def _se_error(cfg, rows, summary):
     _all_ok(rows)
-    return {"max_k |empirical - prediction|": max(r["phi_abs_err"] for r in rows)}
+    return {_SE_ERROR: _largest([r["phi_abs_err"] for r in rows])}
 
 
 def _identity_fixed_point(trials):
@@ -152,47 +166,48 @@ def _identity_fixed_point(trials):
     }
 
 
-def _variance(rows, summary):
+def _variance(cfg, rows, summary):
     _all_ok(rows)
-    return {"max_k |variance - 1|": max(abs(r["second_moment_empirical"] - 1.0) for r in rows)}
+    return {_VARIANCE: _largest([abs(r["second_moment_empirical"] - 1.0) for r in rows])}
 
 
-def _per_k_mean(rows, summary):
+def _per_k_mean(cfg, rows, summary):
     """The largest |z| over k of the mean second moment against its prediction, in standard errors."""
     _all_ok(rows)
-    worst = 0.0
-    for k in range(6):  # K = 5
+    z_abs = []
+    for k in range(cfg.K + 1):
         at_k = [r for r in rows if r["k"] == k]
-        assert len(at_k) == 40, f"k={k}: {len(at_k)} rows"
+        assert len(at_k) == cfg.trials * len(cfg.n_grid), f"k={k}: {len(at_k)} rows"
         prediction = at_k[0]["second_moment_prediction"]
         assert abs(prediction - 1.0) <= 1e-12, f"k={k}: prediction {prediction}"
         values = np.array([r["second_moment_empirical"] for r in at_k])
         z = (values.mean() - prediction) / (values.std(ddof=1) / math.sqrt(len(values)))
-        worst = max(worst, abs(float(z)))
-    return {"max_k |mean - prediction| / SE": worst}
+        z_abs.append(abs(float(z)))
+    return {_MEAN_Z: _largest(z_abs)}
 
 
-def _power_bound(rows, summary):
+def _power_bound(cfg, rows, summary):
     # a row holds when lhs <= rhs + 1e-8
     _all_ok(rows)
-    assert len(rows) == 100, f"{len(rows)} instances"
-    return {"max lhs - (rhs + 1e-8)": max(r["lhs"] - (r["rhs"] + 1e-8) for r in rows)}
+    assert len(rows) == cfg.trials * len(cfg.n_grid), f"{len(rows)} instances"
+    return {_EXCESS: _largest([r["lhs"] - (r["rhs"] + 1e-8) for r in rows]), "held": sum(r["holds"] for r in rows)}
 
 
-def _std_ratio(rows, summary):
-    return {"std(2000) / std(500)": _group(summary, "phi", 2000)["std"] / _group(summary, "phi", 500)["std"]}
+def _std_ratio(cfg, rows, summary):
+    small, large = (_group(summary, "phi", n)["std"] for n in cfg.n_grid)
+    return {_STD_RATIO: large / small, "std(500)": small, "std(2000)": large}
 
 
-def _interpolation_steps(rows, summary):
+def _interpolation_steps(cfg, rows, summary):
     """The largest |difference| of mean phi between adjacent t, in pooled standard errors."""
     _all_ok(rows)
     groups = sorted((e for e in summary["groups"] if e["field"] == "phi"), key=lambda e: e["group"])
-    worst = 0.0
+    steps = []
     for left, right in zip(groups, groups[1:]):
         diff = abs(right["mean"] - left["mean"])
         pooled = math.hypot(left["stderr"], right["stderr"])
-        worst = max(worst, diff / pooled if pooled > 0 else (math.inf if diff else 0.0))
-    return {"max adjacent |diff| / pooled SE": worst}
+        steps.append(diff / pooled if pooled > 0 else (math.inf if diff else 0.0))
+    return {_STEP_Z: _largest(steps)}
 
 
 CRITERIA = {
@@ -206,50 +221,49 @@ CRITERIA = {
             for kind in ("rademacher", "uniform")
         },
         _decay,
-        {"slope": Bound(-0.25)},
+        {_SLOPE: Bound(-0.25)},
     ),
     "05": Criterion(
         {"": dict(_AMP, experiment="state_evolution", n_grid=[2000], trials=1, ensemble={"kind": "gaussian"},
                   phi={"kind": "se_pair"}, init="spectral")},
         _se_error,
-        {"max_k |empirical - prediction|": Bound(0.05)},
+        {_SE_ERROR: Bound(0.05)},
     ),
-    "06": Criterion({"": _identity_fixed_point(3)}, _variance, {"max_k |variance - 1|": Bound(0.1)}),
-    "06 companion": Criterion(
-        {"": _identity_fixed_point(40)}, _per_k_mean, {"max_k |mean - prediction| / SE": Bound(4.0)}
-    ),
+    "06": Criterion({"": _identity_fixed_point(3)}, _variance, {_VARIANCE: Bound(0.1)}),
+    "06 companion": Criterion({"": _identity_fixed_point(40)}, _per_k_mean, {_MEAN_Z: Bound(4.0)}),
     "07": Criterion(
         {"": {"experiment": "power_bound", "n_grid": [64], "trials": 100, "ensemble": {"kind": "gaussian"},
               "denoiser": {"kind": "identity"}, "power_depth": 20}},
         _power_bound,
-        {"max lhs - (rhs + 1e-8)": Bound(0.0)},
+        {_EXCESS: Bound(0.0)},
     ),
     "10": Criterion(
         {"": dict(_AMP, experiment="concentration", n_grid=[500, 2000], trials=50, ensemble={"kind": "gaussian"})},
         _std_ratio,
-        {"std(2000) / std(500)": Bound(0.7)},
+        {_STD_RATIO: Bound(0.7)},
     ),
     "11": Criterion(
         {"": dict(_AMP, experiment="interpolation", n_grid=[1000], trials=30, t_grid=[0.0, 0.25, 0.5, 0.75, 1.0],
                   ensemble={"kind": "rademacher"})},
         _interpolation_steps,
-        {"max adjacent |diff| / pooled SE": Bound(5.0)},
+        {_STEP_Z: Bound(5.0)},
     ),
 }
 
 
 def run_criterion(name, seed=SEED):
-    """Run criterion name at master_seed seed: its margins, and the (cfg, rows, summary) of each run."""
-    criterion, margins, runs = CRITERIA[name], [], []
+    """Run criterion name at master_seed seed: its margins, every measured quantity, and each run's (cfg, rows)."""
+    criterion, margins, values, runs = CRITERIA[name], [], {}, []
     for label, config in criterion.runs.items():
         cfg = parse_config(dict(config, master_seed=seed))
         _, rows, summary = run_experiment(cfg)
-        values = criterion.measure(rows, summary)
+        measured = criterion.measure(cfg, rows, summary)
+        values.update({f"{quantity} {label}".rstrip(): value for quantity, value in measured.items()})
         for quantity, bound in criterion.bounds.items():
-            value = values[quantity]
+            value = measured[quantity]
             margins.append(Margin(f"{quantity} {label}".rstrip(), value, bound, bound.margin(value)))
-        runs.append((cfg, rows, summary))
-    return margins, runs
+        runs.append((cfg, rows))
+    return margins, values, runs
 
 
 def criterion_08_instances():
@@ -263,10 +277,10 @@ def criterion_08_instances():
 
 def _check(name):
     """Run criterion name at the pinned seed and assert every margin >= 0: ({quantity: value}, runs)."""
-    margins, runs = run_criterion(name)
+    margins, values, runs = run_criterion(name)
     for m in margins:
         assert m.margin >= 0, f"{m.quantity} = {m.value!r}, not {m.bound} (margin {m.margin:.3g})"
-    return {m.quantity: m.value for m in margins}, runs
+    return values, runs
 
 
 def test_criterion_01_bbp_above_threshold():
@@ -303,18 +317,18 @@ def test_criterion_04_universality_decay():
     values, _ = _check("04")
     elapsed = time.time() - start
     assert elapsed <= 900.0
-    slopes = " ".join(f"{kind}={values[f'slope {kind}']:.3f}" for kind in CRITERIA["04"].runs)
+    slopes = " ".join(f"{kind}={values[f'{_SLOPE} {kind}']:.3f}" for kind in CRITERIA["04"].runs)
     _report(4, f"slopes {slopes} ({elapsed:.0f}s, 4 workers)")
 
 
 def test_criterion_05_state_evolution_spectral_init():
     values, _ = _check("05")
-    _report(5, f"max_k |empirical - prediction| = {values['max_k |empirical - prediction|']:.4f} <= 0.05")
+    _report(5, f"{_SE_ERROR} = {values[_SE_ERROR]:.4f} <= 0.05")
 
 
 def test_criterion_06_identity_denoiser_fixed_point():
     values, _ = _check("06")
-    _report(6, f"max_k |variance - 1| = {values['max_k |variance - 1|']:.4f} <= 0.1")
+    _report(6, f"{_VARIANCE} = {values[_VARIANCE]:.4f} <= 0.1")
 
 
 def test_criterion_06_companion_per_k_mean_within_4_standard_errors():
@@ -322,16 +336,15 @@ def test_criterion_06_companion_per_k_mean_within_4_standard_errors():
     # on some seeds with no bias present; a per-k mean over 40 trials tests
     # for a bias against its own standard error instead
     values, _ = _check("06 companion")
-    worst = values["max_k |mean - prediction| / SE"]
-    _report("06 companion", f"max_k |mean - prediction| = {worst:.2f} standard errors <= 4")
+    _report("06 companion", f"max_k |mean - prediction| = {values[_MEAN_Z]:.2f} standard errors <= 4")
 
 
 def test_criterion_07_power_method_bound():
     start = time.time()
-    _, [(_, rows, _)] = _check("07")
+    values, _ = _check("07")
     elapsed = time.time() - start
     assert elapsed <= 30.0
-    _report(7, f"bound held in {sum(r['holds'] for r in rows)}/100 instances ({elapsed:.0f}s)")
+    _report(7, f"bound held in {values['held']}/{CRITERIA['07'].runs['']['trials']} instances ({elapsed:.0f}s)")
 
 
 def test_criterion_08_jacobi_oracle():
@@ -381,14 +394,12 @@ def test_criterion_09_onsager_coefficients():
 
 
 def test_criterion_10_concentration():
-    _, [(_, _, summary)] = _check("10")
-    std_small = _group(summary, "phi", 500)["std"]
-    std_large = _group(summary, "phi", 2000)["std"]
-    _report(10, f"std(2000)={std_large:.2e} <= 0.7*std(500)={0.7 * std_small:.2e}")
+    values, _ = _check("10")
+    _report(10, f"std(2000)={values['std(2000)']:.2e} <= 0.7*std(500)={0.7 * values['std(500)']:.2e}")
 
 
 def test_criterion_11_interpolation():
-    values, [(cfg, rows, _)] = _check("11")
+    values, [(cfg, rows)] = _check("11")
 
     # endpoint identities: recompute the pure runs from the same streams
     n, K = cfg.n_grid[0], cfg.K
@@ -405,8 +416,7 @@ def test_criterion_11_interpolation():
         assert by_key[(trial, 1.0)] == phi_a
         assert by_key[(trial, 0.0)] == phi_g
 
-    worst = values["max adjacent |diff| / pooled SE"]
-    _report(11, f"endpoints exact; max adjacent diff = {worst:.2f} pooled SE (<= 5)")
+    _report(11, f"endpoints exact; max adjacent diff = {values[_STEP_Z]:.2f} pooled SE (<= 5)")
 
 
 def test_criterion_12_determinism(tmp_path):
@@ -484,4 +494,28 @@ def test_bench_gate_tolerances_are_the_criteria_bounds(monkeypatch):
     for name in ("01", "02", "03"):
         for quantity, bound in CRITERIA[name].bounds.items():
             assert bound.limit == tolerances[quantity], (name, quantity)
-    assert CRITERIA["04"].bounds["slope"].limit == gate.DECAY_SLOPE_MAX
+    assert CRITERIA["04"].bounds[_SLOPE].limit == gate.DECAY_SLOPE_MAX
+
+
+def test_a_nan_in_a_later_row_fails_its_bound():
+    # numpy makes a NaN without raising, so one can reach an ok row; the measures
+    # carry it into the margin, where a built-in max would skip it
+    ok = {"status": "ok"}
+    per_k = [dict(ok, k=k, second_moment_prediction=1.0, second_moment_empirical=1.0 + 0.01 * (t % 3 - 1))
+             for k in range(6) for t in range(40)]
+    per_k[3 * 40 + 7]["second_moment_empirical"] = math.nan
+    steps = {"groups": [{"field": "phi", "group": t, "mean": 0.1 if t != 0.5 else math.nan, "stderr": 0.01}
+                        for t in (0.0, 0.25, 0.5, 0.75, 1.0)]}
+    cases = {
+        "05": ([dict(ok, phi_abs_err=0.01), dict(ok, phi_abs_err=math.nan)], None),
+        "06": ([dict(ok, second_moment_empirical=1.0), dict(ok, second_moment_empirical=math.nan)], None),
+        "06 companion": (per_k, None),
+        "07": ([dict(ok, lhs=math.nan if i == 1 else 0.0, rhs=1.0, holds=int(i != 1)) for i in range(100)], None),
+        "11": ([ok], steps),
+    }
+    for name, (rows, summary) in cases.items():
+        criterion = CRITERIA[name]
+        cfg = parse_config(dict(criterion.runs[""], master_seed=SEED))
+        values = criterion.measure(cfg, rows, summary)
+        for quantity, bound in criterion.bounds.items():
+            assert math.isnan(bound.margin(values[quantity])), (name, quantity, values[quantity])
