@@ -14,7 +14,6 @@ from .config import load_config
 from .errors import AmpLabError, ConfigError
 from .experiments import run_experiment
 from .reporting import ensure_parent, write_records_csv, write_summary_json
-from .selftest import run_selftest
 
 
 def _build_parser():
@@ -108,6 +107,7 @@ def _cmd_run(args):
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     if args.command == "selftest":
+        from .selftest import run_selftest  # imported here, so a run never loads the oracle suite
         failures = run_selftest()
         return 0 if failures == 0 else 2
     return _cmd_run(args)

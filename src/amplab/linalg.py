@@ -113,6 +113,7 @@ class EigenDecomp:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # column r pairs with eigenvalues[r]
+    sweeps: int = 0  # Jacobi sweeps run before the test that judged it converged
 
 
 def sym_matvec(m, x):
@@ -151,7 +152,8 @@ def jacobi_eigendecomp_stack(matrices, tol=1e-12):
     stack of one. Within a sweep, pairs with |a_pq| <= 0.1 * tol * ||M||_F
     are skipped (rotation 1). From scratch, no LAPACK eigensolver, so an
     independent oracle (n <= 1024). Returns, in order, each matrix's
-    EigenDecomp, or the NumericalFailureError of one with a non-finite entry
+    EigenDecomp, with the sweeps it took (0 for a diagonal, zero or 1 x 1
+    matrix), or the NumericalFailureError of one with a non-finite entry
     (it fails at the first test) or that did not converge in 100 sweeps. The
     scratch and rotation stacks are released before the last members are read
     out. NumPy may fuse the complex multiply (FMA) by CPU, so the last bits
@@ -190,7 +192,7 @@ def jacobi_eigendecomp_stack(matrices, tol=1e-12):
     pick = np.stack([p * size + q, p * (size + 1), q * (size + 1)])[:, None] + base  # a_pq, a_pp, a_qq
     back = np.argsort(turn)  # the row a slot moves to
     rotated = np.stack([back[p] * size + q, back[q] * size + p])[:, None] + base  # a_pq, a_qp once rows moved
-    for _ in range(JACOBI_MAX_SWEEPS):
+    for sweeps in range(JACOBI_MAX_SWEEPS):
         off = _max_offdiag(a, scratch)
         broken = ~np.isfinite(threshold)  # a non-finite entry, or a threshold that overflows
         done = (off <= threshold) | broken
@@ -203,7 +205,7 @@ def jacobi_eigendecomp_stack(matrices, tol=1e-12):
                 out[live[j]] = (
                     NumericalFailureError(f"Jacobi threshold tol * ||M||_F = {threshold[j]} is not finite")
                     if broken[j]
-                    else _sorted_decomp(np.diag(a[j])[slots < n], v[j][:n, slots < n])
+                    else _sorted_decomp(np.diag(a[j])[slots < n], v[j][:n, slots < n], sweeps)
                 )
             if count == 0:
                 return out
@@ -275,7 +277,7 @@ def _max_offdiag(a, work):
     return work.max(axis=(1, 2))
 
 
-def _sorted_decomp(eigenvalues, eigenvectors):
+def _sorted_decomp(eigenvalues, eigenvectors, sweeps):
     order = np.argsort(eigenvalues)[::-1]
-    return EigenDecomp(eigenvalues[order], eigenvectors[:, order])
+    return EigenDecomp(eigenvalues[order], eigenvectors[:, order], sweeps)
 

@@ -569,9 +569,9 @@ def test_dry_run_output_parses_back_to_the_config(tmp_path, capsys, experiment):
 class TestImports:
     def test_one_openblas_and_no_scipy_per_run(self, tmp_path):
         """In a fresh interpreter importing amplab from this checkout: after `import amplab.cli`
-        and after each run, no scipy module is loaded, nothing under scipy.libs is mapped, and
-        exactly one OpenBLAS file (numpy's) is. The runs use one worker, so the thread pool's
-        concurrent.futures (and the logging it imports) stays unloaded too."""
+        and after each run, no scipy module and not amplab.selftest is loaded, nothing under
+        scipy.libs is mapped, and exactly one OpenBLAS file (numpy's) is. The runs use one worker,
+        so the thread pool's concurrent.futures (and the logging it imports) stays unloaded too."""
         runs = []
         for experiment, overrides in SMALL_RUNS.items():
             cfg = write_config(tmp_path, {**BASE, "experiment": experiment, **overrides}, f"{experiment}.json")
@@ -588,6 +588,7 @@ class TestImports:
                 "    print(json.dumps([name, code, {",
                 "        'scipy': sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),",
                 "        'scipy.libs': sorted(f for f in files if 'scipy.libs' in f.split(os.sep)),",
+                "        'selftest': [m for m in sys.modules if m == 'amplab.selftest'],",
                 "        'pool': sorted(m for m in ('concurrent.futures', 'logging') if m in sys.modules),",
                 "        'openblas': sorted(os.path.basename(f) for f in files",
                 "                           if os.path.basename(f).startswith('libscipy_openblas')),",
@@ -602,7 +603,7 @@ class TestImports:
         report = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("[")]
         assert [line[:2] for line in report] == [["import", 0]] + [[name, 0] for name in SMALL_RUNS]
         for name, _, state in report:
-            assert state["scipy"] == state["scipy.libs"] == state["pool"] == [], (name, state)
+            assert state["scipy"] == state["scipy.libs"] == state["pool"] == state["selftest"] == [], (name, state)
             assert len(state["openblas"]) == 1, (name, state)
         for experiment in SMALL_RUNS:
             assert (tmp_path / experiment / f"{experiment}_records.csv").exists()

@@ -8,7 +8,7 @@ from amplab import linalg
 from amplab.ensembles import EnsembleSpec, derive_streams, sample_wigner
 from amplab.errors import NumericalFailureError, RejectedInputError
 from amplab.linalg import SymmetricMatrix, jacobi_eigendecomp, jacobi_eigendecomp_stack, sym_matvec
-from test_acceptance import criterion_08_instances
+from test_acceptance import criterion_08_decompositions
 
 
 def random_symmetric(n, rng):
@@ -197,17 +197,8 @@ class TestJacobi:
             eig = jacobi_eigendecomp(SymmetricMatrix.from_dense(dense), tol=1e-12)
         np.testing.assert_allclose(eig.eigenvalues, [3.0, 2.0, 2.0, 2.0, 2.0, 1.0], rtol=0, atol=1e-14)
 
-    def test_sweeps_on_criterion_08_instances(self, monkeypatch):
-        # the off-diagonal maximum is taken once up front and once after each sweep
-        calls = []
-        real = linalg._max_offdiag
-        monkeypatch.setattr(linalg, "_max_offdiag", lambda *args: calls.append(1) or real(*args))
-        sweeps = 0
-        for dense in criterion_08_instances():
-            calls.clear()
-            jacobi_eigendecomp(SymmetricMatrix.from_dense(dense), tol=1e-12)
-            sweeps += len(calls) - 1
-        assert sweeps <= 641
+    def test_sweeps_on_criterion_08_instances(self):
+        assert sum(eig.sweeps for _, eig in criterion_08_decompositions()) <= 641
 
     def test_sweep_cap_raises_with_residual(self, monkeypatch):
         monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
@@ -224,25 +215,20 @@ class TestJacobi:
             jacobi_eigendecomp(SymmetricMatrix.from_dense(np.eye(1025)))
 
 
-
-def sweep_counts(monkeypatch, matrices):
-    """The sweeps each matrix takes alone, counted by its convergence tests."""
-    calls = []
-    real = linalg._max_offdiag
-    monkeypatch.setattr(linalg, "_max_offdiag", lambda *args: calls.append(1) or real(*args))
-    counts = []
-    for m in matrices:
-        calls.clear()
-        jacobi_eigendecomp(m, tol=1e-12)
-        counts.append(len(calls) - 1)
-    monkeypatch.setattr(linalg, "_max_offdiag", real)
-    return counts
+def power_bound_stack():
+    """The power_bound_oracle workload's stack: 8 shifted Wigner matrices at n = 64."""
+    matrices = []
+    for trial in range(8):
+        entries = sample_wigner(64, EnsembleSpec("gaussian"), derive_streams(20240810, trial).noise_a).entries / 8.0
+        entries[linalg.packed_diagonal_indices(64)] += 3.0
+        matrices.append(SymmetricMatrix(64, entries))
+    return matrices
 
 
 class TestJacobiStack:
     # n = 1..10 (m = 2..10) are the shortest slice patterns of the turn
     @pytest.mark.parametrize("n", [*range(1, 11), 31, 32, 65])
-    def test_stack_is_bit_identical_to_stacks_of_one(self, monkeypatch, n):
+    def test_stack_is_bit_identical_to_stacks_of_one(self, n):
         rng = np.random.default_rng(300 + n)
         dense = [random_symmetric(n, rng) for _ in range(3)]
         dense.append(np.diag(np.arange(1.0, n + 1)) + 1e-6 * random_symmetric(n, rng))  # nearly diagonal
@@ -256,13 +242,14 @@ class TestJacobiStack:
             alone = jacobi_eigendecomp(m, tol=1e-12)
             assert eig.eigenvalues.tobytes() == alone.eigenvalues.tobytes()
             assert eig.eigenvectors.tobytes() == alone.eigenvectors.tobytes()
+            assert eig.sweeps == alone.sweeps
             q, lam, norm = eig.eigenvectors, eig.eigenvalues, np.linalg.norm(d)
             assert np.max(np.abs(lam - np.linalg.eigvalsh(d)[::-1])) <= 1e-12 * norm
             assert np.linalg.norm(q @ np.diag(lam) @ q.T - d) <= 1e-9 * norm
             assert np.max(np.abs(q.T @ q - np.eye(n))) <= 1e-10
         if n > 2:
             # the members leave the stack after different numbers of sweeps
-            assert len(set(sweep_counts(monkeypatch, matrices))) >= 3
+            assert len({eig.sweeps for eig in stacked}) >= 3
 
     def test_matrix_that_does_not_converge_gets_its_own_error(self):
         rng = np.random.default_rng(9)
@@ -315,12 +302,7 @@ class TestJacobiStack:
         assert np.max(np.abs(q.T @ q - np.eye(64))) <= 1e-10
 
     def test_peak_memory_of_a_power_bound_stack(self):
-        # the workload's stack: 8 shifted Wigner matrices at n = 64, four stacks of 256 KiB each
-        matrices = []
-        for trial in range(8):
-            entries = sample_wigner(64, EnsembleSpec("gaussian"), derive_streams(20240810, trial).noise_a).entries / 8.0
-            entries[linalg.packed_diagonal_indices(64)] += 3.0
-            matrices.append(SymmetricMatrix(64, entries))
+        matrices = power_bound_stack()
         tracemalloc.start()
         try:
             stacked = jacobi_eigendecomp_stack(matrices, tol=1e-12)
@@ -330,6 +312,13 @@ class TestJacobiStack:
         assert all(isinstance(eig, linalg.EigenDecomp) for eig in stacked)
         # A, V, scratch and rotations (1024 KiB) never live next to all eight members' eigenvectors
         assert peak < 1024 * 1024 + 8 * 64 * 64 * 8
+
+    def test_sweeps_of_a_power_bound_stack(self):
+        # the workload's Jacobi work, counted so that it does not move with the host
+        matrices = power_bound_stack()
+        stacked = jacobi_eigendecomp_stack(matrices, tol=1e-12)
+        assert [eig.sweeps for eig in stacked] == [jacobi_eigendecomp(m, tol=1e-12).sweeps for m in matrices]
+        assert sum(eig.sweeps for eig in stacked) <= 61
 
     def test_sweep_cap_fails_each_member_with_its_residual(self, monkeypatch):
         monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
