@@ -258,24 +258,10 @@ def _run_independent(cfg, noise, denoisers, u0, block=None):
     return run(build_spiked(noise, SpikeSpec.rank_one(cfg.gamma), u0), denoisers, v0, cfg.K)
 
 
-def _spectral_start(op, u0, power_depth, require_gap=False):
-    """(gap, psi): op's gap check from u0 and the spectral init at the depth it resolves.
-
-    psi is instead the DegenerateInputError of an init whose sign is
-    undefined; every other error propagates. With require_gap, a failed gap
-    check raises PreconditionError before the init runs.
-    """
+def _spectral_start(op, u0, power_depth):
+    """(gap, depth): op's gap check from u0 and the depth the spectral init runs at."""
     gap = gap_check(op, y0=u0)
-    if require_gap and not gap.passed:
-        raise PreconditionError(
-            f"eigenvalue gap check failed: lambda1={gap.lambda1:.6g}, "
-            f"lambda2_abs={gap.lambda2_abs:.6g}, margin={GAP_MARGIN}"
-        )
-    depth = resolve_power_depth(op, power_depth, gap)
-    try:
-        return gap, spectral_init(op, gap, depth)
-    except DegenerateInputError as exc:
-        return gap, exc
+    return gap, resolve_power_depth(op, power_depth, gap)
 
 
 def run_spectral_amp(op, denoisers, u0, power_depth, K):
@@ -286,12 +272,16 @@ def run_spectral_amp(op, denoisers, u0, power_depth, K):
     hypotheses under which the initialization is defined.
     """
     try:
-        # keeps psi alone, so the Lanczos basis is freed before the orbit allocates
-        psi = _spectral_start(op, u0, power_depth, require_gap=True)[1]
-        if isinstance(psi, Exception):
-            raise psi
+        gap, depth = _spectral_start(op, u0, power_depth)
+        if not gap.passed:
+            raise PreconditionError(
+                f"eigenvalue gap check failed: lambda1={gap.lambda1:.6g}, "
+                f"lambda2_abs={gap.lambda2_abs:.6g}, margin={GAP_MARGIN}"
+            )
+        psi = spectral_init(op, gap, depth)
     except DegenerateInputError as exc:
         raise PreconditionError(f"spectral initialization refused: {exc}") from exc
+    del gap  # the Lanczos basis is freed before the orbit allocates
     return run_onsager(op, denoisers, psi, K)
 
 
@@ -385,15 +375,19 @@ def run_bbp(cfg):
     def one_trial(streams, scratch, gamma, n, trial):
         u0 = sample_prior(n, cfg.prior, streams.shared)
         mat = sample_wigner(n, cfg.ensemble, streams.noise_a, out=scratch.dense(0, n))
-        gap, psi = _spectral_start(build_spiked(mat, SpikeSpec.rank_one(gamma), u0), u0, cfg.power_depth)
-        flag = isinstance(psi, Exception)  # the sign is undefined: no overlap to record
+        op = build_spiked(mat, SpikeSpec.rank_one(gamma), u0)
+        gap, depth = _spectral_start(op, u0, cfg.power_depth)
+        try:
+            overlap, flag = abs(float(np.dot(spectral_init(op, gap, depth), u0))) / n, 0
+        except DegenerateInputError:  # the sign is undefined: no overlap to record
+            overlap, flag = 0.0, 1
         return [
             {
                 "lambda1": gap.lambda1,
                 "lambda2_abs": gap.lambda2_abs,
                 "gap_pass": int(gap.passed),
-                "overlap": 0.0 if flag else abs(float(np.dot(psi, u0))) / n,
-                "overlap_flag": int(flag),
+                "overlap": overlap,
+                "overlap_flag": flag,
             }
         ]
 

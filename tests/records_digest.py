@@ -8,10 +8,13 @@ summary (with ``master_seed``, as ``amplab run`` writes them) through
 
 or, for a run that raises an ``AmpLabError``, ``<config> threads=<t> error=<class>``.
 
-The configs are the byte-identity configs of test_experiments.py, the four
-benchmark workloads at the acceptance seed, universality on the uncorrected
-(generalized) orbit, a bbp config whose small-n inits below the transition
-fall back to operator applies, a bbp config at n = 2 and 3 (2 x 2 and 3 x 3
+The configs are the byte-identity configs of test_experiments.py (among
+them ``bbp_fallback_inits``, at n = 300 where some inits below the transition
+fall back to operator applies, and ``bbp_threaded_dsymv``, at n = 1000 where
+OpenBLAS threads the dense apply), the four benchmark workloads at the
+acceptance seed, universality on the uncorrected (generalized) orbit, a bbp
+config whose small-n inits below the transition fall back to operator applies,
+a bbp config at n = 2 and 3 (2 x 2 and 3 x 3
 Lanczos tridiagonals, so every Ritz pair of the first), spectral-init state_evolution configs with a
 rademacher and a uniform_sqrt3 prior (Gauss-Legendre), spectral- and
 independent-init state_evolution with a fixed tanh(8 y) schedule,
@@ -78,8 +81,8 @@ from test_experiments import BYTE_IDENTITY_CONFIGS, base_config  # noqa: E402
 
 def configs():
     """(name, ExperimentConfig) pairs; the thread count is set per run."""
-    for experiment, overrides in sorted(BYTE_IDENTITY_CONFIGS.items()):
-        yield f"byte_identity.{experiment}", base_config(**{"experiment": experiment, **overrides})
+    for name, overrides in sorted(BYTE_IDENTITY_CONFIGS.items()):
+        yield f"byte_identity.{name}", base_config(**{"experiment": name, **overrides})
     for name, workload in WORKLOADS.items():
         yield f"workload.{name}", parse_config(workload.experiment_config(ACCEPTANCE_SEED))
     yield "universality_generalized", base_config(experiment="universality", engine="generalized", trials=3)

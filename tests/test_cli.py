@@ -3,6 +3,7 @@ import errno
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -12,6 +13,7 @@ import amplab
 from amplab import cli, experiments, selftest
 from amplab.cli import main
 from amplab.config import load_config, parse_config
+from amplab.errors import ConfigError
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -49,11 +51,6 @@ class TestRunCommand:
         assert main(["run", "--config", str(tmp_path)]) == 1
         assert f"cannot read config file {tmp_path}" in capsys.readouterr().err
 
-    def test_unknown_key_is_config_error(self, tmp_path):
-        cfg = dict(BASE)
-        cfg["mystery"] = True
-        assert main(["run", "--config", write_config(tmp_path, cfg)]) == 1
-
     def test_dry_run_prints_canonical_json_and_writes_nothing(self, tmp_path, capsys):
         out_dir = tmp_path / "out"
         code = main(
@@ -85,75 +82,6 @@ class TestRunCommand:
         summary = json.loads((out_dir / "universality_summary.json").read_text())
         assert len(summary["groups"]) == len(BASE["n_grid"])
         assert summary["experiment"] == "universality"
-
-    def test_reruns_byte_identical(self, tmp_path):
-        cfg_path = write_config(tmp_path, BASE)
-        for name in ("r1", "r2"):
-            assert main(["run", "--config", cfg_path, "--out-dir", str(tmp_path / name)]) == 0
-        a = (tmp_path / "r1" / "universality_records.csv").read_bytes()
-        b = (tmp_path / "r2" / "universality_records.csv").read_bytes()
-        assert a == b
-
-    def test_threads_flag_preserves_bytes(self, tmp_path):
-        cfg_path = write_config(tmp_path, BASE)
-        assert main(["run", "--config", cfg_path, "--out-dir", str(tmp_path / "t1")]) == 0
-        assert (
-            main(
-                [
-                    "run",
-                    "--config",
-                    cfg_path,
-                    "--out-dir",
-                    str(tmp_path / "t4"),
-                    "--threads",
-                    "4",
-                ]
-            )
-            == 0
-        )
-        a = (tmp_path / "t1" / "universality_records.csv").read_bytes()
-        b = (tmp_path / "t4" / "universality_records.csv").read_bytes()
-        assert a == b
-
-    def test_bbp_records_byte_identical_on_rerun_and_across_threads(self, tmp_path):
-        # below the transition some trials' spectral inits fall back to applies
-        cfg = {
-            "experiment": "bbp",
-            "n_grid": [300],
-            "trials": 4,
-            "master_seed": 20240810,
-            "gamma_grid": [0.5, 2.0],
-            "ensemble": {"kind": "rademacher"},
-            "denoiser": {"kind": "identity"},
-        }
-        cfg_path = write_config(tmp_path, cfg)
-        for name, threads in (("r1", "1"), ("r2", "1"), ("r3", "2")):
-            args = ["run", "--config", cfg_path, "--out-dir", str(tmp_path / name)]
-            assert main(args + ["--threads", threads]) == 0
-        first = (tmp_path / "r1" / "bbp_records.csv").read_bytes()
-        for name in ("r2", "r3"):
-            assert (tmp_path / name / "bbp_records.csv").read_bytes() == first
-
-    def test_bbp_records_byte_identical_where_blas_threads_the_apply(self, tmp_path):
-        # at n=1000 OpenBLAS splits the dense dsymv apply across its own
-        # threads (at n=300 it may run it on one), and two trial workers then
-        # call it concurrently
-        cfg = {
-            "experiment": "bbp",
-            "n_grid": [1000],
-            "trials": 2,
-            "master_seed": 20240810,
-            "gamma_grid": [0.5, 2.0],
-            "ensemble": {"kind": "rademacher"},
-            "denoiser": {"kind": "identity"},
-        }
-        cfg_path = write_config(tmp_path, cfg)
-        for name, threads in (("r1", "1"), ("r2", "1"), ("r3", "2")):
-            args = ["run", "--config", cfg_path, "--out-dir", str(tmp_path / name)]
-            assert main(args + ["--threads", threads]) == 0
-        first = (tmp_path / "r1" / "bbp_records.csv").read_bytes()
-        for name in ("r2", "r3"):
-            assert (tmp_path / name / "bbp_records.csv").read_bytes() == first
 
     def test_seed_override_changes_records(self, tmp_path):
         cfg_path = write_config(tmp_path, BASE)
@@ -385,8 +313,10 @@ class TestRunCommand:
         ]
 
 
-# malformed shapes, each paired with the key its error message must name
-MALFORMED = [
+# every config refused before a trial runs, as (overrides on BASE, text its error message must contain);
+# a new refused case is one more row. SMALL_SE is the base of the rows that the recursions refuse
+SMALL_SE = {"experiment": "state_evolution", "n_grid": [50], "trials": 1, "K": 3, "denoiser": {"kind": "identity"}}
+REFUSED = [
     ({"n_grid": 5}, "n_grid"),
     ({"gamma_grid": 2.0}, "gamma_grid"),
     ({"ensemble": 5}, "ensemble"),
@@ -398,13 +328,17 @@ MALFORMED = [
     # a repeated entry would write each of its rows twice under one key
     ({"experiment": "bbp", "gamma_grid": [2.0, 2.0]}, "gamma_grid entries must be distinct, got [2.0, 2.0]"),
     ({"experiment": "interpolation", "t_grid": [0.5, 0.5]}, "t_grid entries must be distinct, got [0.5, 0.5]"),
+    ({"bogus": 1}, "unknown configuration keys: ['bogus']"),
     # the Monte Carlo covariance recursion's keys are gone, not silently ignored
     ({"mc_samples": 100000}, "unknown configuration keys: ['mc_samples']"),
     ({"se_seed": 0}, "unknown configuration keys: ['se_seed']"),
+    ({"ensemble": {"kind": "gaussian", "spice": 1}}, "unknown ensemble keys: ['spice']"),
+    ({"experiment": "quantum"}, "unknown experiment 'quantum'; expected one of"),
     # a value its kind would ignore is refused, not echoed
     ({"ensemble": {"kind": "gaussian", "param": 0.3}}, "gaussian ensemble takes no param"),
     ({"denoiser": {"kind": "identity", "schedule": "bayes"}}, "identity takes a list or null"),
     ({"n_grid": []}, "n_grid must be nonempty"),
+    ({"n_grid": [100, 50]}, "n_grid must be strictly ascending"),
     ({"records_csv": 5}, "records_csv must be a string path"),
     ({"denoiser": {"kind": "scaled_tanh", "schedule": 5}}, "schedule must be a list or 'bayes', got 5"),
     ({"denoiser": {"kind": "scaled_tanh", "schedule": [2.0]}}, "schedule of length 1 does not cover K=2"),
@@ -413,19 +347,67 @@ MALFORMED = [
     ({"master_seed": -1}, "master_seed must be >= 0, got -1"),
     ({"master_seed": 1 << 64}, "unknown master_seed 18446744073709551616"),
     ({"trials": 2.0}, "trials must be an integer, got 2.0"),
+    (
+        {"experiment": "bbp", "gamma_grid": [math.nan], "denoiser": {"kind": "identity"}},
+        "gamma_grid entry must be finite, got nan",
+    ),
+    (
+        {"experiment": "power_bound", "diag_shift": math.nan, "denoiser": {"kind": "identity"}},
+        "diag_shift must be finite, got nan",
+    ),
+    ({"gamma": math.inf, "denoiser": {"kind": "identity"}}, "gamma must be finite, got inf"),
+    ({"experiment": "bbp"}, "bbp requires gamma_grid"),
+    ({"experiment": "bbp", "gamma_grid": [2.0, -0.5]}, "gamma_grid entry must be >= 0, got -0.5"),
+    ({"experiment": "bbp", "gamma_grid": [2.0], "denoiser": {"kind": "bogus"}}, "unknown denoiser kind 'bogus'"),
+    ({"experiment": "interpolation"}, "interpolation requires t_grid"),
+    ({"experiment": "interpolation", "t_grid": [0.0, 1.5]}, "t_grid values must lie in [0, 1]"),
+    (
+        {"experiment": "concentration", "ensemble": {"kind": "rademacher"}},
+        "concentration measures the Gaussian orbit; ensemble must be gaussian",
+    ),
+    ({"experiment": "power_bound", "n_grid": [512]}, "power_bound runs at oracle scale; n_grid must stay <= 256"),
+    (
+        {"gamma": 0.5, "denoiser": {"kind": "scaled_tanh", "schedule": "bayes"}},
+        "the bayes tanh schedule requires gamma > 1",
+    ),
+    (
+        {"denoiser": {"kind": "smooth_soft_threshold", "schedule": "bayes"}},
+        "smooth_soft_threshold requires a per-iteration schedule",
+    ),
+    (
+        {"experiment": "state_evolution", "gamma": 0.5, "init": "spectral"},
+        "spectral-init state evolution requires gamma > 1",
+    ),
+    (
+        {"experiment": "state_evolution", "gamma": 2.0, "init": "independent", "prior": {"kind": "rademacher"}},
+        "independent-init state evolution compares against the Gaussian covariance recursion; prior must be gaussian",
+    ),
+    (
+        {**SMALL_SE, "gamma": 2.0, "init": "independent", "prior": {"kind": "gaussian"}},
+        "has no spike term; gamma must be 0",
+    ),
+    (
+        {**SMALL_SE, "gamma": 2.0, "init": "spectral", "denoiser": {"kind": "linear_combo", "weights": [1.0, 0.5]}},
+        "the denoiser must act on the newest iterate only",
+    ),
+    # the uncorrected orbit is not the one either recursion predicts
+    ({**SMALL_SE, "gamma": 0.0, "engine": "generalized", "prior": {"kind": "gaussian"}}, "engine must be onsager"),
+    ({**SMALL_SE, "gamma": 2.0, "init": "spectral", "engine": "generalized"}, "engine must be onsager"),
 ]
 
 
 class TestConfigErrors:
-    @pytest.mark.parametrize("overrides, key", MALFORMED, ids=[json.dumps(o) for o, _ in MALFORMED])
-    def test_malformed_shape_is_config_error(self, tmp_path, capsys, overrides, key):
-        args = ["run", "--config", write_config(tmp_path, {**BASE, **overrides})]
+    @pytest.mark.parametrize("overrides, message", REFUSED, ids=[json.dumps(o) for o, _ in REFUSED])
+    def test_refused_before_any_trial(self, tmp_path, capsys, overrides, message):
+        data = {**BASE, **overrides}
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(data)
+        args = ["run", "--config", write_config(tmp_path, data), "--out-dir", str(tmp_path / "out")]
         for dry_run in ([], ["--dry-run"]):
-            code = main(args + dry_run)
+            assert main(args + dry_run) == 1
             err = capsys.readouterr().err
-            assert code == 1
-            assert err.startswith("error:")
-            assert key in err
+            assert err.startswith("error:") and message in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
     def test_seed_override_outside_64_bits_is_config_error(self, tmp_path, capsys, seed):
@@ -447,93 +429,6 @@ class TestConfigErrors:
     def test_malformed_document_is_config_error(self, tmp_path, capsys, data, message):
         assert main(["run", "--config", write_config(tmp_path, data), "--dry-run"]) == 1
         assert message in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "overrides, message",
-        [
-            ({"experiment": "bbp", "gamma_grid": [math.nan]}, "gamma_grid entry must be finite, got nan"),
-            ({"experiment": "power_bound", "diag_shift": math.nan}, "diag_shift must be finite, got nan"),
-            ({"gamma": math.inf}, "gamma must be finite, got inf"),
-        ],
-        ids=["nan_gamma_grid", "nan_diag_shift", "infinite_gamma"],
-    )
-    @pytest.mark.parametrize("dry_run", [True, False], ids=["dry_run", "run"])
-    def test_non_finite_number_is_config_error(self, tmp_path, capsys, overrides, message, dry_run):
-        cfg = write_config(tmp_path, {**BASE, "denoiser": {"kind": "identity"}, **overrides})
-        assert "NaN" in open(cfg).read() or "Infinity" in open(cfg).read()
-        args = ["run", "--config", cfg, "--out-dir", str(tmp_path / "out")]
-        assert main(args + ["--dry-run"] * dry_run) == 1
-        assert message in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize(
-        "overrides, message",
-        [
-            (
-                {"experiment": "bbp", "gamma_grid": [2.0], "denoiser": {"kind": "bogus"}},
-                "unknown denoiser kind 'bogus'",
-            ),
-            (
-                {"denoiser": {"kind": "smooth_soft_threshold", "schedule": "bayes"}},
-                "smooth_soft_threshold requires a per-iteration schedule",
-            ),
-        ],
-        ids=["unknown_kind_on_bbp", "bayes_soft_threshold"],
-    )
-    def test_denoiser_checked_by_dry_run(self, tmp_path, capsys, overrides, message):
-        cfg = write_config(tmp_path, {**BASE, **overrides})
-        assert main(["run", "--config", cfg, "--dry-run"]) == 1
-        assert message in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "overrides, message",
-        [
-            (
-                {
-                    "gamma": 2.0,
-                    "init": "independent",
-                    "prior": {"kind": "gaussian"},
-                    "denoiser": {"kind": "identity"},
-                },
-                "has no spike term; gamma must be 0",
-            ),
-            (
-                {
-                    "gamma": 2.0,
-                    "init": "spectral",
-                    "denoiser": {"kind": "linear_combo", "weights": [1.0, 0.5]},
-                },
-                "the denoiser must act on the newest iterate only",
-            ),
-            # the uncorrected orbit is not the one either recursion predicts
-            (
-                {
-                    "gamma": 0.0,
-                    "engine": "generalized",
-                    "prior": {"kind": "gaussian"},
-                    "denoiser": {"kind": "identity"},
-                },
-                "engine must be onsager",
-            ),
-            (
-                {"gamma": 2.0, "init": "spectral", "engine": "generalized", "denoiser": {"kind": "identity"}},
-                "engine must be onsager",
-            ),
-        ],
-        ids=[
-            "spiked_independent_init",
-            "spectral_init_with_memory_denoiser",
-            "generalized_independent_init",
-            "generalized_spectral_init",
-        ],
-    )
-    @pytest.mark.parametrize("dry_run", [True, False], ids=["dry_run", "run"])
-    def test_state_evolution_outside_its_recursion(self, tmp_path, capsys, overrides, message, dry_run):
-        cfg = {**BASE, "experiment": "state_evolution", "n_grid": [50], "trials": 1, "K": 3, **overrides}
-        args = ["run", "--config", write_config(tmp_path, cfg), "--out-dir", str(tmp_path / "out")]
-        assert main(args + ["--dry-run"] * dry_run) == 1
-        assert message in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
 
 
 # a small run of each experiment; together they build both Gauss rules, run the gap check and

@@ -1,5 +1,4 @@
 import csv
-import json
 import threading
 import tracemalloc
 
@@ -18,7 +17,7 @@ from amplab.ensembles import (
     sample_prior,
     sample_wigner,
 )
-from amplab.errors import ConfigError, DegenerateInputError, NumericalFailureError, RejectedInputError
+from amplab.errors import DegenerateInputError, NumericalFailureError, RejectedInputError
 from amplab.experiments import fit_decay, run_experiment
 from amplab.linalg import packed_length
 from amplab.nonlinear import TESTFUNCTION_KINDS, Denoiser
@@ -126,13 +125,6 @@ class TestUniversality:
         cfg = base_config(engine="generalized", n_grid=[40], trials=2)
         _, rows, _ = run_experiment(cfg)
         assert all(r["status"] == "ok" for r in rows)
-
-    def test_threads_do_not_change_results(self):
-        cfg1 = base_config()
-        cfg2 = base_config(threads=4)
-        _, rows1, _ = run_experiment(cfg1)
-        _, rows2, _ = run_experiment(cfg2)
-        assert rows1 == rows2
 
     @pytest.mark.parametrize("threads, bound", [(1, 1.6), (2, 3.0)])
     def test_peak_memory_is_one_packed_matrix_per_worker(self, threads, bound):
@@ -449,31 +441,6 @@ BLOCK_DENOISERS = {
 
 
 class TestInterpolation:
-    def test_endpoints_match_pure_runs_exactly(self):
-        cfg = base_config(
-            experiment="interpolation",
-            n_grid=[60],
-            trials=3,
-            t_grid=[0.0, 0.5, 1.0],
-        )
-        _, rows, _ = run_experiment(cfg)
-        den = Denoiser(kind="scaled_tanh", schedule=(2.0, 2.0, 2.0))
-        by_key = {(r["trial"], r["t"]): r["phi"] for r in rows}
-        for trial in range(3):
-            streams = derive_streams(cfg.master_seed, trial)
-            u0 = sample_prior(60, cfg.prior, streams.shared)
-            mat_a = sample_wigner(60, cfg.ensemble, streams.noise_a)
-            mat_g = sample_wigner(60, EnsembleSpec("gaussian"), streams.noise_g)
-            spike = SpikeSpec.rank_one(cfg.gamma)
-            phi_a = phi_average(
-                run_onsager(build_spiked(mat_a, spike, u0), [den] * 3, u0, 3), cfg.phi, 3
-            )
-            phi_g = phi_average(
-                run_onsager(build_spiked(mat_g, spike, u0), [den] * 3, u0, 3), cfg.phi, 3
-            )
-            assert by_key[(trial, 1.0)] == phi_a
-            assert by_key[(trial, 0.0)] == phi_g
-
     def test_intermediate_t_rows_present(self):
         cfg = base_config(
             experiment="interpolation", n_grid=[40], trials=2, t_grid=[0.0, 0.25, 1.0]
@@ -820,12 +787,21 @@ class TestPowerBound:
         assert sorted(stacks) == {1: [1, 2, 2, 5], 2: [1, 2, 2, 2, 3]}[threads]
 
 
-# small configs for every experiment; the bbp and t grids do not ascend, so the
-# rows must be sorted, and the state_evolution config has failed trials
+# small configs for every experiment, each run at 1, 1 and 2 workers; the bbp and t grids do not
+# ascend, so the rows must be sorted, and the state_evolution config has failed trials. A row's
+# name is its experiment unless the row sets one
+BBP_ACROSS_TRANSITION = dict(
+    experiment="bbp", master_seed=20240810, gamma_grid=[0.5, 2.0], denoiser={"kind": "identity"}
+)
 BYTE_IDENTITY_CONFIGS = {
     "universality": dict(n_grid=[40, 80], trials=3),
     "state_evolution": NEAR_TRANSITION_SE,
     "bbp": dict(n_grid=[100], trials=2, gamma_grid=[2.0, 0.5], denoiser={"kind": "identity"}),
+    # below the transition some trials' spectral inits fall back to applies
+    "bbp_fallback_inits": dict(BBP_ACROSS_TRANSITION, n_grid=[300], trials=4),
+    # at n=1000 OpenBLAS splits the dense dsymv apply across its own threads (at n=300 it may
+    # run it on one), and two trial workers then call it concurrently
+    "bbp_threaded_dsymv": dict(BBP_ACROSS_TRANSITION, n_grid=[1000], trials=2),
     "interpolation": dict(n_grid=[40, 60], trials=3, t_grid=[1.0, 0.3, 0.0, 0.7]),
     "concentration": dict(ensemble={"kind": "gaussian"}, n_grid=[40, 80], trials=3),
     "power_bound": dict(
@@ -838,14 +814,14 @@ BYTE_IDENTITY_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("experiment", sorted(BYTE_IDENTITY_CONFIGS))
-def test_records_byte_identical_on_rerun_and_across_threads(tmp_path, experiment):
-    overrides = {"experiment": experiment, **BYTE_IDENTITY_CONFIGS[experiment]}
-    for name, threads in (("a", 1), ("b", 1), ("c", 2)):
+@pytest.mark.parametrize("name", sorted(BYTE_IDENTITY_CONFIGS))
+def test_records_byte_identical_on_rerun_and_across_threads(tmp_path, name):
+    overrides = {"experiment": name, **BYTE_IDENTITY_CONFIGS[name]}
+    for run, threads in (("a", 1), ("b", 1), ("c", 2)):
         columns, rows, summary = run_experiment(base_config(threads=threads, **overrides))
-        write_records_csv(tmp_path / f"{name}.csv", columns, rows)
-        write_summary_json(tmp_path / f"{name}.json", summary)
-    if experiment == "state_evolution":
+        write_records_csv(tmp_path / f"{run}.csv", columns, rows)
+        write_summary_json(tmp_path / f"{run}.json", summary)
+    if name == "state_evolution":
         assert any(row["status"] != "ok" for row in rows)
     for suffix in ("csv", "json"):
         first = (tmp_path / f"a.{suffix}").read_bytes()
@@ -854,100 +830,6 @@ def test_records_byte_identical_on_rerun_and_across_threads(tmp_path, experiment
 
 
 class TestConfigValidation:
-    def test_unknown_top_level_key(self):
-        with pytest.raises(ConfigError, match=r"unknown configuration keys: \['bogus'\]"):
-            parse_config({"experiment": "universality", "n_grid": [10], "bogus": 1})
-
-    def test_unknown_nested_key(self):
-        with pytest.raises(ConfigError, match=r"unknown ensemble keys: \['spice'\]"):
-            parse_config(
-                {
-                    "experiment": "universality",
-                    "n_grid": [10],
-                    "ensemble": {"kind": "gaussian", "spice": 1},
-                }
-            )
-
-    def test_unknown_experiment(self):
-        with pytest.raises(ConfigError, match=r"unknown experiment 'quantum'; expected one of"):
-            parse_config({"experiment": "quantum", "n_grid": [10]})
-
-    def test_n_grid_must_ascend(self):
-        with pytest.raises(ConfigError, match=r"n_grid must be strictly ascending"):
-            parse_config({"experiment": "universality", "n_grid": [100, 50]})
-
-    def test_bbp_requires_gamma_grid(self):
-        with pytest.raises(ConfigError, match=r"bbp requires gamma_grid"):
-            parse_config({"experiment": "bbp", "n_grid": [10]})
-
-    def test_gamma_grid_entries_nonnegative(self):
-        with pytest.raises(ConfigError, match=r"gamma_grid entry must be >= 0, got -0.5"):
-            parse_config({"experiment": "bbp", "n_grid": [10], "gamma_grid": [2.0, -0.5]})
-
-    def test_interpolation_requires_t_grid(self):
-        with pytest.raises(ConfigError, match=r"interpolation requires t_grid"):
-            parse_config({"experiment": "interpolation", "n_grid": [10]})
-
-    def test_t_grid_range_checked(self):
-        with pytest.raises(ConfigError, match=r"t_grid values must lie in \[0, 1\]"):
-            parse_config(
-                {"experiment": "interpolation", "n_grid": [10], "t_grid": [0.0, 1.5]}
-            )
-
-    def test_concentration_requires_gaussian(self):
-        with pytest.raises(ConfigError, match=r"concentration measures the Gaussian orbit; ensemble must be gaussian"):
-            parse_config(
-                {
-                    "experiment": "concentration",
-                    "n_grid": [10],
-                    "ensemble": {"kind": "rademacher"},
-                }
-            )
-
-    def test_power_bound_scale_cap(self):
-        with pytest.raises(ConfigError, match=r"power_bound runs at oracle scale; n_grid must stay <= 256"):
-            parse_config({"experiment": "power_bound", "n_grid": [512]})
-
-    def test_spectral_se_needs_supercritical_gamma(self):
-        with pytest.raises(ConfigError, match=r"spectral-init state evolution requires gamma > 1"):
-            parse_config(
-                {
-                    "experiment": "state_evolution",
-                    "n_grid": [10],
-                    "gamma": 0.5,
-                    "init": "spectral",
-                }
-            )
-
-    def test_independent_se_needs_gaussian_prior(self):
-        with pytest.raises(ConfigError, match=r"independent-init state evolution compares .*; prior must be gaussian"):
-            parse_config(
-                {
-                    "experiment": "state_evolution",
-                    "n_grid": [10],
-                    "gamma": 2.0,
-                    "init": "independent",
-                    "prior": {"kind": "rademacher"},
-                }
-            )
-
-    def test_bayes_schedule_needs_supercritical_gamma(self):
-        with pytest.raises(ConfigError, match=r"the bayes tanh schedule requires gamma > 1"):
-            parse_config(
-                {
-                    "experiment": "universality",
-                    "n_grid": [10],
-                    "gamma": 0.5,
-                    "denoiser": {"kind": "scaled_tanh", "schedule": "bayes"},
-                }
-            )
-
-    def test_canonical_json_round_trips(self):
-        cfg = base_config()
-        resolved = json.loads(cfg.canonical_json())
-        assert resolved["experiment"] == "universality"
-        assert resolved["trials"] == 4
-
     def test_resolved_dict_lists_every_default(self):
         cfg = parse_config({"experiment": "universality", "n_grid": [10], "gamma": 2.0})
         assert cfg.resolved_dict() == {
@@ -990,12 +872,3 @@ class TestReportingRoundTrip:
         back = read_rows(path)
         assert len(back) == len(rows)
         assert float(back[0]["phi_a"]) == rows[0]["phi_a"]
-
-    def test_byte_identical_reruns(self, tmp_path):
-        cfg = base_config(n_grid=[40], trials=3)
-        for name in ("a", "b"):
-            columns, rows, summary = run_experiment(cfg)
-            write_records_csv(tmp_path / f"{name}.csv", columns, rows)
-            write_summary_json(tmp_path / f"{name}.json", summary)
-        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
