@@ -397,16 +397,19 @@ REFUSED = [
 
 
 class TestConfigErrors:
+    # the CLI alone cannot tell a ConfigError from the ValueError that _cmd_run also catches
     @pytest.mark.parametrize("overrides, message", REFUSED, ids=[json.dumps(o) for o, _ in REFUSED])
-    def test_refused_before_any_trial(self, tmp_path, capsys, overrides, message):
-        data = {**BASE, **overrides}
+    def test_parse_config_raises_config_error(self, overrides, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
-            parse_config(data)
-        args = ["run", "--config", write_config(tmp_path, data), "--out-dir", str(tmp_path / "out")]
-        for dry_run in ([], ["--dry-run"]):
-            assert main(args + dry_run) == 1
-            err = capsys.readouterr().err
-            assert err.startswith("error:") and message in err
+            parse_config({**BASE, **overrides})
+
+    @pytest.mark.parametrize("overrides, message", REFUSED, ids=[json.dumps(o) for o, _ in REFUSED])
+    @pytest.mark.parametrize("dry_run", [True, False], ids=["dry_run", "run"])
+    def test_refused_before_any_trial(self, tmp_path, capsys, overrides, message, dry_run):
+        args = ["run", "--config", write_config(tmp_path, {**BASE, **overrides}), "--out-dir", str(tmp_path / "out")]
+        assert main(args + ["--dry-run"] * dry_run) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
