@@ -8,27 +8,14 @@ summary (with ``master_seed``, as ``amplab run`` writes them) through
 
 or, for a run that raises an ``AmpLabError``, ``<config> threads=<t> error=<class>``.
 
-The configs are the byte-identity configs of test_experiments.py (among
-them ``bbp_fallback_inits``, at n = 300 where some inits below the transition
-fall back to operator applies, and ``bbp_threaded_dsymv``, at n = 1000 where
-OpenBLAS threads the dense apply), the four benchmark workloads at the
-acceptance seed, universality on the uncorrected (generalized) orbit, a bbp
-config whose small-n inits below the transition fall back to operator applies,
-a bbp config at n = 2 and 3 (2 x 2 and 3 x 3
-Lanczos tridiagonals, so every Ritz pair of the first), spectral-init state_evolution configs with a
-rademacher and a uniform_sqrt3 prior (Gauss-Legendre), spectral- and
-independent-init state_evolution with a fixed tanh(8 y) schedule,
-independent-init state_evolution with scaled tanh and with the smooth soft
-threshold (split points cut the normal rules of both into Gauss-Legendre
-pieces), interpolation on the
-generalized orbit, with the bayes schedule at gamma = 3, with a memory
-linear_combo denoiser and with the smooth soft threshold on a t_grid without
-0 and 1, and power_bound from n = 1. A
-last line, ``jacobi_eigendata sha256=<sha256>``, hashes the eigenvalue and
-eigenvector bytes that the Jacobi oracle returns for criterion 08's 100
-instances (one at a time), the power_bound_oracle workload's stack
-of 8, and mixed stacks at n = 1-7 and 33, so a change to the solver shows
-even where power_bound's lhs and rhs round it away. Diffing the output of two
+The configs are every row of test_experiments.py's ``BYTE_IDENTITY_CONFIGS``
+(the table whose rows Tier-1 reruns at 1, 1 and 2 workers) and the four
+benchmark workloads at the acceptance seed. A last line,
+``jacobi_eigendata sha256=<sha256>``, hashes the eigenvalue and eigenvector
+bytes that the Jacobi oracle returns for criterion 08's 100 instances (one at
+a time), the power_bound_oracle workload's stack of 8, and mixed stacks at
+n = 1-7 and 33, so a change to the solver shows even where power_bound's lhs
+and rhs round it away. Diffing the output of two
 trees shows whether a change moved any record. ``--keep DIR`` also keeps
 the files as DIR/<config>.t<threads>.csv and .json; ``--compare A B`` reads
 two such directories and prints, per file that differs, the rows that moved,
@@ -76,120 +63,15 @@ from amplab.linalg import SymmetricMatrix, jacobi_eigendecomp_stack  # noqa: E40
 from amplab.reporting import write_records_csv, write_summary_json  # noqa: E402
 from bench.workloads import ACCEPTANCE_SEED, WORKLOADS  # noqa: E402
 from test_acceptance import criterion_08_instances  # noqa: E402
-from test_experiments import BYTE_IDENTITY_CONFIGS, base_config  # noqa: E402
+from test_experiments import BYTE_IDENTITY_CONFIGS, byte_identity_config  # noqa: E402
 
 
 def configs():
     """(name, ExperimentConfig) pairs; the thread count is set per run."""
-    for name, overrides in sorted(BYTE_IDENTITY_CONFIGS.items()):
-        yield f"byte_identity.{name}", base_config(**{"experiment": name, **overrides})
+    for name in sorted(BYTE_IDENTITY_CONFIGS):
+        yield f"byte_identity.{name}", byte_identity_config(name)[0]
     for name, workload in WORKLOADS.items():
         yield f"workload.{name}", parse_config(workload.experiment_config(ACCEPTANCE_SEED))
-    yield "universality_generalized", base_config(experiment="universality", engine="generalized", trials=3)
-    yield "bbp_fallback", parse_config(
-        {
-            "experiment": "bbp",
-            "n_grid": [300, 500],
-            "trials": 6,
-            "gamma_grid": [0.5, 0.8],
-            "ensemble": {"kind": "rademacher"},
-            "prior": {"kind": "rademacher"},
-            "denoiser": {"kind": "identity"},
-            "master_seed": 7,
-        }
-    )
-    yield "bbp_small_n", parse_config(
-        {
-            "experiment": "bbp",
-            "n_grid": [2, 3],
-            "trials": 8,
-            "gamma_grid": [0.5, 2.0],
-            "ensemble": {"kind": "rademacher"},
-            "prior": {"kind": "rademacher"},
-            "denoiser": {"kind": "identity"},
-            "master_seed": 3,
-        }
-    )
-    yield "state_evolution_spectral", parse_config(
-        {
-            "experiment": "state_evolution",
-            "n_grid": [300, 1000],
-            "trials": 3,
-            "K": 3,
-            "gamma": 1.5,
-            "init": "spectral",
-            "ensemble": {"kind": "rademacher"},
-            "prior": {"kind": "rademacher"},
-            "denoiser": {"kind": "scaled_tanh", "schedule": "bayes"},
-            "phi": {"kind": "se_pair"},
-            "master_seed": 20240810,
-        }
-    )
-    # the spectral state_evolution run of test_cli.py's TestImports
-    yield "state_evolution_spectral_uniform", parse_config(
-        {
-            "experiment": "state_evolution",
-            "n_grid": [200],
-            "trials": 3,
-            "master_seed": 5,
-            "K": 2,
-            "gamma": 2.0,
-            "init": "spectral",
-            "ensemble": {"kind": "rademacher"},
-            "prior": {"kind": "uniform_sqrt3"},
-            "denoiser": {"kind": "scaled_tanh", "schedule": [2.0, 2.0]},
-            "phi": {"kind": "se_pair"},
-        }
-    )
-    # a fixed steep tanh: its normal rules settle only when split at the tanh's centre
-    yield "state_evolution_spectral_tanh8", parse_config(
-        {
-            "experiment": "state_evolution",
-            "n_grid": [200],
-            "trials": 3,
-            "master_seed": 5,
-            "K": 3,
-            "gamma": 2.0,
-            "init": "spectral",
-            "ensemble": {"kind": "rademacher"},
-            "prior": {"kind": "rademacher"},
-            "denoiser": {"kind": "scaled_tanh", "schedule": [8.0, 8.0, 8.0]},
-            "phi": {"kind": "se_pair"},
-        }
-    )
-    for name, denoiser in (
-        ("state_evolution_independent", {"kind": "scaled_tanh", "schedule": [1.5, 1.5, 1.5]}),
-        ("state_evolution_independent_tanh8", {"kind": "scaled_tanh", "schedule": [8.0, 8.0, 8.0]}),
-        ("state_evolution_soft_threshold", {"kind": "smooth_soft_threshold", "schedule": [0.6, 0.9, 0.5]}),
-    ):
-        yield name, base_config(
-            experiment="state_evolution",
-            n_grid=[200],
-            trials=3,
-            gamma=0.0,
-            prior={"kind": "gaussian"},
-            denoiser=denoiser,
-        )
-    for name, overrides in (
-        ("interpolation_generalized", dict(engine="generalized", t_grid=[0.0, 0.4, 1.0])),
-        # the bayes schedule at gamma 3 needs its normal rules split at the tanh's centre
-        (
-            "interpolation_bayes_gamma3",
-            dict(denoiser={"kind": "scaled_tanh", "schedule": "bayes"}, gamma=3.0, K=5, t_grid=[0.0, 0.5, 1.0]),
-        ),
-        (
-            "interpolation_linear_combo",
-            dict(denoiser={"kind": "linear_combo", "weights": [0.6, -0.3, 0.2], "offset": 0.1}, t_grid=[1.0, 0.5, 0.0]),
-        ),
-        (
-            "interpolation_soft_threshold",
-            # thresholds low enough that no orbit dies out: phi != 0 on every row
-            dict(denoiser={"kind": "smooth_soft_threshold", "schedule": [0.2, 0.3, 0.2]}, gamma=0.0, t_grid=[0.2, 0.5, 0.9]),
-        ),
-    ):
-        yield name, base_config(experiment="interpolation", n_grid=[50, 301], trials=3, **overrides)
-    power_bound = WORKLOADS["power_bound_oracle"].experiment_config(ACCEPTANCE_SEED)
-    yield "power_bound_from_n1", parse_config(dict(power_bound, n_grid=[1, 3, 16, 33, 64, 128]))
 
 
 def jacobi_stacks():

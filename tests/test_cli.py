@@ -112,91 +112,6 @@ class TestRunCommand:
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "init, prior, gamma",
-        [("spectral", "rademacher", 2.0), ("independent", "gaussian", 0.0)],
-        ids=["spectral", "independent"],
-    )
-    def test_steep_tanh_schedule_run_completes(self, tmp_path, init, prior, gamma):
-        # a fixed tanh(8 y) settles once its normal rules split at the centre; with
-        # Gauss-Hermite doubling alone se_spiked and se_covariance raised and the run exited 2
-        cfg = {
-            **BASE,
-            "experiment": "state_evolution",
-            "n_grid": [100],
-            "trials": 2,
-            "K": 3,
-            "gamma": gamma,
-            "init": init,
-            "prior": {"kind": prior},
-            "denoiser": {"kind": "scaled_tanh", "schedule": [8, 8, 8]},
-            "phi": {"kind": "se_pair"},
-        }
-        assert main(["run", "--config", write_config(tmp_path, cfg), "--out-dir", str(tmp_path)]) == 0
-
-    def test_spectral_soft_threshold_run_completes(self, tmp_path):
-        # the C^1 soft threshold needs its split quadrature rule: with Gauss-Hermite
-        # doubling alone the scalar recursion never settled and the run exited 2.
-        # The records carry no accuracy bound: the first corrected step of the
-        # spectral orbit is known to miss the prediction at this size
-        cfg = {
-            **BASE,
-            "experiment": "state_evolution",
-            "n_grid": [200],
-            "trials": 2,
-            "K": 3,
-            "gamma": 2.0,
-            "init": "spectral",
-            "denoiser": {"kind": "smooth_soft_threshold", "schedule": [0.5] * 3},
-            "phi": {"kind": "se_pair"},
-        }
-        assert main(["run", "--config", write_config(tmp_path, cfg), "--out-dir", str(tmp_path)]) == 0
-        with open(tmp_path / "state_evolution_records.csv", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 2 * 4
-        assert all(math.isfinite(float(r["phi_prediction"])) for r in rows)
-
-    def test_bayes_interpolation_run_at_gamma_3_completes(self, tmp_path):
-        # the bayes schedule's normal rules split at the tanh's centre: with Gauss-Hermite
-        # doubling alone the schedule never settled at gamma >= 3 and the run exited 2
-        cfg = {
-            **BASE,
-            "experiment": "interpolation",
-            "n_grid": [40],
-            "t_grid": [0.0, 0.5, 1.0],
-            "K": 5,
-            "gamma": 3.0,
-            "denoiser": {"kind": "scaled_tanh", "schedule": "bayes"},
-        }
-        assert main(["run", "--config", write_config(tmp_path, cfg), "--out-dir", str(tmp_path)]) == 0
-        with open(tmp_path / "interpolation_records.csv", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 3 * 3
-        assert all(r["status"] == "ok" for r in rows)
-
-    def test_zero_prior_draw_is_a_bbp_status_row(self, tmp_path):
-        # at n=2 the three-point prior draws u0 = 0 in some trials; the gap
-        # check has no start vector there, and only those trials fail
-        cfg = {
-            "experiment": "bbp",
-            "n_grid": [2],
-            "trials": 12,
-            "master_seed": 1,
-            "gamma_grid": [2.0],
-            "prior": {
-                "kind": "three_point",
-                "values": [-1.4142135623730951, 0.0, 1.4142135623730951],
-                "probs": [0.25, 0.5, 0.25],
-            },
-            "denoiser": {"kind": "identity"},
-        }
-        code = main(["run", "--config", write_config(tmp_path, cfg), "--out-dir", str(tmp_path)])
-        assert code == 0
-        with open(tmp_path / "bbp_records.csv", encoding="utf-8", newline="") as fh:
-            statuses = [row["status"] for row in csv.DictReader(fh)]
-        assert len(statuses) == 12
-        assert set(statuses) == {"ok", "DegenerateInputError"}
-
     def test_memory_error_exits_2_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
         def out_of_memory(n, ens, stream, **kwargs):
             raise MemoryError("Unable to allocate 10.0 GiB")

@@ -78,11 +78,6 @@ class TestRunGeneralized:
         orbit = run_generalized(op, [lambda rows: np.zeros(rows.shape[1])], u0, 1)
         np.testing.assert_array_equal(orbit.iterates[1], np.zeros(6))
 
-    def test_too_few_step_functions(self):
-        op = small_operator(3, 4)
-        with pytest.raises(RejectedInputError):
-            run_generalized(op, [Denoiser(kind="identity")], np.ones(3), 2)
-
 
 ENGINE_REFUSALS = [
     (lambda op: run_generalized(op, [], np.ones(3), 0).rows(1), r"iteration 1 outside 0\.\.0"),
@@ -92,6 +87,14 @@ ENGINE_REFUSALS = [
     (lambda op: run_onsager(op, [Denoiser(kind="identity")], np.ones(3), 2), "need 2 denoisers, got 1"),
     (lambda op: run_onsager(op, [lambda rows: rows[0]], np.ones(3), 1), "needs Denoiser instances"),
     (lambda op: phi_pair_average(TestFunction("tanh_product"), np.ones(3), np.ones(4)), "length mismatch"),
+    (lambda op: run_generalized(op, [Denoiser(kind="identity")], np.ones(3), 2), "need 2 step functions, got 1"),
+    *[
+        (
+            lambda op, k=k: phi_average(run_generalized(op, [], np.ones(3), 0), TestFunction("tanh_product"), k),
+            rf"iteration {k} outside 0\.\.0",
+        )
+        for k in (1, -1)  # a negative k must not wrap to the last iterate
+    ],
 ]
 
 
@@ -99,7 +102,7 @@ ENGINE_REFUSALS = [
     "call, match",
     ENGINE_REFUSALS,
     ids=["rows_index", "start_shape", "generalized_negative_K", "onsager_negative_K", "too_few_denoisers",
-         "callable_step", "pair_length"],
+         "callable_step", "pair_length", "too_few_step_functions", "phi_average_index", "phi_average_negative_index"],
 )
 def test_engine_refuses_bad_input(call, match):
     with pytest.raises(RejectedInputError, match=match):
@@ -299,12 +302,6 @@ class TestPhiAverage:
         for i in range(n):
             total += math.tanh(orbit.iterates[K][i]) * math.tanh(orbit.iterates[0][i])
         assert phi_average(orbit, tf, K) == pytest.approx(total / n, abs=1e-12)
-
-    def test_index_out_of_range(self):
-        orbit = run_generalized(small_operator(3, 23), [], np.ones(3), 0)
-        for k in (1, -1):  # a negative k must not wrap to the last iterate
-            with pytest.raises(RejectedInputError):
-                phi_average(orbit, TestFunction("tanh_product"), k)
 
 
 def interpolated_block(n, seed, grid, gamma=2.0):

@@ -121,11 +121,6 @@ class TestUniversality:
             orbit = run_onsager(op, [den] * cfg.K, u0, cfg.K)
             assert phi_average(orbit, cfg.phi, cfg.K) == row["phi_g"]
 
-    def test_generalized_engine_path(self):
-        cfg = base_config(engine="generalized", n_grid=[40], trials=2)
-        _, rows, _ = run_experiment(cfg)
-        assert all(r["status"] == "ok" for r in rows)
-
     @pytest.mark.parametrize("threads, bound", [(1, 1.6), (2, 3.0)])
     def test_peak_memory_is_one_packed_matrix_per_worker(self, threads, bound):
         n = 600
@@ -787,42 +782,101 @@ class TestPowerBound:
         assert sorted(stacks) == {1: [1, 2, 2, 5], 2: [1, 2, 2, 2, 3]}[threads]
 
 
-# small configs for every experiment, each run at 1, 1 and 2 workers; the bbp and t grids do not
-# ascend, so the rows must be sorted, and the state_evolution config has failed trials. A row's
-# name is its experiment unless the row sets one
-BBP_ACROSS_TRANSITION = dict(
-    experiment="bbp", master_seed=20240810, gamma_grid=[0.5, 2.0], denoiser={"kind": "identity"}
-)
+# the configs whose records are pinned: each row runs at 1, 1 and 2 workers here, and
+# tests/records_digest.py hashes every row. A row is overrides on base_config; its experiment
+# is its name unless it sets one, and "statuses" names the set of statuses its records hold
+# (default {"ok"}). The bbp and t grids of some rows do not ascend, so the rows must be sorted
+IDENTITY = {"kind": "identity"}
+BBP_ACROSS_TRANSITION = dict(experiment="bbp", master_seed=20240810, gamma_grid=[0.5, 2.0], denoiser=IDENTITY)
+SPECTRAL_SE = dict(experiment="state_evolution", init="spectral", phi={"kind": "se_pair"})
+SPECTRAL_SE_N200 = dict(SPECTRAL_SE, n_grid=[200], trials=3, master_seed=5)
+INDEPENDENT_SE = dict(experiment="state_evolution", n_grid=[200], trials=3, gamma=0.0, prior={"kind": "gaussian"})
+INTERPOLATION = dict(experiment="interpolation", n_grid=[50, 301], trials=3)
 BYTE_IDENTITY_CONFIGS = {
     "universality": dict(n_grid=[40, 80], trials=3),
-    "state_evolution": NEAR_TRANSITION_SE,
-    "bbp": dict(n_grid=[100], trials=2, gamma_grid=[2.0, 0.5], denoiser={"kind": "identity"}),
+    "universality_generalized": dict(experiment="universality", engine="generalized", trials=3),
+    "state_evolution": dict(NEAR_TRANSITION_SE, statuses={"ok", "PreconditionError"}),
+    "state_evolution_spectral": dict(
+        SPECTRAL_SE, n_grid=[300, 1000], trials=3, gamma=1.5, denoiser={"kind": "scaled_tanh", "schedule": "bayes"},
+        master_seed=20240810,
+    ),
+    # Gauss-Legendre rules for the prior
+    "state_evolution_spectral_uniform": dict(
+        SPECTRAL_SE_N200, K=2, prior={"kind": "uniform_sqrt3"}, denoiser={"kind": "scaled_tanh", "schedule": [2.0] * 2}
+    ),
+    # a fixed steep tanh settles only once its normal rules split at the tanh's centre; with
+    # Gauss-Hermite doubling alone se_spiked and se_covariance raised
+    "state_evolution_spectral_tanh8": dict(SPECTRAL_SE_N200, denoiser={"kind": "scaled_tanh", "schedule": [8.0] * 3}),
+    "state_evolution_independent_tanh8": dict(INDEPENDENT_SE, denoiser={"kind": "scaled_tanh", "schedule": [8.0] * 3}),
+    # the C^1 soft threshold needs its split rules: with Gauss-Hermite doubling alone the
+    # scalar recursion never settled. Its records carry no accuracy bound: the first step of
+    # the spectral orbit is known to miss the prediction at this size
+    "state_evolution_spectral_soft_threshold": dict(
+        SPECTRAL_SE, n_grid=[200], trials=2, master_seed=5,
+        denoiser={"kind": "smooth_soft_threshold", "schedule": [0.5] * 3},
+    ),
+    "state_evolution_independent": dict(INDEPENDENT_SE, denoiser={"kind": "scaled_tanh", "schedule": [1.5] * 3}),
+    "state_evolution_soft_threshold": dict(
+        INDEPENDENT_SE, denoiser={"kind": "smooth_soft_threshold", "schedule": [0.6, 0.9, 0.5]}
+    ),
+    "bbp": dict(n_grid=[100], trials=2, gamma_grid=[2.0, 0.5], denoiser=IDENTITY),
     # below the transition some trials' spectral inits fall back to applies
     "bbp_fallback_inits": dict(BBP_ACROSS_TRANSITION, n_grid=[300], trials=4),
     # at n=1000 OpenBLAS splits the dense dsymv apply across its own threads (at n=300 it may
     # run it on one), and two trial workers then call it concurrently
     "bbp_threaded_dsymv": dict(BBP_ACROSS_TRANSITION, n_grid=[1000], trials=2),
+    # 2 x 2 and 3 x 3 Lanczos tridiagonals, so every Ritz pair of the first
+    "bbp_small_n": dict(BBP_ACROSS_TRANSITION, n_grid=[2, 3], trials=8, master_seed=3),
+    # at n=2 the three-point prior draws u0 = 0 in some trials; the gap check has no start
+    # vector there, and only those trials fail
+    "bbp_zero_prior": dict(
+        experiment="bbp", n_grid=[2], trials=12, master_seed=1, gamma_grid=[2.0], ensemble={"kind": "gaussian"},
+        denoiser=IDENTITY,
+        prior={"kind": "three_point", "values": [-(2**0.5), 0.0, 2**0.5], "probs": [0.25, 0.5, 0.25]},
+        statuses={"ok", "DegenerateInputError"},
+    ),
     "interpolation": dict(n_grid=[40, 60], trials=3, t_grid=[1.0, 0.3, 0.0, 0.7]),
+    "interpolation_generalized": dict(INTERPOLATION, engine="generalized", t_grid=[0.0, 0.4, 1.0]),
+    # the bayes schedule at gamma 3 settles only once its normal rules split at the tanh's centre
+    "interpolation_bayes_gamma3": dict(
+        INTERPOLATION, denoiser={"kind": "scaled_tanh", "schedule": "bayes"}, gamma=3.0, K=5, t_grid=[0.0, 0.5, 1.0]
+    ),
+    "interpolation_linear_combo": dict(
+        INTERPOLATION, denoiser={"kind": "linear_combo", "weights": [0.6, -0.3, 0.2], "offset": 0.1},
+        t_grid=[1.0, 0.5, 0.0],
+    ),
+    # thresholds low enough that no orbit dies out: phi != 0 on every row
+    "interpolation_soft_threshold": dict(
+        INTERPOLATION, denoiser={"kind": "smooth_soft_threshold", "schedule": [0.2, 0.3, 0.2]}, gamma=0.0,
+        t_grid=[0.2, 0.5, 0.9],
+    ),
     "concentration": dict(ensemble={"kind": "gaussian"}, n_grid=[40, 80], trials=3),
-    "power_bound": dict(
-        ensemble={"kind": "gaussian"},
-        n_grid=[32],
-        trials=3,
-        denoiser={"kind": "identity"},
-        power_depth=15,
+    "power_bound": dict(ensemble={"kind": "gaussian"}, n_grid=[32], trials=3, denoiser=IDENTITY, power_depth=15),
+    # the power_bound_oracle workload from n = 1, a 1 x 1 stack, on up
+    "power_bound_small_n": dict(
+        experiment="power_bound", n_grid=[1, 3, 16, 33, 64], trials=8, master_seed=20240810,
+        ensemble={"kind": "gaussian"}, denoiser=IDENTITY, power_depth=20,
     ),
 }
 
 
+def byte_identity_config(name, **overrides):
+    """The config of a BYTE_IDENTITY_CONFIGS row and the set of statuses its records hold."""
+    row = dict(BYTE_IDENTITY_CONFIGS[name])
+    statuses = row.pop("statuses", {"ok"})
+    return base_config(**{"experiment": name, **row, **overrides}), statuses
+
+
 @pytest.mark.parametrize("name", sorted(BYTE_IDENTITY_CONFIGS))
 def test_records_byte_identical_on_rerun_and_across_threads(tmp_path, name):
-    overrides = {"experiment": name, **BYTE_IDENTITY_CONFIGS[name]}
     for run, threads in (("a", 1), ("b", 1), ("c", 2)):
-        columns, rows, summary = run_experiment(base_config(threads=threads, **overrides))
+        cfg, statuses = byte_identity_config(name, threads=threads)
+        columns, rows, summary = run_experiment(cfg)
+        assert {row["status"] for row in rows} == statuses
         write_records_csv(tmp_path / f"{run}.csv", columns, rows)
         write_summary_json(tmp_path / f"{run}.json", summary)
-    if name == "state_evolution":
-        assert any(row["status"] != "ok" for row in rows)
+    # every state_evolution row carries a finite prediction, failed trials' rows too
+    assert all(np.isfinite(row["phi_prediction"]) for row in rows if "phi_prediction" in row)
     for suffix in ("csv", "json"):
         first = (tmp_path / f"a.{suffix}").read_bytes()
         assert first == (tmp_path / f"b.{suffix}").read_bytes()

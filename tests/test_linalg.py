@@ -24,14 +24,6 @@ class TestSymmetricMatrix:
         assert m.entries.shape == (7 * 8 // 2,)
         np.testing.assert_allclose(m.to_dense(), dense, rtol=0, atol=0)
 
-    def test_rejects_wrong_entry_count(self):
-        with pytest.raises(RejectedInputError):
-            SymmetricMatrix(3, np.zeros(5))
-
-    def test_rejects_asymmetric_dense(self):
-        with pytest.raises(RejectedInputError):
-            SymmetricMatrix.from_dense([[1.0, 2.0], [0.0, 1.0]])
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_dense(self, bad):
         for dense in ([[1.0, bad], [2.0, 1.0]], [[1.0, bad], [bad, 1.0]], [[bad, 0.0], [0.0, 1.0]]):
@@ -55,18 +47,6 @@ class TestSymmetricMatrix:
     def test_rejects_a_dense_array_blas_cannot_read_in_place(self, entries):
         with pytest.raises(RejectedInputError, match="Fortran-order float64"):
             SymmetricMatrix(3, entries)
-
-    @pytest.mark.parametrize(
-        "call, match",
-        [
-            (lambda: SymmetricMatrix(0, np.zeros(0)), "dimension must be >= 1, got 0"),
-            (lambda: SymmetricMatrix.from_dense(np.zeros((2, 3))), r"expected a square matrix, got shape \(2, 3\)"),
-        ],
-        ids=["empty", "not_square"],
-    )
-    def test_rejects_a_shape_that_is_no_symmetric_matrix(self, call, match):
-        with pytest.raises(RejectedInputError, match=match):
-            call()
 
 
 class TestSymMatvec:
@@ -94,11 +74,6 @@ class TestSymMatvec:
         x = rng.normal(size=8)
         naive = np.array([sum(dense[i, j] * x[j] for j in range(8)) for i in range(8)])
         np.testing.assert_allclose(sym_matvec(SymmetricMatrix(8, upper), x), naive, rtol=1e-13, atol=1e-13)
-
-    def test_dimension_mismatch(self):
-        m = SymmetricMatrix.from_dense(np.eye(3))
-        with pytest.raises(RejectedInputError):
-            sym_matvec(m, np.ones(4))
 
     def test_self_adjointness(self):
         rng = np.random.default_rng(2)
@@ -207,12 +182,26 @@ class TestJacobi:
             jacobi_eigendecomp(SymmetricMatrix.from_dense(dense), tol=1e-12)
         assert info.value.residual > 1e-12 * np.linalg.norm(dense)
 
-    def test_rejects_bad_tol_and_large_n(self):
-        m = SymmetricMatrix.from_dense(np.eye(2))
-        with pytest.raises(RejectedInputError):
-            jacobi_eigendecomp(m, tol=0.0)
-        with pytest.raises(RejectedInputError):
-            jacobi_eigendecomp(SymmetricMatrix.from_dense(np.eye(1025)))
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: SymmetricMatrix(0, np.zeros(0)), "dimension must be >= 1, got 0"),
+        (lambda: SymmetricMatrix(3, np.zeros(5)), r"packed entries must have length 6, got shape \(5,\)"),
+        (lambda: SymmetricMatrix.from_dense(np.zeros((2, 3))), r"expected a square matrix, got shape \(2, 3\)"),
+        (lambda: SymmetricMatrix.from_dense([[1.0, 2.0], [0.0, 1.0]]), "matrix is not symmetric"),
+        (lambda: sym_matvec(SymmetricMatrix.from_dense(np.eye(3)), np.ones(4)), r"vector length \(4,\) does not match n=3"),
+        (lambda: jacobi_eigendecomp(SymmetricMatrix.from_dense(np.eye(2)), tol=0.0), "tol must be positive, got 0.0"),
+        (
+            lambda: jacobi_eigendecomp(SymmetricMatrix.from_dense(np.eye(1025))),
+            "jacobi_eigendecomp is limited to n <= 1024, got 1025",
+        ),
+    ],
+    ids=["empty", "entry_count", "not_square", "asymmetric", "matvec_length", "zero_tol", "large_n"],
+)
+def test_linalg_refuses_bad_input(call, match):
+    with pytest.raises(RejectedInputError, match=match):
+        call()
 
 
 def power_bound_stack():

@@ -128,50 +128,62 @@ class TestPowerMethod:
         eig = jacobi_eigendecomp(SymmetricMatrix.from_dense(np.array([[2.0]])), tol=1e-14)
         assert power_bound_rhs(eig, np.ones(1), 10) == 0.0
 
-    def test_rejects_non_unit_start(self):
-        m = SymmetricMatrix.from_dense(np.eye(3))
-        with pytest.raises(RejectedInputError):
-            power_method(m, np.array([1.0, 1.0, 0.0]), 5)
 
-    def test_rejects_zero_iterations(self):
-        m = SymmetricMatrix.from_dense(np.eye(2))
-        with pytest.raises(RejectedInputError):
-            power_method(m, np.array([1.0, 0.0]), 0)
-
-    def test_degenerate_on_zero_operator(self):
-        m = SymmetricMatrix.from_dense(np.zeros((3, 3)))
-        with pytest.raises(DegenerateInputError):
-            power_method(m, np.array([1.0, 0.0, 0.0]), 3)
-
-    @pytest.mark.parametrize(
-        "call, error, match",
-        [
-            (
-                lambda: power_bound_rhs(EigenDecomp(np.zeros(2), np.eye(2)), np.array([1.0, 0.0]), 3),
-                DegenerateInputError,
-                "top eigenvalue is zero",
-            ),
-            (
-                lambda: power_bound_rhs(EigenDecomp(np.array([2.0, 1.0]), np.eye(2)), np.array([0.0, 1.0]), 3),
-                DegenerateInputError,
-                "start vector orthogonal to the top eigenvector",
-            ),
-            (
-                lambda: power_method(SymmetricMatrix.from_dense(np.eye(3)), np.array([1.0, 0.0]), 5),
-                RejectedInputError,
-                r"start vector has shape \(2,\), expected \(3,\)",
-            ),
-            (
-                lambda: resolve_power_depth(SymmetricMatrix.from_dense(np.eye(3)), 0, None),
-                RejectedInputError,
-                "power depth must be >= 1, got 0",
-            ),
-        ],
-        ids=["zero_top_eigenvalue", "orthogonal_start", "start_length", "zero_depth"],
-    )
-    def test_refuses_what_the_bound_and_depth_do_not_define(self, call, error, match):
-        with pytest.raises(error, match=match):
-            call()
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (
+            lambda: power_bound_rhs(EigenDecomp(np.zeros(2), np.eye(2)), np.array([1.0, 0.0]), 3),
+            DegenerateInputError,
+            "top eigenvalue is zero",
+        ),
+        (
+            lambda: power_bound_rhs(EigenDecomp(np.array([2.0, 1.0]), np.eye(2)), np.array([0.0, 1.0]), 3),
+            DegenerateInputError,
+            "start vector orthogonal to the top eigenvector",
+        ),
+        (
+            lambda: power_method(SymmetricMatrix.from_dense(np.eye(3)), np.array([1.0, 0.0]), 5),
+            RejectedInputError,
+            r"start vector has shape \(2,\), expected \(3,\)",
+        ),
+        (
+            lambda: power_method(SymmetricMatrix.from_dense(np.eye(3)), np.array([1.0, 1.0, 0.0]), 5),
+            RejectedInputError,
+            "start vector must have unit norm",
+        ),
+        (
+            lambda: power_method(SymmetricMatrix.from_dense(np.eye(2)), np.array([1.0, 0.0]), 0),
+            RejectedInputError,
+            "iteration count must be >= 1, got 0",
+        ),
+        (
+            lambda: power_method(SymmetricMatrix.from_dense(np.zeros((3, 3))), np.array([1.0, 0.0, 0.0]), 3),
+            DegenerateInputError,
+            "power iterate vanished; start vector has no overlap with the spectrum",
+        ),
+        (
+            lambda: gapped_init(*spiked_instance(100, 2.0, 71), 0),
+            RejectedInputError,
+            "iteration count must be >= 1, got 0",
+        ),
+        (
+            lambda: gap_check(SymmetricMatrix.from_dense(np.eye(1)), y0=np.ones(1)),
+            RejectedInputError,
+            "gap check needs n >= 2, got 1",
+        ),
+        (
+            lambda: resolve_power_depth(SymmetricMatrix.from_dense(np.eye(3)), 0, None),
+            RejectedInputError,
+            "power depth must be >= 1, got 0",
+        ),
+    ],
+    ids=["zero_top_eigenvalue", "orthogonal_start", "start_length", "non_unit_start", "zero_iterations",
+         "zero_operator", "init_zero_depth", "gap_one_by_one", "zero_depth"],
+)
+def test_spectral_refuses_bad_input(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 class TestSpectralInit:
@@ -254,11 +266,6 @@ class TestSpectralInit:
             np.testing.assert_allclose(
                 spectral_init(m, gc, d), plain_power_init(m, u0, d), rtol=0, atol=1e-12
             )
-
-    def test_refuses_zero_depth(self):
-        op, u0 = spiked_instance(100, 2.0, 71)
-        with pytest.raises(RejectedInputError):
-            spectral_init(op, gap_check(op, y0=start_along(u0)), 0)
 
     def test_vanishing_iterate_with_gap_result(self):
         # u0 lies in the kernel: the first power step is zero
@@ -407,10 +414,6 @@ class TestGapCheck:
         monkeypatch.setattr(openblas, "_dstevx", fail)
         with pytest.raises(NumericalFailureError, match="dstevx"):
             gap_check(spiked_instance(50, 2.0, 71)[0], y0=other_start(50))
-
-    def test_rejects_one_by_one(self):
-        with pytest.raises(RejectedInputError):
-            gap_check(SymmetricMatrix.from_dense(np.eye(1)), y0=np.ones(1))
 
 
 class TestDefaultPowerDepth:
