@@ -48,6 +48,9 @@ def base_config(**overrides):
     return parse_config(data)
 
 
+IDENTITY = {"kind": "identity"}
+GAUSSIAN = {"kind": "gaussian"}
+
 # gamma barely above 1 at small n: the gap check refuses some trials
 NEAR_TRANSITION_SE = dict(
     experiment="state_evolution",
@@ -537,113 +540,54 @@ class TestInterpolation:
         assert peak < 3 * 8 * packed_length(n)
 
 
-def record_noise_buffers(monkeypatch):
-    """Forward sample_wigner, recording (thread, ensemble kind, out's data pointer) per call."""
-    real_sample_wigner = experiments.sample_wigner
-    calls = []
+# kinds drawn per trial, buffers per worker, their layout, experiment overrides
+NOISE_BUFFERS = {
+    "universality": (["gaussian", "rademacher"], 1, "packed", {}),
+    "interpolation": (["gaussian", "rademacher"], 2, "packed", dict(experiment="interpolation", t_grid=[0.0, 0.5])),
+    "concentration": (["gaussian"], 1, "packed", dict(experiment="concentration", ensemble=GAUSSIAN)),
+    "independent_state_evolution": (["rademacher"], 1, "packed", dict(
+        experiment="state_evolution", gamma=0.0, init="independent", prior=GAUSSIAN, denoiser=IDENTITY,
+        phi={"kind": "last_coord_clipped"},
+    )),
+    "power_bound": (["gaussian"], 1, "packed", dict(
+        experiment="power_bound", ensemble=GAUSSIAN, denoiser=IDENTITY, power_depth=15
+    )),
+    # one matrix per gamma
+    "bbp": (["rademacher"] * 2, 1, "dense", dict(experiment="bbp", gamma_grid=[2.0, 0.5], denoiser=IDENTITY)),
+    "spectral_state_evolution": (["rademacher"], 1, "dense", dict(
+        experiment="state_evolution", K=1, init="spectral", denoiser={"kind": "scaled_tanh", "schedule": "bayes"},
+        phi={"kind": "se_pair"},
+    )),
+}
+LAYOUTS = {"packed": ((packed_length(60),), "C_CONTIGUOUS"), "dense": ((60, 60), "F_CONTIGUOUS")}
 
-    def forward(n, ens, stream, **kwargs):
-        out = kwargs.get("out")
-        calls.append((threading.get_ident(), ens.kind, None if out is None else out.ctypes.data))
-        return real_sample_wigner(n, ens, stream, **kwargs)
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name", NOISE_BUFFERS)
+def test_each_worker_draws_into_its_own_buffers(monkeypatch, name, threads):
+    kinds, buffers, layout, overrides = NOISE_BUFFERS[name]
+    real_sample_wigner = experiments.sample_wigner
+    calls = []  # holding each out keeps a freed buffer's address from being handed out again
+
+    def forward(n, ens, stream, out=None):
+        calls.append((threading.get_ident(), ens.kind, out))
+        return real_sample_wigner(n, ens, stream, out=out)
 
     monkeypatch.setattr(experiments, "sample_wigner", forward)
-    return calls
-
-
-class TestNoiseBuffers:
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_interpolation_trials_reuse_two_buffers_per_thread(self, monkeypatch, threads):
-        calls = record_noise_buffers(monkeypatch)
-        cfg = base_config(
-            experiment="interpolation", n_grid=[60], trials=6, t_grid=[0.0, 0.5], threads=threads
-        )
-        run_experiment(cfg)
-        assert len(calls) == 2 * 6
-        per_thread = {}
-        for thread, kind, pointer in calls:
-            assert pointer is not None
-            per_thread.setdefault(thread, {}).setdefault(kind, set()).add(pointer)
-        buffers = []
-        for by_kind in per_thread.values():
-            assert sorted(by_kind) == ["gaussian", "rademacher"]
-            assert all(len(pointers) == 1 for pointers in by_kind.values())
-            buffers += [pointer for pointers in by_kind.values() for pointer in pointers]
-        assert len(set(buffers)) == len(buffers)  # A and G apart, and no thread shares one
-
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_universality_draws_a_and_g_into_one_buffer_per_thread(self, monkeypatch, threads):
-        calls = record_noise_buffers(monkeypatch)
-        run_experiment(base_config(n_grid=[60], trials=6, threads=threads))
-        assert sorted(kind for _, kind, _ in calls) == ["gaussian"] * 6 + ["rademacher"] * 6
-        per_thread = {}
-        for thread, _, pointer in calls:
-            assert pointer is not None
-            per_thread.setdefault(thread, set()).add(pointer)
-        assert all(len(pointers) == 1 for pointers in per_thread.values())
-        assert len(set.union(*per_thread.values())) == len(per_thread)
-
-    @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            dict(experiment="concentration", ensemble={"kind": "gaussian"}),
-            dict(
-                experiment="state_evolution",
-                gamma=0.0,
-                init="independent",
-                prior={"kind": "gaussian"},
-                denoiser={"kind": "identity"},
-                phi={"kind": "last_coord_clipped"},
-            ),
-            dict(experiment="power_bound", ensemble={"kind": "gaussian"}, denoiser={"kind": "identity"}, power_depth=15),
-        ],
-        ids=["concentration", "independent_state_evolution", "power_bound"],
-    )
-    def test_single_matrix_experiments_reuse_one_packed_buffer_per_thread(self, monkeypatch, threads, overrides):
-        calls = record_noise_buffers(monkeypatch)
-        run_experiment(base_config(n_grid=[60], trials=6, threads=threads, **overrides))
-        assert len(calls) == 6
-        per_thread = {}
-        for thread, _, pointer in calls:
-            assert pointer is not None
-            per_thread.setdefault(thread, set()).add(pointer)
-        assert all(len(pointers) == 1 for pointers in per_thread.values())
-        assert len(set.union(*per_thread.values())) == len(per_thread)
-
-    @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            dict(experiment="bbp", gamma_grid=[2.0, 0.5], denoiser={"kind": "identity"}),
-            dict(
-                experiment="state_evolution",
-                K=1,
-                init="spectral",
-                denoiser={"kind": "scaled_tanh", "schedule": "bayes"},
-                phi={"kind": "se_pair"},
-            ),
-        ],
-        ids=["bbp", "spectral_state_evolution"],
-    )
-    def test_gap_check_experiments_reuse_one_dense_buffer_per_thread(self, monkeypatch, threads, overrides):
-        real_sample_wigner = experiments.sample_wigner
-        layouts = []
-
-        def forward(n, ens, stream, out=None):
-            layouts.append((out.shape, out.flags.f_contiguous))
-            return real_sample_wigner(n, ens, stream, out=out)
-
-        monkeypatch.setattr(experiments, "sample_wigner", forward)
-        calls = record_noise_buffers(monkeypatch)
-        cfg = base_config(n_grid=[60], trials=6, threads=threads, **overrides)
-        run_experiment(cfg)
-        assert layouts == [((60, 60), True)] * len(calls)
-        per_thread = {}
-        for thread, _, pointer in calls:
-            per_thread.setdefault(thread, set()).add(pointer)
-        assert all(len(pointers) == 1 for pointers in per_thread.values())
-        assert len(set.union(*per_thread.values())) == len(per_thread)
+    run_experiment(base_config(n_grid=[60], trials=6, threads=threads, **overrides))
+    assert sorted(kind for _, kind, _ in calls) == sorted(kinds * 6)
+    shape, contiguous = LAYOUTS[layout]
+    per_thread = {}
+    for thread, kind, out in calls:
+        assert out.shape == shape and out.flags[contiguous]
+        per_thread.setdefault(thread, {}).setdefault(kind, set()).add(out.ctypes.data)
+    held = []
+    for by_kind in per_thread.values():
+        assert all(len(pointers) == 1 for pointers in by_kind.values())  # one buffer per kind
+        pointers = set.union(*by_kind.values())
+        assert len(pointers) == buffers
+        held += pointers
+    assert len(set(held)) == len(held)  # no thread shares one
 
 
 class TestConcentration:
@@ -786,7 +730,6 @@ class TestPowerBound:
 # tests/records_digest.py hashes every row. A row is overrides on base_config; its experiment
 # is its name unless it sets one, and "statuses" names the set of statuses its records hold
 # (default {"ok"}). The bbp and t grids of some rows do not ascend, so the rows must be sorted
-IDENTITY = {"kind": "identity"}
 BBP_ACROSS_TRANSITION = dict(experiment="bbp", master_seed=20240810, gamma_grid=[0.5, 2.0], denoiser=IDENTITY)
 SPECTRAL_SE = dict(experiment="state_evolution", init="spectral", phi={"kind": "se_pair"})
 SPECTRAL_SE_N200 = dict(SPECTRAL_SE, n_grid=[200], trials=3, master_seed=5)

@@ -30,24 +30,6 @@ class TestSymmetricMatrix:
             with pytest.raises(RejectedInputError, match="non-finite entry"):
                 SymmetricMatrix.from_dense(dense)
 
-    def test_dense_layout_reads_the_upper_triangle_only(self):
-        rng = np.random.default_rng(3)
-        dense = random_symmetric(7, rng)
-        upper = np.asfortranarray(dense)
-        upper[np.tril_indices(7, -1)] = np.nan
-        m = SymmetricMatrix(7, upper)
-        assert m.entries is upper
-        np.testing.assert_array_equal(m.to_dense(), dense)
-
-    @pytest.mark.parametrize(
-        "entries",
-        [np.zeros((3, 3)), np.zeros((3, 3), dtype=np.float32, order="F"), np.zeros((3, 4), order="F")],
-        ids=["c_order", "float32", "not_square"],
-    )
-    def test_rejects_a_dense_array_blas_cannot_read_in_place(self, entries):
-        with pytest.raises(RejectedInputError, match="Fortran-order float64"):
-            SymmetricMatrix(3, entries)
-
 
 class TestSymMatvec:
     def test_identity(self):
@@ -58,22 +40,19 @@ class TestSymMatvec:
         m = SymmetricMatrix.from_dense([[0.0, 1.0], [1.0, 0.0]])
         np.testing.assert_array_equal(sym_matvec(m, [2.0, 5.0]), [5.0, 2.0])
 
-    def test_against_naive_two_loop_oracle(self):
+    @pytest.mark.parametrize("layout", ["packed", "dense"])
+    def test_against_naive_two_loop_oracle(self, layout):
         rng = np.random.default_rng(1)
         dense = random_symmetric(8, rng)
-        m = SymmetricMatrix.from_dense(dense)
+        if layout == "packed":
+            m = SymmetricMatrix.from_dense(dense)
+        else:
+            upper = np.asfortranarray(dense)
+            upper[np.tril_indices(8, -1)] = np.nan  # a stale lower triangle must not be read
+            m = SymmetricMatrix(8, upper)
         x = rng.normal(size=8)
         naive = np.array([sum(dense[i, j] * x[j] for j in range(8)) for i in range(8)])
         np.testing.assert_allclose(sym_matvec(m, x), naive, rtol=1e-13, atol=1e-13)
-
-    def test_dense_layout_against_naive_two_loop_oracle(self):
-        rng = np.random.default_rng(1)
-        dense = random_symmetric(8, rng)
-        upper = np.asfortranarray(dense)
-        upper[np.tril_indices(8, -1)] = np.nan  # a stale lower triangle must not be read
-        x = rng.normal(size=8)
-        naive = np.array([sum(dense[i, j] * x[j] for j in range(8)) for i in range(8)])
-        np.testing.assert_allclose(sym_matvec(SymmetricMatrix(8, upper), x), naive, rtol=1e-13, atol=1e-13)
 
     def test_self_adjointness(self):
         rng = np.random.default_rng(2)
@@ -183,11 +162,18 @@ class TestJacobi:
         assert info.value.residual > 1e-12 * np.linalg.norm(dense)
 
 
+DENSE = r"dense entries must be a Fortran-order float64 \(3, 3\) array, got shape "
+
+
 @pytest.mark.parametrize(
     "call, match",
     [
         (lambda: SymmetricMatrix(0, np.zeros(0)), "dimension must be >= 1, got 0"),
         (lambda: SymmetricMatrix(3, np.zeros(5)), r"packed entries must have length 6, got shape \(5,\)"),
+        # a dense array that BLAS cannot read in place
+        (lambda: SymmetricMatrix(3, np.zeros((3, 3))), DENSE + r"\(3, 3\)"),
+        (lambda: SymmetricMatrix(3, np.zeros((3, 3), dtype=np.float32, order="F")), DENSE + r"\(3, 3\)"),
+        (lambda: SymmetricMatrix(3, np.zeros((3, 4), order="F")), DENSE + r"\(3, 4\)"),
         (lambda: SymmetricMatrix.from_dense(np.zeros((2, 3))), r"expected a square matrix, got shape \(2, 3\)"),
         (lambda: SymmetricMatrix.from_dense([[1.0, 2.0], [0.0, 1.0]]), "matrix is not symmetric"),
         (lambda: sym_matvec(SymmetricMatrix.from_dense(np.eye(3)), np.ones(4)), r"vector length \(4,\) does not match n=3"),
@@ -197,7 +183,8 @@ class TestJacobi:
             "jacobi_eigendecomp is limited to n <= 1024, got 1025",
         ),
     ],
-    ids=["empty", "entry_count", "not_square", "asymmetric", "matvec_length", "zero_tol", "large_n"],
+    ids=["empty", "entry_count", "dense_c_order", "dense_float32", "dense_not_square", "not_square", "asymmetric",
+         "matvec_length", "zero_tol", "large_n"],
 )
 def test_linalg_refuses_bad_input(call, match):
     with pytest.raises(RejectedInputError, match=match):
